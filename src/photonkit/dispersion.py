@@ -18,6 +18,7 @@ __all__ = [
     "CrystalSpec",
     "Polarization",
     "refractive_index",
+    "index_and_derivative",
     "poling_period",
     "wavevector_magnitude",
     "load_crystal",
@@ -94,9 +95,9 @@ class CrystalSpec:
         return self.sellmeier_x
 
 
-def refractive_index(sellmeier: SellmeierSet, wavelength_um):
-    """Refractive index at vacuum wavelength(s) in um."""
-    lam2 = np.asarray(wavelength_um, dtype=float) ** 2
+def _index_squared(sellmeier: SellmeierSet, lam2):
+    """n^2 at squared wavelength(s) lam2 in um^2, with the pole distances
+    (lam2 - a2, lam2 - a4); raises outside the formula's domain."""
     if np.any(lam2 <= 0):
         raise DomainError("wavelength must be positive")
     a0, a1, a2, a3, a4 = sellmeier.as_tuple()
@@ -107,8 +108,30 @@ def refractive_index(sellmeier: SellmeierSet, wavelength_um):
     radicand = a0 + a1 / d1 + a3 / d2
     if np.any(radicand <= 0):
         raise NegativeRadicand("Sellmeier radicand is not positive")
-    n = np.sqrt(radicand)
+    return radicand, d1, d2
+
+
+def refractive_index(sellmeier: SellmeierSet, wavelength_um):
+    """Refractive index at vacuum wavelength(s) in um."""
+    lam2 = np.asarray(wavelength_um, dtype=float) ** 2
+    n = np.sqrt(_index_squared(sellmeier, lam2)[0])
     return float(n) if n.ndim == 0 else n
+
+
+def index_and_derivative(sellmeier: SellmeierSet, wavelength_um):
+    """Refractive index and its slope dn/dlam in 1/um at wavelength(s) in um.
+
+    Differentiating the Sellmeier formula gives
+    dn/dlam = -lam (a1/(lam^2 - a2)^2 + a3/(lam^2 - a4)^2) / n.
+    Same domain checks as refractive_index.
+    """
+    lam = np.asarray(wavelength_um, dtype=float)
+    radicand, d1, d2 = _index_squared(sellmeier, lam**2)
+    n = np.sqrt(radicand)
+    dn = -lam * (sellmeier.a1 / d1**2 + sellmeier.a3 / d2**2) / n
+    if n.ndim == 0:
+        return float(n), float(dn)
+    return n, dn
 
 
 def poling_period(crystal: CrystalSpec, temperature_k: float) -> float:

@@ -4,7 +4,7 @@ and real-order Bessel functions of both kinds."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,18 +114,16 @@ def integrate(f: Callable[[float], float], a: float, b: float, order: int = 32) 
     return float(half * np.dot(weights, fx))
 
 
-def _jacobian(model, params, x, mask):
-    """Forward-difference Jacobian of the model at the masked sample points."""
+def _jacobian(model, params, x, base):
+    """Forward-difference Jacobian of the model, given its values `base` at params."""
     p = np.asarray(params, dtype=float)
-    base = _eval_model(model, p, x)
     cols = []
     for j in range(p.size):
         step = 1.49e-8 * max(abs(p[j]), 1.0)
         pj = p.copy()
         pj[j] += step
         cols.append((_eval_model(model, pj, x) - base) / step)
-    jac = np.column_stack(cols)
-    return jac[mask]
+    return np.column_stack(cols)
 
 
 def _eval_model(model, params, x):
@@ -140,14 +138,19 @@ def _eval_model(model, params, x):
 
 def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[float],
                       initial: Sequence[float], weights: Sequence[float] | None = None,
-                      max_iter: int = 200) -> FitResult:
+                      max_iter: int = 200, jacobian: Callable | None = None) -> FitResult:
     """Levenberg-Marquardt minimization of sum w_i (y_i - model(p, x_i))^2.
 
     The model may return NaN for individual points; those points are masked for
     the current step rather than aborting the fit. Damping starts at 1e-3 and is
     divided/multiplied by 10 on accepted/rejected steps. Standard errors come
     from the Jacobian-based covariance estimate scaled by residual variance.
+
+    jacobian(params, x, values), given the model values at params, returns the
+    (len(x), len(params)) derivative matrix; forward differences by default.
     """
+    if jacobian is None:
+        jacobian = partial(_jacobian, model)
     x = np.asarray(xdata, dtype=float)
     y = np.asarray(ydata, dtype=float)
     p = np.array(initial, dtype=float)
@@ -184,7 +187,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     iterations = 0
     jac = None
     for iterations in range(1, max_iter + 1):
-        jac = _jacobian(model, p, x, mask)
+        jac = jacobian(p, x, m)[mask]
         sw = np.sqrt(w[mask])
         jw = jac * sw[:, None]
         r = sw * (y[mask] - m[mask])
@@ -214,7 +217,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
             break
 
     if jac is None:
-        jac = _jacobian(model, p, x, mask)
+        jac = jacobian(p, x, m)[mask]
     n_used = int(np.count_nonzero(mask))
     dof = max(n_used - p.size, 1)
     sw = np.sqrt(w[mask])

@@ -12,11 +12,19 @@ from . import numerics
 from .dispersion import (
     CrystalSpec,
     Polarization,
+    SellmeierSet,
+    index_and_derivative,
     poling_period,
     refractive_index,
     wavevector_magnitude,
 )
-from .errors import ArcsineDomain, DomainError, MultipleRoots, NoRootInWindow
+from .errors import (
+    ArcsineDomain,
+    DomainError,
+    MaxIterations,
+    MultipleRoots,
+    NoRootInWindow,
+)
 
 __all__ = [
     "PhaseMatchQuery",
@@ -25,6 +33,7 @@ __all__ = [
     "grating_vector",
     "mismatch",
     "scalar_mismatch",
+    "collinear_mismatch",
     "idler_angle",
     "solve_signal_wavelength",
     "solve_signal_sweep",
@@ -33,6 +42,9 @@ __all__ = [
 
 COARSE_STEP_NM = 0.1
 MISMATCH_TOL_PER_UM = 1e-10
+# Newton refinement of the sweep roots: step cap and final step size.
+SWEEP_MAX_STEPS = 64
+SWEEP_STEP_TOL_NM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,14 +171,58 @@ def idler_angle(query: PhaseMatchQuery, signal_nm: float, crystal: CrystalSpec) 
     return math.asin(arg)
 
 
+def _wavevector_and_slope(sellmeier: SellmeierSet, wavelength_um):
+    """k = 2 pi n / lam in 1/um and dk/dlam in 1/um^2."""
+    n, dn = index_and_derivative(sellmeier, wavelength_um)
+    k = wavevector_magnitude(n, wavelength_um)
+    return k, (2.0 * math.pi * dn - k) / wavelength_um
+
+
+def _collinear_terms(k_p, g, set_s: SellmeierSet, set_i: SellmeierSet,
+                     pump_um, signal_nm):
+    """Collinear mismatch k_p - k_s - k_i + g (1/um) and its slope with respect
+    to the signal wavelength at fixed pump, in 1/um per nm.
+
+    The idler follows the signal through 1/lam_i = 1/lam_p - 1/lam_s, so
+    dlam_i/dlam_s = -(lam_i/lam_s)^2 and
+    d(dk)/dlam_s = -dk_s/dlam + (lam_i/lam_s)^2 dk_i/dlam.
+    """
+    s_um = signal_nm * 1e-3
+    i_um = 1.0 / (1.0 / pump_um - 1.0 / s_um)
+    k_s, dks = _wavevector_and_slope(set_s, s_um)
+    k_i, dki = _wavevector_and_slope(set_i, i_um)
+    dk = k_p - k_s - k_i + g
+    return dk, (-dks + (i_um / s_um) ** 2 * dki) * 1e-3
+
+
+def collinear_mismatch(query: PhaseMatchQuery, crystal: CrystalSpec, pump_nm, signal_nm):
+    """Collinear mismatch (1/um) and its signal-wavelength slope at fixed pump
+    (1/um per nm), element-wise over paired pump and signal wavelengths.
+
+    The query supplies polarizations, temperature and QPM order; its pump
+    wavelength is ignored in favour of pump_nm.
+    """
+    pump_um = np.asarray(pump_nm, dtype=float) * 1e-3
+    k_p = wavevector_magnitude(
+        refractive_index(crystal.axis_set(query.pol_pump), pump_um), pump_um)
+    return _collinear_terms(k_p, grating_vector(query, crystal),
+                            crystal.axis_set(query.pol_signal),
+                            crystal.axis_set(query.pol_idler),
+                            pump_um, np.asarray(signal_nm, dtype=float))
+
+
 def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec,
                        pump_sweep_nm, search_window_nm: tuple[float, float],
                        coarse_points: int = 1001) -> np.ndarray:
     """Collinear signal-wavelength roots for many pump wavelengths at once.
 
-    Vectorized bisection over a shared search window; entries with no sign
-    change come back NaN. When several sign changes exist for one pump the
-    bracket closest to the window centre is refined. Collinear geometry only.
+    Scans the window on coarse_points wavelengths; entries with no sign change
+    come back NaN. When several sign changes exist for one pump the bracket
+    closest to the window centre is refined, by Newton steps on the analytic
+    slope that fall back to bisection when they leave the bracket. Refinement
+    stops once every |dk| <= MISMATCH_TOL_PER_UM with the Newton step or the
+    bracket no wider than SWEEP_STEP_TOL_NM, and raises MaxIterations after
+    SWEEP_MAX_STEPS without that. Collinear geometry only.
     """
     if query.signal_theta_rad != 0.0:
         raise DomainError("sweep solver supports collinear geometry only")
@@ -181,61 +237,50 @@ def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec,
     set_i = crystal.axis_set(query.pol_idler)
     g = grating_vector(query, crystal)
 
-    def dk(signal_nm):
-        # signal_nm: (P,) or (P, S) paired with pumps broadcast on axis 0
-        s_um = signal_nm * 1e-3
-        p_um = pump_um if signal_nm.ndim == 1 else pump_um[:, None]
-        i_um = 1.0 / (1.0 / p_um - 1.0 / s_um)
-        k_s = wavevector_magnitude(refractive_index(set_s, s_um), s_um)
-        k_i = wavevector_magnitude(refractive_index(set_i, i_um), i_um)
-        kp = k_p if signal_nm.ndim == 1 else k_p[:, None]
-        return kp - k_s - k_i + g
-
-    mat = dk(np.broadcast_to(grid, (pumps.size, grid.size)).copy())
+    # k_s does not depend on the pump: one row serves every pump.
+    s_um = grid * 1e-3
+    k_s = wavevector_magnitude(refractive_index(set_s, s_um), s_um)
+    i_um = 1.0 / (1.0 / pump_um[:, None] - 1.0 / s_um)
+    k_i = wavevector_magnitude(refractive_index(set_i, i_um), i_um)
+    mat = k_p[:, None] - k_s - k_i + g
     sign = np.sign(mat)
     flips = sign[:, :-1] * sign[:, 1:] < 0
 
-    lo = np.full(pumps.size, np.nan)
-    hi = np.full(pumps.size, np.nan)
     centre = 0.5 * (lo_nm + hi_nm)
-    for i in range(pumps.size):
-        idx = np.nonzero(flips[i])[0]
-        if idx.size == 0:
-            continue
-        best = idx[np.argmin(np.abs(0.5 * (grid[idx] + grid[idx + 1]) - centre))] \
-            if idx.size > 1 else idx[0]
-        lo[i], hi[i] = grid[best], grid[best + 1]
-
-    ok = np.isfinite(lo)
-    if not np.any(ok):
-        return np.full(pumps.size, np.nan) if np.ndim(pump_sweep_nm) else np.array([np.nan])
-    a = lo[ok].copy()
-    b = hi[ok].copy()
-    fa = dk_sub = None
-    # restrict dk to the bracketed pumps for the bisection loop
-    k_p_ok = k_p[ok]
-    p_um_ok = pump_um[ok]
-
-    def dk_ok(signal_nm):
-        s_um = signal_nm * 1e-3
-        i_um = 1.0 / (1.0 / p_um_ok - 1.0 / s_um)
-        k_s = wavevector_magnitude(refractive_index(set_s, s_um), s_um)
-        k_i = wavevector_magnitude(refractive_index(set_i, i_um), i_um)
-        return k_p_ok - k_s - k_i + g
-
-    fa = dk_ok(a)
-    for _ in range(64):
-        mid = 0.5 * (a + b)
-        fm = dk_ok(mid)
-        left = fa * fm <= 0
-        b = np.where(left, mid, b)
-        a = np.where(left, a, mid)
-        fa = np.where(left, fa, fm)
-        if np.max(b - a) < 1e-12:
-            break
+    dist = np.where(flips, np.abs(0.5 * (grid[:-1] + grid[1:]) - centre), np.inf)
+    best = np.argmin(dist, axis=1)
+    ok = flips.any(axis=1)
     roots = np.full(pumps.size, np.nan)
-    roots[ok] = 0.5 * (a + b)
-    return roots
+    if not ok.any():
+        return roots
+
+    rows = np.nonzero(ok)[0]
+    cols = best[ok]
+    a, b = grid[cols], grid[cols + 1]
+    fa, fb = mat[rows, cols], mat[rows, cols + 1]
+    k_p, p_um = k_p[ok], pump_um[ok]
+    x = a - fa * (b - a) / (fb - fa)
+    done = np.zeros(x.size, dtype=bool)
+    for _ in range(SWEEP_MAX_STEPS):
+        f, slope = _collinear_terms(k_p, g, set_s, set_i, p_um, x)
+        same = np.sign(f) == np.sign(fa)
+        a = np.where(same, x, a)
+        fa = np.where(same, f, fa)
+        b = np.where(same, b, x)
+        step = f / slope
+        # Where the mismatch is flat, rounding noise in dk keeps the Newton
+        # step above the tolerance; the collapsed bracket then pins the root.
+        pinned = np.minimum(np.abs(step), b - a) <= SWEEP_STEP_TOL_NM
+        done |= (np.abs(f) <= MISMATCH_TOL_PER_UM) & pinned
+        if done.all():
+            roots[ok] = x
+            return roots
+        newton = x - step
+        inside = (newton > a) & (newton < b)
+        x = np.where(done, x, np.where(inside, newton, 0.5 * (a + b)))
+    raise MaxIterations(
+        f"sweep refinement missed |dk| <= {MISMATCH_TOL_PER_UM} um^-1 within "
+        f"{SWEEP_MAX_STEPS} steps for {np.count_nonzero(~done)} pump(s)")
 
 
 def snell_external_angle(n_internal: float, theta_internal_rad: float) -> float:
@@ -252,7 +297,8 @@ def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
     """Signal wavelength zeroing the scalar mismatch inside the window.
 
     Pre-scans the window at coarse_step_nm to bracket sign changes, then
-    refines with the Brent solver down to |dk| < 1e-10 um^-1.
+    refines with the Brent solver; raises MaxIterations when the returned root
+    misses |dk| <= MISMATCH_TOL_PER_UM.
     """
     lo, hi = search_window_nm
     if not query.pump_wavelength_nm < lo < hi:
@@ -279,6 +325,9 @@ def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
         f = lambda lam: scalar_mismatch(query, lam, crystal)
         root = numerics.find_root(f, numerics.bracket_root(f, b_lo, b_hi), tol=1e-12)
     residual = abs(scalar_mismatch(query, root, crystal))
+    if not residual <= MISMATCH_TOL_PER_UM:
+        raise MaxIterations(
+            f"root {root} nm leaves |dk| = {residual:.3g} um^-1 > {MISMATCH_TOL_PER_UM}")
     return PhaseMatchSolution(
         signal_wavelength_nm=root,
         idler_wavelength_nm=idler_wavelength(query.pump_wavelength_nm, root),

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics, phasematch
-from .dispersion import CrystalSpec, SellmeierSet
+from .dispersion import CrystalSpec, SellmeierSet, refractive_index
 from .errors import (
     DivergedFit,
     DomainError,
@@ -26,6 +26,7 @@ __all__ = [
     "SellmeierFitReport",
     "FitSetup",
     "model_signal_wavelength",
+    "model_jacobian",
     "rss",
     "fit",
     "synthesize_noisy_dataset",
@@ -101,6 +102,54 @@ def model_signal_wavelength(pump_nm: float, coeffs: Sequence[float],
     return sol.signal_wavelength_nm
 
 
+def _index_coefficient_gradient(sellmeier: SellmeierSet, wavelength_um) -> np.ndarray:
+    """dn/d(a0..a4) at each wavelength in um, shape (N, 5).
+
+    From n^2 = a0 + a1/d1 + a3/d2 with d1 = lam^2 - a2, d2 = lam^2 - a4:
+    d(n^2)/da = (1, 1/d1, a1/d1^2, 1/d2, a3/d2^2), and dn = d(n^2) / 2n.
+    """
+    n = refractive_index(sellmeier, wavelength_um)
+    lam2 = wavelength_um**2
+    d1 = lam2 - sellmeier.a2
+    d2 = lam2 - sellmeier.a4
+    dn2 = np.stack([np.ones_like(lam2), 1.0 / d1, sellmeier.a1 / d1**2,
+                    1.0 / d2, sellmeier.a3 / d2**2], axis=-1)
+    return dn2 / (2.0 * n[:, None])
+
+
+def model_jacobian(pumps_nm, signals_nm, coeffs: Sequence[float],
+                   setup: FitSetup) -> np.ndarray:
+    """Exact derivatives of the collinear signal roots with respect to the free
+    coefficients, shape (len(pumps_nm), len(free_indices)), in nm per unit.
+
+    signals_nm must be the roots at coeffs (NaN rows stay NaN). By the implicit
+    function theorem on dk(lam_s, a) = 0, dlam_s/da = -(ddk/da)/(ddk/dlam_s).
+    Only waves whose polarization maps to the z-axis set depend on a.
+    """
+    pumps_nm = np.asarray(pumps_nm, dtype=float)
+    signals_nm = np.asarray(signals_nm, dtype=float)
+    crystal = _crystal_with_z(setup, coeffs)
+    sell_z = crystal.sellmeier_z
+    query = setup.query
+    free = list(setup.free_indices)
+    jac = np.full((pumps_nm.size, len(free)), np.nan)
+    ok = np.isfinite(signals_nm)
+    p_um = pumps_nm[ok] * 1e-3
+    s_um = signals_nm[ok] * 1e-3
+    i_um = 1.0 / (1.0 / p_um - 1.0 / s_um)
+    ddk_da = np.zeros((p_um.size, len(free)))
+    for pol, lam_um, sign in ((query.pol_pump, p_um, 1.0),
+                              (query.pol_signal, s_um, -1.0),
+                              (query.pol_idler, i_um, -1.0)):
+        if crystal.axis_set(pol) is sell_z:
+            grad = _index_coefficient_gradient(sell_z, lam_um)[:, free]
+            ddk_da += sign * 2.0 * math.pi / lam_um[:, None] * grad
+    _, ddk_dlam = phasematch.collinear_mismatch(query, crystal, pumps_nm[ok],
+                                                signals_nm[ok])
+    jac[ok] = -ddk_da / ddk_dlam[:, None]
+    return jac
+
+
 def rss(points: Sequence[MeasurementPoint], coeffs: Sequence[float],
         setup: FitSetup) -> float:
     """Residual sum of squares in nm^2 over the dataset."""
@@ -118,7 +167,9 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
         max_iter: int = 400) -> SellmeierFitReport:
     """Levenberg-Marquardt fit of the free z-axis coefficients.
 
-    Points whose model root vanishes during a step are masked for that step.
+    The LM Jacobian is the exact one of model_jacobian, taken at the roots the
+    fit already holds, so it costs no root solves. Points whose model root
+    vanishes during a step are masked for that step.
     The report carries both the fitted RSS and the RSS at the start values.
     """
     n_free = len(setup.free_indices)
@@ -134,10 +185,14 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
         return phasematch.solve_signal_sweep(setup.query, crystal, np.atleast_1d(x),
                                              setup.search_window_nm)
 
+    def jacobian(params, x, values):
+        return model_jacobian(x, values, params, setup)
+
     start = np.asarray(start, dtype=float)
     start_rss = rss(points, start, setup)
     result = numerics.least_squares_fit(model, pumps, signals, start,
-                                        weights=weights, max_iter=max_iter)
+                                        weights=weights, max_iter=max_iter,
+                                        jacobian=jacobian)
     report = SellmeierFitReport(
         fitted=tuple(result.parameters),
         uncertainties=tuple(result.standard_errors),

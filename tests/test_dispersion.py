@@ -11,6 +11,7 @@ from photonkit.dispersion import (
     SellmeierSet,
     builtin_crystal_path,
     crystal_to_dict,
+    index_and_derivative,
     load_crystal,
     poling_period,
     refractive_index,
@@ -69,6 +70,34 @@ class TestRefractiveIndex:
         s = SellmeierSet(2.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             refractive_index(s, 0.0)
+
+
+class TestIndexAndDerivative:
+    def test_index_matches_refractive_index(self, kato_crystal):
+        lam = np.linspace(0.4, 1.6, 50)
+        n, _ = index_and_derivative(kato_crystal.sellmeier_z, lam)
+        assert np.array_equal(n, refractive_index(kato_crystal.sellmeier_z, lam))
+
+    def test_slope_matches_central_difference(self, kato_crystal):
+        for sell in (kato_crystal.sellmeier_y, kato_crystal.sellmeier_z):
+            lam = np.linspace(0.4, 1.6, 13)
+            h = 1e-6
+            numeric = (refractive_index(sell, lam + h)
+                       - refractive_index(sell, lam - h)) / (2.0 * h)
+            _, dn = index_and_derivative(sell, lam)
+            assert dn == pytest.approx(numeric, rel=1e-7)
+
+    def test_scalar_returns_floats(self, kato_crystal):
+        n, dn = index_and_derivative(kato_crystal.sellmeier_z, 0.8)
+        assert isinstance(n, float) and isinstance(dn, float)
+
+    def test_guards(self):
+        with pytest.raises(PoleProximity):
+            index_and_derivative(SellmeierSet(2.0, 1.0, 0.25, 0.0, 0.0), 0.5)
+        with pytest.raises(NegativeRadicand):
+            index_and_derivative(SellmeierSet(1.0, -5.0, 0.0, 0.0, 0.0), 0.5)
+        with pytest.raises(DomainError):
+            index_and_derivative(SellmeierSet(2.0, 0.0, 0.0, 0.0, 0.0), 0.0)
 
 
 class TestWavevector:

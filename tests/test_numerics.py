@@ -154,6 +154,46 @@ class TestLeastSquares:
         with pytest.raises(DomainError):
             numerics.least_squares_fit(model, [1, 2, 3], [1, 2, 3], [1.0])
 
+    def test_model_calls_per_iteration(self):
+        # Each iteration costs one forward-difference probe per parameter
+        # plus the trial step; the values at p are reused, not re-evaluated.
+        calls = []
+
+        def model(p, xx):
+            calls.append(p[0])
+            return p[0] * np.asarray(xx, dtype=float)
+
+        x = np.linspace(0.5, 2.0, 20)
+        res = numerics.least_squares_fit(model, x, 3.0 * x, [1.0])
+        assert res.converged
+        assert len(calls) == 1 + 2 * res.iterations
+
+    def test_analytic_jacobian(self):
+        x = np.linspace(-3, 3, 60)
+        truth = [0.2, 1.5, 0.4, 0.7]
+        y = self._gaussian(truth, x)
+        calls = []
+
+        def model(p, xx):
+            calls.append(tuple(p))
+            return self._gaussian(p, xx)
+
+        def jacobian(p, xx, values):
+            assert np.array_equal(values, self._gaussian(p, xx))
+            b, a, c, s = p
+            e = np.exp(-0.5 * ((xx - c) / s) ** 2)
+            return np.column_stack([np.ones_like(xx), e,
+                                    a * e * (xx - c) / s**2,
+                                    a * e * (xx - c) ** 2 / s**3])
+
+        res = numerics.least_squares_fit(model, x, y, [0.0, 1.0, 0.0, 1.0],
+                                         jacobian=jacobian)
+        assert res.converged
+        assert res.parameters == pytest.approx(truth, abs=1e-8)
+        # the model is evaluated only at the start and at trial steps
+        fd_calls = 1 + res.iterations * (1 + len(truth))
+        assert 1 + res.iterations <= len(calls) < fd_calls
+
     def test_standard_errors_scale_with_noise(self):
         rng = np.random.default_rng(7)
         x = np.linspace(0, 1, 200)

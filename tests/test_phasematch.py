@@ -7,11 +7,14 @@ from photonkit import phasematch
 from photonkit.dispersion import Polarization
 from photonkit.errors import (
     DomainError,
+    MaxIterations,
     MultipleRoots,
     NoRootInWindow,
 )
 from photonkit.phasematch import (
+    MISMATCH_TOL_PER_UM,
     PhaseMatchQuery,
+    collinear_mismatch,
     grating_vector,
     idler_angle,
     idler_wavelength,
@@ -161,6 +164,87 @@ class TestSolvers:
                                             kato_crystal)
         assert k_i * math.sin(sol.idler_angle_rad) == pytest.approx(
             k_s * math.sin(q.signal_theta_rad), rel=1e-9)
+
+
+class TestSweepRefinement:
+    @staticmethod
+    def _single(query, pump):
+        return PhaseMatchQuery(
+            pump_wavelength_nm=float(pump), temperature_k=query.temperature_k,
+            pol_pump=query.pol_pump, pol_signal=query.pol_signal,
+            pol_idler=query.pol_idler, qpm_sign=query.qpm_sign)
+
+    @pytest.mark.parametrize("case", ["kato", "telecom"])
+    def test_roots_meet_tolerance_and_single_solver(self, case, kato_crystal,
+                                                    telecom_setup):
+        if case == "kato":
+            crystal = kato_crystal
+            query = PhaseMatchQuery(pump_wavelength_nm=397.6,
+                                    temperature_k=kato_crystal.t0_kelvin)
+            pumps, window = np.linspace(392.0, 403.0, 55), (500.0, 600.0)
+        else:
+            # type-II: the mismatch is nearly flat in the signal wavelength
+            crystal = telecom_setup["crystal"]
+            query = telecom_setup["query"]
+            pumps, window = np.linspace(776.0, 784.0, 9), (1450.0, 1650.0)
+        roots = solve_signal_sweep(query, crystal, pumps, window)
+        assert np.isfinite(roots).all()
+        for pump, root in zip(pumps, roots):
+            qi = self._single(query, pump)
+            assert abs(scalar_mismatch(qi, root, crystal)) <= MISMATCH_TOL_PER_UM
+            single = solve_signal_wavelength(qi, crystal, window)
+            assert abs(root - single.signal_wavelength_nm) < 1e-9
+
+    @pytest.mark.parametrize("window,branch", [((520.0, 1700.0), "idler"),
+                                               ((500.0, 1520.0), "signal")])
+    def test_closest_to_centre_policy(self, kato_crystal, window, branch):
+        # Type-0 roots come in signal/idler pairs; both lie in these windows.
+        q = PhaseMatchQuery(pump_wavelength_nm=397.6)
+        with pytest.raises(MultipleRoots) as exc:
+            solve_signal_wavelength(q, kato_crystal, window)
+        brackets = exc.value.brackets
+        assert len(brackets) == 2
+        centre = 0.5 * sum(window)
+        near = min(brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - centre))
+        assert near == brackets[1 if branch == "idler" else 0]
+        root = solve_signal_sweep(q, kato_crystal, [397.6], window)[0]
+        expect = solve_signal_wavelength(q, kato_crystal,
+                                         (near[0] - 1.0, near[1] + 1.0))
+        assert root == pytest.approx(expect.signal_wavelength_nm, abs=1e-9)
+
+    def test_slope_matches_central_difference(self, kato_crystal, telecom_setup):
+        for crystal, query, pump, signal in (
+                (kato_crystal, PhaseMatchQuery(pump_wavelength_nm=397.6),
+                 397.6, 533.0),
+                (telecom_setup["crystal"], telecom_setup["query"], 780.1, 1540.0)):
+            dk, slope = collinear_mismatch(query, crystal, pump, signal)
+            qi = self._single(query, pump)
+            assert dk == pytest.approx(scalar_mismatch(qi, signal, crystal),
+                                       rel=1e-12)
+            h = 1e-4
+            numeric = (scalar_mismatch(qi, signal + h, crystal)
+                       - scalar_mismatch(qi, signal - h, crystal)) / (2.0 * h)
+            assert slope == pytest.approx(numeric, rel=1e-5)
+
+    def test_stalled_refinement_raises(self, kato_crystal, monkeypatch):
+        # A NaN slope never passes the step test, so the cap is reached.
+        real = phasematch.index_and_derivative
+
+        def broken(sellmeier, wavelength_um):
+            n, dn = real(sellmeier, wavelength_um)
+            return n, np.full_like(dn, np.nan)
+
+        monkeypatch.setattr(phasematch, "index_and_derivative", broken)
+        q = PhaseMatchQuery(pump_wavelength_nm=397.6)
+        with pytest.raises(MaxIterations):
+            solve_signal_sweep(q, kato_crystal, [395.0, 397.6], (500.0, 600.0))
+
+    def test_single_solver_rejects_off_root(self, kato_crystal, monkeypatch):
+        monkeypatch.setattr(phasematch.numerics, "find_root",
+                            lambda f, bracket, tol=1e-12: bracket.lo)
+        q = PhaseMatchQuery(pump_wavelength_nm=397.6)
+        with pytest.raises(MaxIterations):
+            solve_signal_wavelength(q, kato_crystal, (500.0, 600.0))
 
 
 class TestSnell:

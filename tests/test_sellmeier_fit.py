@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from photonkit import sellmeier_fit
+from photonkit import numerics, phasematch, sellmeier_fit
 from photonkit.errors import DomainError, InsufficientData, NoRootInWindow
 from photonkit.phasematch import PhaseMatchQuery
 from photonkit.sellmeier_fit import (
@@ -11,6 +11,7 @@ from photonkit.sellmeier_fit import (
     MeasurementPoint,
     fit,
     load_dataset_csv,
+    model_jacobian,
     model_signal_wavelength,
     rss,
     save_dataset_csv,
@@ -106,6 +107,65 @@ class TestFit:
                                        setup=setup)
         report = fit(pts, true_coeffs, setup, weighted=True)
         assert report.rss_nm2 <= report.rss_start_nm2
+
+
+class TestJacobian:
+    @staticmethod
+    def _central_differences(setup, coeffs, pumps, rel_step=1e-5):
+        cols = []
+        for j in range(len(coeffs)):
+            h = rel_step * abs(coeffs[j])
+            roots = []
+            for sign in (1.0, -1.0):
+                c = list(coeffs)
+                c[j] += sign * h
+                crystal = sellmeier_fit._crystal_with_z(setup, c)
+                roots.append(phasematch.solve_signal_sweep(
+                    setup.query, crystal, pumps, setup.search_window_nm))
+            cols.append((roots[0] - roots[1]) / (2.0 * h))
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("case", ["kato_zzz", "telecom_yyz"])
+    def test_matches_central_differences(self, case, setup, true_coeffs,
+                                         telecom_setup):
+        if case == "kato_zzz":
+            fit_setup, coeffs = setup, true_coeffs
+            pumps = np.linspace(392.0, 403.0, 12)
+        else:
+            # only the idler is polarized along z, so only it depends on a
+            crystal = telecom_setup["crystal"]
+            fit_setup = FitSetup(crystal=crystal, query=telecom_setup["query"],
+                                 search_window_nm=(1450.0, 1650.0))
+            s = crystal.sellmeier_z
+            coeffs = (s.a0, s.a1, s.a2)
+            pumps = np.linspace(776.0, 784.0, 9)
+        roots = phasematch.solve_signal_sweep(
+            fit_setup.query, fit_setup.crystal, pumps, fit_setup.search_window_nm)
+        exact = model_jacobian(pumps, roots, coeffs, fit_setup)
+        numeric = self._central_differences(fit_setup, coeffs, pumps)
+        assert np.abs(exact / numeric - 1.0).max() < 1e-5
+
+    def test_nan_roots_stay_nan(self, setup, true_coeffs):
+        jac = model_jacobian([395.0, 397.6], [math.nan, 533.0], true_coeffs, setup)
+        assert np.isnan(jac[0]).all()
+        assert np.isfinite(jac[1]).all()
+
+    def test_no_more_iterations_than_forward_differences(self, setup, true_coeffs,
+                                                         monkeypatch):
+        pumps = np.linspace(392.0, 403.0, 15)
+        pts = synthesize_noisy_dataset(true_coeffs, pumps, 0.0, seed=5,
+                                       setup=setup)
+        start = (true_coeffs[0] * 1.002, true_coeffs[1] * 0.99,
+                 true_coeffs[2] * 1.01)
+        exact = fit(pts, start, setup)
+        lm = numerics.least_squares_fit
+        monkeypatch.setattr(numerics, "least_squares_fit",
+                            lambda *args, jacobian=None, **kw: lm(*args, **kw))
+        forward = fit(pts, start, setup)
+        for got, want in zip(exact.fitted, true_coeffs):
+            assert abs(got - want) / abs(want) < 1e-6
+        assert exact.converged
+        assert exact.iterations <= forward.iterations
 
 
 class TestDatasetIO:
