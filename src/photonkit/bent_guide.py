@@ -11,7 +11,6 @@ dimension-dependent inverse-square potential behind it. Lengths in um.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 AZIMUTHAL_SCAN_STEP = 0.05
-Z_TAIL_DECAY_LENGTHS = 5.0
 WALL_TOLERANCE = 1e-6
 
 
@@ -268,14 +266,6 @@ def assemble_mode(spec: BentGuideSpec, vert: VerticalRoot,
     return mode
 
 
-def _worker_count() -> int:
-    env = os.environ.get("WORKBENCH_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def solve_modes(spec: BentGuideSpec) -> list[BentModeSolution]:
     """Full mode table ordered by (q ascending, p ascending)."""
     verts = vertical_roots(spec)
@@ -286,7 +276,7 @@ def solve_modes(spec: BentGuideSpec) -> list[BentModeSolution]:
         return [assemble_mode(spec, vert, azim)
                 for azim in azimuthal_numbers(spec, h)]
 
-    workers = _worker_count()
+    workers = numerics.worker_count()
     if workers > 1 and len(verts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(modes_for, verts))
@@ -298,20 +288,17 @@ def solve_modes(spec: BentGuideSpec) -> list[BentModeSolution]:
 def mean_radius(mode: BentModeSolution) -> float:
     """Intensity-weighted radial position <r> of the assembled field, um.
 
-    Integrates |E_r|^2 over the annulus and over z out to 5 vertical decay
-    lengths beyond the walls.
+    The field separates as R(r) Z(z), so the vertical integral cancels and
+    only |R|^2 is integrated over the annulus.
     """
     spec = mode.spec
-    z_max = spec.half_height_um + Z_TAIL_DECAY_LENGTHS / mode.beta_s_per_um
     r_num = numerics.integrate(
         lambda r: mode.radial_profile(r)**2 * r,
         spec.inner_radius_um, spec.outer_radius_um, order=96)
     r_den = numerics.integrate(
         lambda r: mode.radial_profile(r)**2,
         spec.inner_radius_um, spec.outer_radius_um, order=96)
-    z_mass = numerics.integrate(
-        lambda z: mode.vertical_profile(z)**2, -z_max, z_max, order=96)
-    return (r_num * z_mass) / (r_den * z_mass)
+    return r_num / r_den
 
 
 def effective_index(mode: BentModeSolution) -> float:

@@ -8,12 +8,11 @@ Gaussian quadratic forms, leaving one numerical integral along the crystal.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import numerics
 from .dispersion import CrystalSpec, Polarization, refractive_index
@@ -23,6 +22,7 @@ from .errors import (
     DomainError,
     EvanescentTransverse,
 )
+from .numerics import C_UM_PER_FS
 from .phasematch import PhaseMatchQuery, grating_vector
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "screening_mask",
 ]
 
-C_UM_PER_FS = 0.299792458
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 Z_QUAD_ORDER = 64
 
@@ -244,14 +243,6 @@ def phase_mismatch_longitudinal(omega_s_phz: float, omega_i_phz: float,
     return float(kz_p - kz_s - kz_i + grating_vector(query, crystal))
 
 
-def _worker_count() -> int:
-    env = os.environ.get("WORKBENCH_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
              grid: JsaGridSpec, query: PhaseMatchQuery,
              z_order: int = Z_QUAD_ORDER, threads: int | None = None) -> JsaGrid:
@@ -306,7 +297,7 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
         return acc
 
     n = w_s.size
-    workers = threads if threads is not None else _worker_count()
+    workers = threads if threads is not None else numerics.worker_count()
     theta = np.empty((n, w_i.size), dtype=complex)
     if workers > 1:
         chunk = max(1, n // workers)
@@ -341,7 +332,7 @@ def _p_values(params, errors, dof):
     out = []
     for v, e in zip(params, errors):
         if e > 0 and np.isfinite(e):
-            out.append(float(2.0 * stats.t.sf(abs(v) / e, dof)))
+            out.append(float(2.0 * special.stdtr(dof, -abs(v) / e)))
         else:
             out.append(float("nan"))
     return tuple(out)

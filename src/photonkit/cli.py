@@ -23,6 +23,7 @@ from . import (
     biphoton,
     dispersion,
     fiber_prop,
+    numerics,
     phasematch,
     photon_stats,
     rect_guide,
@@ -323,16 +324,6 @@ def _jsa_from_scenario(scenario: dict):
     return grid
 
 
-def _write_jsa_csv(grid: biphoton.JsaGrid, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega_s_phz", "omega_i_phz", "probability"])
-        for j, ws in enumerate(grid.omega_s_phz):
-            for k, wi in enumerate(grid.omega_i_phz):
-                writer.writerow([repr(float(ws)), repr(float(wi)),
-                                 repr(float(grid.probability[j, k]))])
-
-
 def _out_dir(scenario: dict) -> Path:
     base = Path(scenario.get("__dir__", "."))
     out = scenario.get("output_dir", ".")
@@ -354,7 +345,9 @@ def _cmd_jsa(args) -> int:
     om_s, p_s = biphoton.marginal(grid, "signal")
     fit_s = biphoton.fit_gaussian_1d(om_s, p_s)
     out = _out_dir(scenario)
-    _write_jsa_csv(grid, out / "jsa_grid.csv")
+    numerics.write_grid_csv(out / "jsa_grid.csv",
+                            ("omega_s_phz", "omega_i_phz", "probability"),
+                            grid.omega_s_phz, grid.omega_i_phz, grid.probability)
     _emit({"status": "ok",
            "grid_csv": str(out / "jsa_grid.csv"),
            "joint_fit": {
@@ -462,14 +455,8 @@ def _cmd_bentguide_solve(args) -> int:
         mode = modes[0]
         r = np.linspace(spec.inner_radius_um, spec.outer_radius_um, 101)
         z = np.linspace(-2 * spec.half_height_um, 2 * spec.half_height_um, 101)
-        field = mode.field(r, z)
-        with open(out / scenario["field_csv"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r_um", "z_um", "abs_Er"])
-            for j, rv in enumerate(r):
-                for k, zv in enumerate(z):
-                    writer.writerow([repr(float(rv)), repr(float(zv)),
-                                     repr(float(field[j, k]))])
+        numerics.write_grid_csv(out / scenario["field_csv"], ("r_um", "z_um", "abs_Er"),
+                                r, z, mode.field(r, z))
     _emit({"status": "ok", "modes": rows,
            "count_estimate": list(bent_guide.count_vertical_modes(spec))})
     return EXIT_OK

@@ -8,12 +8,12 @@ are in PHz (rad/fs); times are reported in ns.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .biphoton import GaussianFit2D, JsaGrid
 from .errors import DomainError, GridTooCoarse, ZeroDispersion
 
@@ -196,10 +196,5 @@ def time_grid_stats(tg: TimeGrid) -> TimeStats:
 
 def save_time_grid_csv(tg: TimeGrid, path) -> None:
     """Write the grid as `t_s_ns,t_i_ns,probability` rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s_ns", "t_i_ns", "probability"])
-        for j, ts in enumerate(tg.t_s_ns):
-            for k, ti in enumerate(tg.t_i_ns):
-                writer.writerow([repr(float(ts)), repr(float(ti)),
-                                 repr(float(tg.probability[j, k]))])
+    numerics.write_grid_csv(path, ("t_s_ns", "t_i_ns", "probability"),
+                            tg.t_s_ns, tg.t_i_ns, tg.probability)

@@ -1,8 +1,10 @@
 """Shared numerical kernel: root bracketing, quadrature, damped least squares,
-and real-order Bessel functions of both kinds."""
+real-order Bessel functions of both kinds, and the pieces every solver shares:
+the speed of light, the worker-thread count and the grid CSV writer."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Sequence
@@ -14,6 +16,7 @@ from scipy import optimize, special
 from .errors import DomainError, MaxIterations, NoSignChange, SingularJacobian
 
 __all__ = [
+    "C_UM_PER_FS",
     "RootBracket",
     "FitResult",
     "bracket_root",
@@ -23,7 +26,11 @@ __all__ = [
     "least_squares_fit",
     "bessel_jy",
     "bessel_jy_derivatives",
+    "worker_count",
+    "write_grid_csv",
 ]
+
+C_UM_PER_FS = 0.299792458
 
 MAX_BESSEL_ORDER = 60.0
 
@@ -144,7 +151,8 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     The model may return NaN for individual points; those points are masked for
     the current step rather than aborting the fit. Damping starts at 1e-3 and is
     divided/multiplied by 10 on accepted/rejected steps. Standard errors come
-    from the Jacobian-based covariance estimate scaled by residual variance.
+    from the covariance estimate scaled by residual variance, with the
+    Jacobian and mask taken at the returned parameters.
 
     jacobian(params, x, values), given the model values at params, returns the
     (len(x), len(params)) derivative matrix; forward differences by default.
@@ -185,7 +193,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     lam = LM_LAMBDA0
     converged = False
     iterations = 0
-    jac = None
+    accepted = True
     for iterations in range(1, max_iter + 1):
         jac = jacobian(p, x, m)[mask]
         sw = np.sqrt(w[mask])
@@ -216,7 +224,9 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         if converged or not accepted:
             break
 
-    if jac is None:
+    if accepted:
+        # The last accepted step moved p and possibly the mask: the standard
+        # errors belong to the returned parameters, so linearise there.
         jac = jacobian(p, x, m)[mask]
     n_used = int(np.count_nonzero(mask))
     dof = max(n_used - p.size, 1)
@@ -260,3 +270,29 @@ def bessel_jy_derivatives(order, x):
     if jp.ndim == 0:
         return float(jp), float(yp)
     return jp, yp
+
+
+def worker_count() -> int:
+    """Worker threads from WORKBENCH_THREADS: 1 when unset or not an integer."""
+    env = os.environ.get("WORKBENCH_THREADS", "1")
+    try:
+        return max(1, int(env))
+    except ValueError:
+        return 1
+
+
+def write_grid_csv(path, header: Sequence[str], x, y, values) -> None:
+    """Write a 2-D grid as rows `x[j], y[k], values[j, k]` under a header row,
+    j-major, one block of rows per x value at a time.
+
+    Floats are written as repr and lines end in \\r\\n, byte for byte what
+    csv.writer gives for the same repr'd rows.
+    """
+    y_reprs = [repr(v) for v in np.asarray(y, dtype=float).tolist()]
+    values = np.asarray(values, dtype=float)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for xv, row in zip(np.asarray(x, dtype=float).tolist(), values):
+            head = repr(xv) + ","
+            fh.write("".join(f"{head}{yr},{v!r}\r\n"
+                             for yr, v in zip(y_reprs, row.tolist())))

@@ -1,14 +1,17 @@
-"""Quasi-phase-matching: wavevector mismatch, idler geometry, and the scalar
-root solve for the signal wavelength."""
+"""Quasi-phase-matching: wavevector mismatch, idler geometry, and the root
+solve for the signal wavelength.
+
+One solver serves both entry points: the mismatch is scanned over the search
+window at COARSE_STEP_NM, and each bracketed sign change is refined by
+bracket-safeguarded Newton steps on the closed-form slope."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numerics
 from .dispersion import (
     CrystalSpec,
     Polarization,
@@ -42,7 +45,7 @@ __all__ = [
 
 COARSE_STEP_NM = 0.1
 MISMATCH_TOL_PER_UM = 1e-10
-# Newton refinement of the sweep roots: step cap and final step size.
+# Newton refinement of the roots: step cap and final step size.
 SWEEP_MAX_STEPS = 64
 SWEEP_STEP_TOL_NM = 1e-12
 
@@ -124,6 +127,53 @@ def _wave_ks(query: PhaseMatchQuery, signal_nm, crystal: CrystalSpec):
     return k_p, k_s, k_i
 
 
+def _wavevector(sellmeier: SellmeierSet, wavelength_um, slope: bool):
+    """k = 2 pi n / lam in 1/um and, when slope is set, dk/dlam in 1/um^2."""
+    if not slope:
+        return wavevector_magnitude(refractive_index(sellmeier, wavelength_um),
+                                    wavelength_um), None
+    n, dn = index_and_derivative(sellmeier, wavelength_um)
+    k = wavevector_magnitude(n, wavelength_um)
+    return k, (2.0 * math.pi * dn - k) / wavelength_um
+
+
+def _mismatch(query: PhaseMatchQuery, crystal: CrystalSpec, pump_nm, signal_nm,
+              slope: bool = True):
+    """Longitudinal mismatch dk (1/um) and, when slope is set, its slope with
+    respect to the signal wavelength at fixed pump (1/um per nm), over
+    broadcasting pump and signal wavelengths at the query's signal angle.
+
+    The idler polar angle absorbs the signal's transverse wavevector
+    t = k_s sin(th), so dk = k_p - k_s cos(th) - k_iz + q K with
+    k_iz = sqrt(k_i^2 - t^2). The idler follows the signal through
+    1/lam_i = 1/lam_p - 1/lam_s, so dlam_i/dlam_s = -(lam_i/lam_s)^2 and
+    d(dk)/dlam_s = -cos(th) dk_s/dlam
+                   + [(lam_i/lam_s)^2 k_i dk_i/dlam + k_s sin^2(th) dk_s/dlam] / k_iz,
+    which is -dk_s/dlam + (lam_i/lam_s)^2 dk_i/dlam in collinear geometry.
+    """
+    p_um = np.asarray(pump_nm, dtype=float) * 1e-3
+    s_um = np.asarray(signal_nm, dtype=float) * 1e-3
+    i_um = 1.0 / (1.0 / p_um - 1.0 / s_um)
+    k_p, _ = _wavevector(crystal.axis_set(query.pol_pump), p_um, False)
+    k_s, dks = _wavevector(crystal.axis_set(query.pol_signal), s_um, slope)
+    k_i, dki = _wavevector(crystal.axis_set(query.pol_idler), i_um, slope)
+    sin_s = math.sin(query.signal_theta_rad)
+    cos_s = math.cos(query.signal_theta_rad)
+    if sin_s == 0.0:
+        k_iz = k_i
+    else:
+        sin_i = k_s * sin_s / k_i
+        if np.any(np.abs(sin_i) > 1):
+            raise ArcsineDomain("idler cannot absorb the signal transverse momentum")
+        k_iz = k_i * np.sqrt(1.0 - sin_i**2)
+    dk = k_p - k_s * cos_s - k_iz + grating_vector(query, crystal)
+    if not slope:
+        return dk, None
+    ddk = (-cos_s * dks + (i_um / s_um) ** 2 * dki * (k_i / k_iz)
+           + k_s * sin_s**2 * dks / k_iz)
+    return dk, ddk * 1e-3
+
+
 def scalar_mismatch(query: PhaseMatchQuery, signal_nm, crystal: CrystalSpec):
     """Longitudinal mismatch k_p - k_s cos(th_s) - k_i cos(th_i) - q K, 1/um.
 
@@ -131,14 +181,7 @@ def scalar_mismatch(query: PhaseMatchQuery, signal_nm, crystal: CrystalSpec):
     idler azimuth is opposite the signal azimuth), so the residual mismatch is
     purely along the propagation axis. Vectorized over signal_nm.
     """
-    k_p, k_s, k_i = _wave_ks(query, signal_nm, crystal)
-    sin_s = math.sin(query.signal_theta_rad)
-    sin_i = k_s * sin_s / k_i
-    if np.any(np.abs(sin_i) > 1):
-        raise ArcsineDomain("idler cannot absorb the signal transverse momentum")
-    cos_i = np.sqrt(1.0 - sin_i**2)
-    dk = k_p - k_s * math.cos(query.signal_theta_rad) - k_i * cos_i
-    dk = dk + grating_vector(query, crystal)
+    dk, _ = _mismatch(query, crystal, query.pump_wavelength_nm, signal_nm, slope=False)
     return float(dk) if np.ndim(dk) == 0 else dk
 
 
@@ -171,98 +214,49 @@ def idler_angle(query: PhaseMatchQuery, signal_nm: float, crystal: CrystalSpec) 
     return math.asin(arg)
 
 
-def _wavevector_and_slope(sellmeier: SellmeierSet, wavelength_um):
-    """k = 2 pi n / lam in 1/um and dk/dlam in 1/um^2."""
-    n, dn = index_and_derivative(sellmeier, wavelength_um)
-    k = wavevector_magnitude(n, wavelength_um)
-    return k, (2.0 * math.pi * dn - k) / wavelength_um
-
-
-def _collinear_terms(k_p, g, set_s: SellmeierSet, set_i: SellmeierSet,
-                     pump_um, signal_nm):
-    """Collinear mismatch k_p - k_s - k_i + g (1/um) and its slope with respect
-    to the signal wavelength at fixed pump, in 1/um per nm.
-
-    The idler follows the signal through 1/lam_i = 1/lam_p - 1/lam_s, so
-    dlam_i/dlam_s = -(lam_i/lam_s)^2 and
-    d(dk)/dlam_s = -dk_s/dlam + (lam_i/lam_s)^2 dk_i/dlam.
-    """
-    s_um = signal_nm * 1e-3
-    i_um = 1.0 / (1.0 / pump_um - 1.0 / s_um)
-    k_s, dks = _wavevector_and_slope(set_s, s_um)
-    k_i, dki = _wavevector_and_slope(set_i, i_um)
-    dk = k_p - k_s - k_i + g
-    return dk, (-dks + (i_um / s_um) ** 2 * dki) * 1e-3
-
-
 def collinear_mismatch(query: PhaseMatchQuery, crystal: CrystalSpec, pump_nm, signal_nm):
     """Collinear mismatch (1/um) and its signal-wavelength slope at fixed pump
     (1/um per nm), element-wise over paired pump and signal wavelengths.
 
     The query supplies polarizations, temperature and QPM order; its pump
-    wavelength is ignored in favour of pump_nm.
+    wavelength and signal angle are ignored.
     """
-    pump_um = np.asarray(pump_nm, dtype=float) * 1e-3
-    k_p = wavevector_magnitude(
-        refractive_index(crystal.axis_set(query.pol_pump), pump_um), pump_um)
-    return _collinear_terms(k_p, grating_vector(query, crystal),
-                            crystal.axis_set(query.pol_signal),
-                            crystal.axis_set(query.pol_idler),
-                            pump_um, np.asarray(signal_nm, dtype=float))
+    return _mismatch(replace(query, signal_theta_rad=0.0), crystal, pump_nm, signal_nm)
 
 
-def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec,
-                       pump_sweep_nm, search_window_nm: tuple[float, float],
-                       coarse_points: int = 1001) -> np.ndarray:
-    """Collinear signal-wavelength roots for many pump wavelengths at once.
+def _scan(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
+          window_nm: tuple[float, float]):
+    """Mismatch on the window grid, one row per pump, and the sign changes
+    between neighbouring grid points.
 
-    Scans the window on coarse_points wavelengths; entries with no sign change
-    come back NaN. When several sign changes exist for one pump the bracket
-    closest to the window centre is refined, by Newton steps on the analytic
-    slope that fall back to bisection when they leave the bracket. Refinement
-    stops once every |dk| <= MISMATCH_TOL_PER_UM with the Newton step or the
-    bracket no wider than SWEEP_STEP_TOL_NM, and raises MaxIterations after
-    SWEEP_MAX_STEPS without that. Collinear geometry only.
+    The grid spans the window at COARSE_STEP_NM spacing or just below:
+    ceil((hi - lo) / COARSE_STEP_NM) + 1 points, both ends included.
     """
-    if query.signal_theta_rad != 0.0:
-        raise DomainError("sweep solver supports collinear geometry only")
-    pumps = np.atleast_1d(np.asarray(pump_sweep_nm, dtype=float))
-    lo_nm, hi_nm = search_window_nm
-    grid = np.linspace(lo_nm, hi_nm, coarse_points)
+    lo, hi = window_nm
+    grid = np.linspace(lo, hi, max(math.ceil((hi - lo) / COARSE_STEP_NM) + 1, 2))
+    dk, _ = _mismatch(query, crystal, pumps_nm[:, None], grid, slope=False)
+    sign = np.sign(dk)
+    return grid, dk, sign[:, :-1] * sign[:, 1:] < 0
 
-    pump_um = pumps * 1e-3
-    k_p = wavevector_magnitude(
-        refractive_index(crystal.axis_set(query.pol_pump), pump_um), pump_um)
-    set_s = crystal.axis_set(query.pol_signal)
-    set_i = crystal.axis_set(query.pol_idler)
-    g = grating_vector(query, crystal)
 
-    # k_s does not depend on the pump: one row serves every pump.
-    s_um = grid * 1e-3
-    k_s = wavevector_magnitude(refractive_index(set_s, s_um), s_um)
-    i_um = 1.0 / (1.0 / pump_um[:, None] - 1.0 / s_um)
-    k_i = wavevector_magnitude(refractive_index(set_i, i_um), i_um)
-    mat = k_p[:, None] - k_s - k_i + g
-    sign = np.sign(mat)
-    flips = sign[:, :-1] * sign[:, 1:] < 0
+def _refine(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
+            grid: np.ndarray, dk: np.ndarray, rows, cols):
+    """Roots of the scanned mismatch in the brackets [grid[c], grid[c + 1]] of
+    pumps_nm[r], for r, c in zip(rows, cols), and the mismatch at each root.
 
-    centre = 0.5 * (lo_nm + hi_nm)
-    dist = np.where(flips, np.abs(0.5 * (grid[:-1] + grid[1:]) - centre), np.inf)
-    best = np.argmin(dist, axis=1)
-    ok = flips.any(axis=1)
-    roots = np.full(pumps.size, np.nan)
-    if not ok.any():
-        return roots
-
-    rows = np.nonzero(ok)[0]
-    cols = best[ok]
+    Newton steps on the analytic slope start from regula falsi and fall back
+    to bisection when they leave the bracket. Refinement stops once every
+    |dk| <= MISMATCH_TOL_PER_UM with the Newton step or the bracket no wider
+    than SWEEP_STEP_TOL_NM, and raises MaxIterations after SWEEP_MAX_STEPS
+    without that.
+    """
+    pumps = pumps_nm[rows]
     a, b = grid[cols], grid[cols + 1]
-    fa, fb = mat[rows, cols], mat[rows, cols + 1]
-    k_p, p_um = k_p[ok], pump_um[ok]
+    fa, fb = dk[rows, cols], dk[rows, cols + 1]
     x = a - fa * (b - a) / (fb - fa)
     done = np.zeros(x.size, dtype=bool)
     for _ in range(SWEEP_MAX_STEPS):
-        f, slope = _collinear_terms(k_p, g, set_s, set_i, p_um, x)
+        f, slope = _mismatch(query, crystal, pumps, x)
         same = np.sign(f) == np.sign(fa)
         a = np.where(same, x, a)
         fa = np.where(same, f, fa)
@@ -273,14 +267,36 @@ def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec,
         pinned = np.minimum(np.abs(step), b - a) <= SWEEP_STEP_TOL_NM
         done |= (np.abs(f) <= MISMATCH_TOL_PER_UM) & pinned
         if done.all():
-            roots[ok] = x
-            return roots
+            return x, f
         newton = x - step
         inside = (newton > a) & (newton < b)
         x = np.where(done, x, np.where(inside, newton, 0.5 * (a + b)))
     raise MaxIterations(
-        f"sweep refinement missed |dk| <= {MISMATCH_TOL_PER_UM} um^-1 within "
+        f"root refinement missed |dk| <= {MISMATCH_TOL_PER_UM} um^-1 within "
         f"{SWEEP_MAX_STEPS} steps for {np.count_nonzero(~done)} pump(s)")
+
+
+def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec, pump_sweep_nm,
+                       search_window_nm: tuple[float, float]) -> np.ndarray:
+    """Collinear signal-wavelength roots for many pump wavelengths at once.
+
+    Shares the window scan and the Newton refinement of
+    solve_signal_wavelength. Pumps whose mismatch keeps its sign over the
+    window come back NaN; where several sign changes exist for one pump, the
+    bracket closest to the window centre is refined. Collinear geometry only.
+    """
+    if query.signal_theta_rad != 0.0:
+        raise DomainError("sweep solver supports collinear geometry only")
+    pumps = np.atleast_1d(np.asarray(pump_sweep_nm, dtype=float))
+    grid, dk, flips = _scan(query, crystal, pumps, search_window_nm)
+    centre = 0.5 * (search_window_nm[0] + search_window_nm[1])
+    dist = np.where(flips, np.abs(0.5 * (grid[:-1] + grid[1:]) - centre), np.inf)
+    rows = np.nonzero(flips.any(axis=1))[0]
+    roots = np.full(pumps.size, np.nan)
+    if rows.size:
+        cols = np.argmin(dist, axis=1)[rows]
+        roots[rows], _ = _refine(query, crystal, pumps, grid, dk, rows, cols)
+    return roots
 
 
 def snell_external_angle(n_internal: float, theta_internal_rad: float) -> float:
@@ -292,42 +308,34 @@ def snell_external_angle(n_internal: float, theta_internal_rad: float) -> float:
 
 
 def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
-                            search_window_nm: tuple[float, float],
-                            coarse_step_nm: float = COARSE_STEP_NM) -> PhaseMatchSolution:
+                            search_window_nm: tuple[float, float]) -> PhaseMatchSolution:
     """Signal wavelength zeroing the scalar mismatch inside the window.
 
-    Pre-scans the window at coarse_step_nm to bracket sign changes, then
-    refines with the Brent solver; raises MaxIterations when the returned root
-    misses |dk| <= MISMATCH_TOL_PER_UM.
+    Scans the window on the same grid as solve_signal_sweep and refines the
+    one bracketed sign change by the same Newton loop, so the root meets
+    |dk| <= MISMATCH_TOL_PER_UM. A grid point where dk is exactly zero is a
+    root as it stands. Raises NoRootInWindow without a root and
+    MultipleRoots, listing every bracket, with more than one.
     """
     lo, hi = search_window_nm
     if not query.pump_wavelength_nm < lo < hi:
         raise DomainError("search window must lie above the pump wavelength")
-    n_pts = max(int(math.ceil((hi - lo) / coarse_step_nm)) + 1, 2)
-    grid = np.linspace(lo, hi, n_pts)
-    dk = scalar_mismatch(query, grid, crystal)
-    sign = np.sign(dk)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    exact = np.nonzero(dk == 0.0)[0]
-    brackets = [(grid[i], grid[i + 1]) for i in flips]
-    if exact.size:
-        brackets.extend((grid[i], grid[i]) for i in exact)
+    pump = np.array([query.pump_wavelength_nm])
+    grid, dk, flips = _scan(query, crystal, pump, search_window_nm)
+    flips = np.nonzero(flips[0])[0]
+    exact = np.nonzero(dk[0] == 0.0)[0]
+    brackets = ([(grid[i], grid[i + 1]) for i in flips]
+                + [(grid[i], grid[i]) for i in exact])
     if not brackets:
         raise NoRootInWindow(
-            f"mismatch keeps its sign over [{lo}, {hi}] nm at {coarse_step_nm} nm scan")
+            f"mismatch keeps its sign over [{lo}, {hi}] nm at {COARSE_STEP_NM} nm scan")
     if len(brackets) > 1:
         raise MultipleRoots(brackets)
-
-    b_lo, b_hi = brackets[0]
-    if b_lo == b_hi:
-        root = float(b_lo)
+    if exact.size:
+        root, residual = float(grid[exact[0]]), 0.0
     else:
-        f = lambda lam: scalar_mismatch(query, lam, crystal)
-        root = numerics.find_root(f, numerics.bracket_root(f, b_lo, b_hi), tol=1e-12)
-    residual = abs(scalar_mismatch(query, root, crystal))
-    if not residual <= MISMATCH_TOL_PER_UM:
-        raise MaxIterations(
-            f"root {root} nm leaves |dk| = {residual:.3g} um^-1 > {MISMATCH_TOL_PER_UM}")
+        x, f = _refine(query, crystal, pump, grid, dk, [0], flips)
+        root, residual = float(x[0]), abs(float(f[0]))
     return PhaseMatchSolution(
         signal_wavelength_nm=root,
         idler_wavelength_nm=idler_wavelength(query.pump_wavelength_nm, root),

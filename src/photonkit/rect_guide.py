@@ -15,6 +15,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DomainError, NoGuidedModes
+from .numerics import C_UM_PER_FS
 
 __all__ = [
     "RectGuideSpec",
@@ -26,7 +27,6 @@ __all__ = [
     "mode_field",
 ]
 
-C_UM_PER_FS = 0.299792458
 THZ_TO_INV_FS = 1e-3  # 1 THz = 1e-3 cycles per fs
 
 

@@ -13,13 +13,7 @@ import numpy as np
 
 from . import numerics, phasematch
 from .dispersion import CrystalSpec, SellmeierSet, refractive_index
-from .errors import (
-    DivergedFit,
-    DomainError,
-    InsufficientData,
-    MultipleRoots,
-    NoRootInWindow,
-)
+from .errors import DivergedFit, DomainError, InsufficientData, NoRootInWindow
 
 __all__ = [
     "MeasurementPoint",
@@ -79,27 +73,16 @@ def _crystal_with_z(setup: FitSetup, coeffs: Sequence[float]) -> CrystalSpec:
     return replace(setup.crystal, sellmeier_z=SellmeierSet(*full))
 
 
-def model_signal_wavelength(pump_nm: float, coeffs: Sequence[float],
-                            setup: FitSetup) -> float:
-    """Signal central wavelength predicted by the phase-matching root solve.
+def model_signal_wavelength(pump_nm, coeffs: Sequence[float], setup: FitSetup):
+    """Signal central wavelength(s) predicted by the phase-matching sweep solve
+    for one pump (a float) or many (an array).
 
-    Returns NaN when no root lies in the window, so the fitter can mask the
-    point for the current step.
+    Entries are NaN where no root lies in the window, so the fitter can mask
+    the point for the current step.
     """
-    crystal = _crystal_with_z(setup, coeffs)
-    query = replace(setup.query, pump_wavelength_nm=float(pump_nm))
-    try:
-        sol = phasematch.solve_signal_wavelength(query, crystal, setup.search_window_nm)
-    except NoRootInWindow:
-        return math.nan
-    except MultipleRoots as exc:
-        # Take the bracket closest to the window centre; the sweep data the
-        # fit consumes is single-branch by construction.
-        mid = 0.5 * sum(setup.search_window_nm)
-        b = min(exc.brackets, key=lambda br: abs(0.5 * (br[0] + br[1]) - mid))
-        sol = phasematch.solve_signal_wavelength(query, crystal, b,
-                                                 coarse_step_nm=(b[1] - b[0]) or 0.1)
-    return sol.signal_wavelength_nm
+    roots = phasematch.solve_signal_sweep(setup.query, _crystal_with_z(setup, coeffs),
+                                          np.atleast_1d(pump_nm), setup.search_window_nm)
+    return float(roots[0]) if np.ndim(pump_nm) == 0 else roots
 
 
 def _index_coefficient_gradient(sellmeier: SellmeierSet, wavelength_um) -> np.ndarray:
@@ -153,13 +136,13 @@ def model_jacobian(pumps_nm, signals_nm, coeffs: Sequence[float],
 def rss(points: Sequence[MeasurementPoint], coeffs: Sequence[float],
         setup: FitSetup) -> float:
     """Residual sum of squares in nm^2 over the dataset."""
-    total = 0.0
-    for pt in points:
-        model = model_signal_wavelength(pt.pump_nm, coeffs, setup)
-        if math.isnan(model):
-            raise NoRootInWindow(f"no model root for pump {pt.pump_nm} nm")
-        total += (pt.signal_nm - model) ** 2
-    return total
+    pumps = np.array([pt.pump_nm for pt in points])
+    model = model_signal_wavelength(pumps, coeffs, setup)
+    missing = np.isnan(model)
+    if missing.any():
+        raise NoRootInWindow(f"no model root for pump {float(pumps[missing][0])} nm")
+    r = np.array([pt.signal_nm for pt in points]) - model
+    return float(np.dot(r, r))
 
 
 def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
@@ -167,10 +150,11 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
         max_iter: int = 400) -> SellmeierFitReport:
     """Levenberg-Marquardt fit of the free z-axis coefficients.
 
-    The LM Jacobian is the exact one of model_jacobian, taken at the roots the
-    fit already holds, so it costs no root solves. Points whose model root
-    vanishes during a step are masked for that step.
-    The report carries both the fitted RSS and the RSS at the start values.
+    The LM model is the sweep solve over all pumps, and the LM Jacobian is the
+    exact one of model_jacobian, taken at the roots the fit already holds, so
+    it costs no root solves. Points whose model root vanishes during a step
+    are masked for that step. The report carries both the fitted RSS and the
+    RSS at the start values, both from the same sweep solve.
     """
     n_free = len(setup.free_indices)
     if len(points) < n_free + 1:
@@ -181,9 +165,7 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
                if weighted else None)
 
     def model(params, x):
-        crystal = _crystal_with_z(setup, params)
-        return phasematch.solve_signal_sweep(setup.query, crystal, np.atleast_1d(x),
-                                             setup.search_window_nm)
+        return model_signal_wavelength(x, params, setup)
 
     def jacobian(params, x, values):
         return model_jacobian(x, values, params, setup)
@@ -217,8 +199,8 @@ def synthesize_noisy_dataset(coeffs: Sequence[float], pump_sweep_nm: Sequence[fl
         raise DomainError(f"noise_fraction must be in [0, {MAX_NOISE_FRACTION}]")
     rng = np.random.Generator(np.random.Philox(seed))
     points = []
-    for pump in pump_sweep_nm:
-        value = model_signal_wavelength(pump, coeffs, setup)
+    pumps = np.asarray(pump_sweep_nm, dtype=float)
+    for pump, value in zip(pumps, model_signal_wavelength(pumps, coeffs, setup)):
         if math.isnan(value):
             continue
         sigma = noise_fraction * value

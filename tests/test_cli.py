@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -251,3 +254,17 @@ class TestGolden:
         assert code == cli.EXIT_OK
         lines = [ln for ln in out.splitlines() if ln.strip()]
         assert lines and all(ln.startswith("PASS") for ln in lines)
+
+
+class TestImports:
+    def test_cli_does_not_import_scipy_stats(self):
+        # scipy.stats costs about half a second of start-up; photonkit needs
+        # only the Student t tail, which scipy.special provides.
+        code = ("import sys, photonkit.cli; "
+                "print('scipy.stats' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import mpmath
@@ -166,7 +167,8 @@ class TestLeastSquares:
         x = np.linspace(0.5, 2.0, 20)
         res = numerics.least_squares_fit(model, x, 3.0 * x, [1.0])
         assert res.converged
-        assert len(calls) == 1 + 2 * res.iterations
+        # plus one probe at the returned parameters for the standard errors
+        assert len(calls) == 2 + 2 * res.iterations
 
     def test_analytic_jacobian(self):
         x = np.linspace(-3, 3, 60)
@@ -194,6 +196,22 @@ class TestLeastSquares:
         fd_calls = 1 + res.iterations * (1 + len(truth))
         assert 1 + res.iterations <= len(calls) < fd_calls
 
+    def test_standard_errors_at_returned_parameters(self):
+        # The accepted step crosses p = 2.5 and unmasks the point at x = 2;
+        # the covariance must use the Jacobian and mask at the returned p.
+        x = np.linspace(0.1, 2.0, 20)
+        y = 3.0 * x + 0.01 * np.cos(7.0 * x)
+
+        def model(p, xx):
+            xx = np.asarray(xx, dtype=float)
+            return np.where((xx > 1.9) & (p[0] < 2.5), np.nan, p[0] * xx)
+
+        res = numerics.least_squares_fit(model, x, y, [1.0], max_iter=1)
+        assert res.parameters[0] > 2.5
+        dof = x.size - 1
+        se = math.sqrt(res.residual_sum_squares / dof / np.dot(x, x))
+        assert res.standard_errors[0] == pytest.approx(se, rel=1e-6)
+
     def test_standard_errors_scale_with_noise(self):
         rng = np.random.default_rng(7)
         x = np.linspace(0, 1, 200)
@@ -201,6 +219,29 @@ class TestLeastSquares:
         y = 1.0 + 2.0 * x + 0.01 * rng.standard_normal(x.size)
         res = numerics.least_squares_fit(model, x, y, [0.0, 0.0])
         assert 1e-4 < res.standard_errors[1] < 1e-2
+
+
+class TestWriteGridCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = np.linspace(-1.0, 1.0, 7) * 1e-3
+        y = np.array([0.1, 1.0 / 3.0, 2.5e-300, -0.0, 1e22, 7.0])
+        values = rng.standard_normal((x.size, y.size)) * 10.0 ** rng.integers(
+            -20, 20, (x.size, y.size))
+        values[0, 0] = 0.0
+        values[1, 2] = np.nan
+        header = ("x_nm", "y_nm", "probability")
+        numerics.write_grid_csv(tmp_path / "got.csv", header, x, y, values)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for j, xv in enumerate(x):
+                for k, yv in enumerate(y):
+                    writer.writerow([repr(float(xv)), repr(float(yv)),
+                                     repr(float(values[j, k]))])
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + x.size * y.size
 
 
 class TestBessel:

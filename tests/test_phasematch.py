@@ -226,7 +226,8 @@ class TestSweepRefinement:
                        - scalar_mismatch(qi, signal - h, crystal)) / (2.0 * h)
             assert slope == pytest.approx(numeric, rel=1e-5)
 
-    def test_stalled_refinement_raises(self, kato_crystal, monkeypatch):
+    @staticmethod
+    def _nan_slope(monkeypatch):
         # A NaN slope never passes the step test, so the cap is reached.
         real = phasematch.index_and_derivative
 
@@ -235,16 +236,34 @@ class TestSweepRefinement:
             return n, np.full_like(dn, np.nan)
 
         monkeypatch.setattr(phasematch, "index_and_derivative", broken)
+
+    def test_stalled_refinement_raises(self, kato_crystal, monkeypatch):
+        self._nan_slope(monkeypatch)
         q = PhaseMatchQuery(pump_wavelength_nm=397.6)
         with pytest.raises(MaxIterations):
             solve_signal_sweep(q, kato_crystal, [395.0, 397.6], (500.0, 600.0))
 
     def test_single_solver_rejects_off_root(self, kato_crystal, monkeypatch):
-        monkeypatch.setattr(phasematch.numerics, "find_root",
-                            lambda f, bracket, tol=1e-12: bracket.lo)
+        # The single solver refines through the same Newton loop as the
+        # sweep, so a stalled loop surfaces as MaxIterations there too.
+        self._nan_slope(monkeypatch)
         q = PhaseMatchQuery(pump_wavelength_nm=397.6)
         with pytest.raises(MaxIterations):
             solve_signal_wavelength(q, kato_crystal, (500.0, 600.0))
+
+    def test_noncollinear_slope_matches_central_difference(self, kato_crystal):
+        q = PhaseMatchQuery(pump_wavelength_nm=397.6, signal_theta_rad=0.02)
+        signal = np.array([520.0, 533.0, 550.0])
+        dk, slope = phasematch._mismatch(q, kato_crystal, 397.6, signal)
+        assert dk == pytest.approx(scalar_mismatch(q, signal, kato_crystal),
+                                   rel=1e-12)
+        h = 1e-4
+        numeric = (scalar_mismatch(q, signal + h, kato_crystal)
+                   - scalar_mismatch(q, signal - h, kato_crystal)) / (2.0 * h)
+        assert slope == pytest.approx(numeric, rel=1e-5)
+        # the noncollinear terms matter at this angle
+        _, collinear = collinear_mismatch(q, kato_crystal, 397.6, signal)
+        assert not collinear == pytest.approx(slope, rel=1e-5)
 
 
 class TestSnell:
