@@ -22,6 +22,7 @@ from .errors import (
     BoundaryResidual,
     DomainError,
     NoRealSolution,
+    require_positive,
 )
 
 __all__ = [
@@ -58,14 +59,16 @@ class BentGuideSpec:
     vacuum_wavelength_um: float
 
     def __post_init__(self):
-        if not 0 < self.inner_radius_um < self.outer_radius_um:
-            raise DomainError("radii must satisfy 0 < r1 < r2")
-        if self.half_height_um <= 0:
-            raise DomainError("half height must be positive")
-        if not self.core_index > self.clad_index >= 1.0:
-            raise DomainError("indices must satisfy n1 > n2 >= 1")
-        if self.vacuum_wavelength_um <= 0:
-            raise DomainError("wavelength must be positive")
+        require_positive(self, "inner_radius_um")
+        if self.inner_radius_um >= self.outer_radius_um:
+            raise DomainError("inner radius must be below outer radius",
+                              field="inner_radius_um")
+        require_positive(self, "half_height_um")
+        if self.core_index <= self.clad_index:
+            raise DomainError("core index must exceed clad index", field="core_index")
+        if self.clad_index < 1.0:
+            raise DomainError("clad index must be >= 1", field="clad_index")
+        require_positive(self, "vacuum_wavelength_um")
 
     @property
     def k0_per_um(self) -> float:
@@ -115,18 +118,9 @@ class BentModeSolution:
 
     def vertical_profile(self, z_um) -> np.ndarray:
         """Z(z): sinusoid in the core, value-matched exponential tails."""
-        z = np.asarray(z_um, dtype=float)
-        z0 = self.spec.half_height_um
-        if self.parity == "even":
-            core = np.cos(self.beta_w_per_um * z)
-            edge = math.cos(self.beta_w_per_um * z0)
-            sign = np.ones_like(z)
-        else:
-            core = np.sin(self.beta_w_per_um * z)
-            edge = math.sin(self.beta_w_per_um * z0)
-            sign = np.sign(z)
-        tail = sign * edge * np.exp(-self.beta_s_per_um * (np.abs(z) - z0))
-        return np.where(np.abs(z) <= z0, core, tail)
+        return numerics.slab_profile(z_um, self.beta_w_per_um,
+                                     2.0 * self.spec.half_height_um,
+                                     self.beta_s_per_um, self.parity == "odd")
 
     def field(self, r_um, z_um) -> np.ndarray:
         """|E_r| on the outer product of the radial and vertical samples."""

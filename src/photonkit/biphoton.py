@@ -21,6 +21,7 @@ from .errors import (
     DegenerateGrid,
     DomainError,
     EvanescentTransverse,
+    require_positive,
 )
 from .numerics import C_UM_PER_FS
 from .phasematch import PhaseMatchQuery, grating_vector
@@ -68,9 +69,8 @@ class PumpSpec:
     spatial_width_um: float
 
     def __post_init__(self):
-        if min(self.central_frequency_phz, self.pulse_duration_fs,
-               self.spatial_width_um) <= 0:
-            raise DomainError("pump parameters must be positive")
+        require_positive(self, "central_frequency_phz", "pulse_duration_fs",
+                         "spatial_width_um")
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ class CouplingSpec:
     idler_offset_per_um: float = 0.0
 
     def __post_init__(self):
-        if self.signal_width_um <= 0 or self.idler_width_um <= 0:
-            raise DomainError("mode widths must be positive")
+        require_positive(self, "signal_width_um", "idler_width_um")
 
 
 @dataclass(frozen=True)
@@ -104,12 +103,13 @@ class JsaGridSpec:
     idler_n: int | None = None
 
     def __post_init__(self):
-        if self.n < 16 or (self.idler_n is not None and self.idler_n < 16):
-            raise DomainError("grid needs n >= 16")
+        for name in ("n", "idler_n"):
+            count = getattr(self, name)
+            if count is not None and count < 16:
+                raise DomainError(f"{name} must be >= 16", field=name)
         if not 0 < self.range_fraction < 0.5:
-            raise DomainError("range_fraction must be in (0, 0.5)")
-        if self.signal_center_phz <= 0 or self.idler_center_phz <= 0:
-            raise DomainError("grid centres must be positive")
+            raise DomainError("must lie in (0, 0.5)", field="range_fraction")
+        require_positive(self, "signal_center_phz", "idler_center_phz")
 
     def signal_axis(self) -> np.ndarray:
         z = self.range_fraction
@@ -377,18 +377,10 @@ def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
     ws = grid.omega_s_phz
     wi = grid.omega_i_phz
     p = grid.probability
-    total = p.sum()
-    if total <= 0 or np.ptp(p) == 0:
+    if p.sum() <= 0 or np.ptp(p) == 0:
         raise DegenerateFit("degenerate grid support")
 
-    # moment-based start
-    ps = p.sum(axis=1) / total
-    pi = p.sum(axis=0) / total
-    mu_s = float(np.dot(ps, ws))
-    mu_i = float(np.dot(pi, wi))
-    var_s = float(np.dot(ps, (ws - mu_s)**2))
-    var_i = float(np.dot(pi, (wi - mu_i)**2))
-    cov = float(((ws - mu_s)[:, None] * (wi - mu_i)[None, :] * p).sum() / total)
+    mu_s, mu_i, var_s, var_i, cov = numerics.grid_moments(ws, wi, p)
     rho0 = cov / math.sqrt(var_s * var_i) if var_s > 0 and var_i > 0 else 0.0
     rho0 = max(min(rho0, 0.999), -0.999)
     amp0 = float(p.max())

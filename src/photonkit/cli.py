@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import replace
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import (
     rect_guide,
     sellmeier_fit,
 )
-from .errors import PhotonkitError
+from .errors import DomainError, PhotonkitError, ScenarioError
 
 __all__ = ["main", "run", "validate_scenario"]
 
@@ -62,174 +63,179 @@ def _emit(payload: dict) -> None:
     print(json.dumps(_round_sig(payload), sort_keys=True, indent=2))
 
 
-def _fail_validation(diagnostics) -> int:
-    _emit({"status": "validation-error", "diagnostics": diagnostics})
-    return EXIT_VALIDATION
+def _invalid(path: str, message: str) -> ScenarioError:
+    return ScenarioError([{"path": path, "message": message}])
 
 
-def _load_scenario(path: str) -> tuple[dict | None, list]:
+def _load_scenario(path: str) -> dict:
     p = Path(path)
     if not p.exists():
-        return None, [{"path": "", "message": f"scenario file not found: {path}"}]
+        raise _invalid("", f"scenario file not found: {path}")
     try:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        return None, [{"path": "", "message": f"line {exc.lineno}: {exc.msg}"}]
+        raise _invalid("", f"line {exc.lineno}: {exc.msg}") from None
     if not isinstance(raw, dict):
-        return None, [{"path": "", "message": "scenario must be a JSON object"}]
+        raise _invalid("", "scenario must be a JSON object")
     raw["__dir__"] = str(p.parent)
-    return raw, []
+    return raw
 
 
-def _resolve_crystal(scenario: dict, diags: list) -> dispersion.CrystalSpec | None:
-    ref = scenario.get("crystal")
+def _crystal(ref, base: str = ".") -> dispersion.CrystalSpec:
+    """Load a crystal file, relative to `base`, or else a builtin by name."""
     if not isinstance(ref, str) or not ref:
-        diags.append({"path": "/crystal", "message": "crystal file or builtin name required"})
-        return None
-    base = Path(scenario.get("__dir__", "."))
-    candidate = base / ref if not Path(ref).is_absolute() else Path(ref)
+        raise _invalid("/crystal", "crystal file or builtin name required")
+    candidate = Path(base) / ref
     if not candidate.exists():
         try:
             candidate = dispersion.builtin_crystal_path(ref)
         except PhotonkitError:
-            diags.append({"path": "/crystal", "message": f"not found: {ref}"})
-            return None
+            raise _invalid("/crystal", f"not found: {ref}") from None
     try:
         return dispersion.load_crystal(candidate)
     except (PhotonkitError, ValueError) as exc:
-        diags.append({"path": "/crystal", "message": str(exc)})
-        return None
+        raise _invalid("/crystal", str(exc)) from None
 
 
 def _pol(name: str) -> dispersion.Polarization:
     return dispersion.Polarization(name.lower())
 
 
-def _check_block(block, fields, pointer, diags) -> bool:
-    """Require `block` to be an object holding positive numbers at `fields`."""
+# ---------------------------------------------------------------- scenarios
+
+_KIND_NAMES = {float: "number", int: "integer", str: "string",
+               dispersion.Polarization: "string"}
+
+
+def _json_ok(kind, value) -> bool:
+    """Whether the JSON `value` can fill a field of type `kind`."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is int:
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return isinstance(value, str)
+
+
+def _spec(cls, block, pointer: str, diags: list, **defaults):
+    """Build the spec dataclass `cls` from the JSON object `block`.
+
+    Keys are the field names; a field missing from `block` takes `defaults`,
+    then the dataclass default. Every unknown key and ill-typed value is
+    reported; a DomainError from the dataclass checks is reported at
+    `{pointer}/{field}`. Returns None once it has appended a diagnostic.
+    """
     if not isinstance(block, dict):
         diags.append({"path": pointer, "message": "object required"})
-        return False
-    ok = True
-    for name, positive in fields:
-        v = block.get(name)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            diags.append({"path": f"{pointer}/{name}", "message": "number required"})
-            ok = False
-        elif positive and v <= 0:
-            diags.append({"path": f"{pointer}/{name}", "message": "must be positive"})
-            ok = False
-    return ok
-
-
-def _query_from_scenario(scenario: dict, diags: list):
-    q = scenario.get("query", {})
-    if not isinstance(q, dict):
-        diags.append({"path": "/query", "message": "object required"})
+        return None
+    found = len(diags)
+    hints = typing.get_type_hints(cls)
+    diags.extend({"path": f"{pointer}/{key}", "message": "unknown field"}
+                 for key in block if key not in hints)
+    values = dict(defaults)
+    for f in dataclasses.fields(cls):
+        if f.name not in block and (f.name in values
+                                    or f.default is not dataclasses.MISSING):
+            continue
+        value = block.get(f.name)
+        optional = type(None) in typing.get_args(hints[f.name])
+        kind = typing.get_args(hints[f.name])[0] if optional else hints[f.name]
+        if value is None and optional:
+            values[f.name] = None
+        elif _json_ok(kind, value):
+            values[f.name] = kind(value) if kind in (float, int) else value
+        else:
+            diags.append({"path": f"{pointer}/{f.name}",
+                          "message": f"{_KIND_NAMES[kind]} required"})
+    if len(diags) > found:
         return None
     try:
-        return phasematch.PhaseMatchQuery(
-            pump_wavelength_nm=float(q.get("pump_wavelength_nm", 1.0)),
-            signal_theta_rad=float(q.get("signal_theta_rad", 0.0)),
-            signal_phi_rad=float(q.get("signal_phi_rad", 0.0)),
-            temperature_k=float(q.get("temperature_k", 298.0)),
-            pol_pump=_pol(q.get("pol_pump", "z")),
-            pol_signal=_pol(q.get("pol_signal", "z")),
-            pol_idler=_pol(q.get("pol_idler", "z")),
-            qpm_order=int(q.get("qpm_order", 1)),
-            qpm_sign=int(q.get("qpm_sign", -1)),
-        )
-    except (PhotonkitError, ValueError) as exc:
-        diags.append({"path": "/query", "message": str(exc)})
+        return cls(**values)
+    except DomainError as exc:
+        path = f"{pointer}/{exc.field}" if exc.field else pointer
+        diags.append({"path": path, "message": str(exc)})
         return None
 
 
-# ---------------------------------------------------------------- validation
+def _build(scenario: dict) -> dict:
+    """The inputs of the scenario's command, each spec built once.
 
-def validate_scenario(scenario: dict) -> list:
-    """Type-invariant diagnostics with JSON-pointer paths; empty iff runnable."""
-    diags: list = []
+    Raises ScenarioError carrying every diagnostic, with JSON-pointer paths.
+    """
     command = scenario.get("command")
     if command not in ("jsa", "fiber", "bentguide solve", "rectguide"):
-        diags.append({"path": "/command",
-                      "message": "command must be one of jsa, fiber, "
-                                 "rectguide, 'bentguide solve'"})
-        return diags
+        raise _invalid("/command", "command must be one of jsa, fiber, "
+                                   "rectguide, 'bentguide solve'")
+    diags: list = []
+    inputs: dict = {}
     if command in ("jsa", "fiber"):
-        _resolve_crystal(scenario, diags)
-        _check_block(scenario.get("pump"), [("central_frequency_phz", True),
-                                            ("pulse_duration_fs", True),
-                                            ("spatial_width_um", True)],
-                     "/pump", diags)
-        _check_block(scenario.get("coupling"), [("signal_width_um", True),
-                                                ("idler_width_um", True)],
-                     "/coupling", diags)
-        if _check_block(scenario.get("grid"), [("n", True),
-                                               ("range_fraction", True),
-                                               ("signal_center_phz", True),
-                                               ("idler_center_phz", True)],
-                        "/grid", diags):
-            g = scenario["grid"]
-            if g["n"] < 16:
-                diags.append({"path": "/grid/n", "message": "n must be >= 16"})
-            if not 0 < g["range_fraction"] < 0.5:
-                diags.append({"path": "/grid/range_fraction",
-                              "message": "must lie in (0, 0.5)"})
-        _query_from_scenario(scenario, diags)
+        try:
+            inputs["crystal"] = _crystal(scenario.get("crystal"),
+                                         scenario.get("__dir__", "."))
+        except ScenarioError as exc:
+            diags += exc.diagnostics
+        for key, cls in (("pump", biphoton.PumpSpec),
+                         ("coupling", biphoton.CouplingSpec),
+                         ("grid", biphoton.JsaGridSpec)):
+            inputs[key] = _spec(cls, scenario.get(key), f"/{key}", diags)
+        inputs["query"] = _spec(phasematch.PhaseMatchQuery, scenario.get("query", {}),
+                                "/query", diags, pump_wavelength_nm=1.0)
     if command == "fiber":
-        if _check_block(scenario.get("fiber"), [("gvd_2beta_s2_per_m", False),
-                                                ("length_m", False)],
-                        "/fiber", diags):
-            if scenario["fiber"]["length_m"] < 0:
-                diags.append({"path": "/fiber/length_m",
-                              "message": "must be nonnegative"})
-        if scenario.get("method", "stationary") not in ("stationary", "exact"):
+        inputs["fiber"] = _spec(fiber_prop.FiberSpec, scenario.get("fiber"),
+                                "/fiber", diags)
+        inputs["method"] = scenario.get("method", "stationary")
+        if inputs["method"] not in ("stationary", "exact"):
             diags.append({"path": "/method",
                           "message": "method must be 'stationary' or 'exact'"})
     if command == "bentguide solve":
-        if _check_block(scenario.get("spec"), [("inner_radius_um", True),
-                                               ("outer_radius_um", True),
-                                               ("half_height_um", True),
-                                               ("core_index", True),
-                                               ("clad_index", True),
-                                               ("vacuum_wavelength_um", True)],
-                        "/spec", diags):
-            s = scenario["spec"]
-            if s["inner_radius_um"] >= s["outer_radius_um"]:
-                diags.append({"path": "/spec/inner_radius_um",
-                              "message": "inner radius must be below outer radius"})
-            if s["core_index"] <= s["clad_index"]:
-                diags.append({"path": "/spec/core_index",
-                              "message": "core index must exceed clad index"})
+        inputs["spec"] = _spec(bent_guide.BentGuideSpec, scenario.get("spec"),
+                               "/spec", diags)
     if command == "rectguide":
-        if _check_block(scenario.get("spec"), [("width_a_um", True),
-                                               ("height_b_um", True),
-                                               ("core_index", True)],
-                        "/spec", diags):
-            kind = scenario["spec"].get("kind", "dielectric")
-            if kind not in ("hollow", "dielectric"):
-                diags.append({"path": "/spec/kind",
-                              "message": "kind must be 'hollow' or 'dielectric'"})
-            if kind == "hollow" and "frequency_thz" not in scenario:
-                diags.append({"path": "/frequency_thz",
-                              "message": "hollow solve needs frequency_thz"})
-            if kind == "dielectric" and "wavelength_um" not in scenario:
-                diags.append({"path": "/wavelength_um",
-                              "message": "dielectric solve needs wavelength_um"})
-    return diags
+        spec = inputs["spec"] = _spec(rect_guide.RectGuideSpec, scenario.get("spec"),
+                                      "/spec", diags)
+        if spec is not None:
+            key = "frequency_thz" if spec.kind == "hollow" else "wavelength_um"
+            if key not in scenario:
+                diags.append({"path": f"/{key}",
+                              "message": f"{spec.kind} solve needs {key}"})
+            elif not _json_ok(float, scenario[key]):
+                diags.append({"path": f"/{key}", "message": "number required"})
+            else:
+                inputs[key] = float(scenario[key])
+    if diags:
+        raise ScenarioError(diags)
+    return inputs
+
+
+def validate_scenario(scenario: dict) -> list:
+    """Diagnostics with JSON-pointer paths; empty iff the scenario's inputs build."""
+    try:
+        _build(scenario)
+    except ScenarioError as exc:
+        return exc.diagnostics
+    return []
+
+
+def _scenario_inputs(path: str, command: str) -> tuple[dict, dict]:
+    """Load the scenario file and build its inputs for `command`."""
+    scenario = _load_scenario(path)
+    scenario["command"] = command
+    return scenario, _build(scenario)
+
+
+def _out_dir(scenario: dict) -> Path:
+    path = Path(scenario.get("__dir__", ".")) / scenario.get("output_dir", ".")
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_dispersion(args) -> int:
-    scenario = {"crystal": args.crystal, "__dir__": "."}
-    diags: list = []
-    crystal = _resolve_crystal(scenario, diags)
-    if crystal is None:
-        return _fail_validation(diags)
+    crystal = _crystal(args.crystal)
     if args.wavelength_um <= 0:
-        return _fail_validation([{"path": "/wavelength_um",
-                                  "message": "must be positive"}])
+        raise _invalid("/wavelength_um", "must be positive")
     sell = crystal.axis_set(_pol(args.axis))
     n = dispersion.refractive_index(sell, args.wavelength_um)
     payload = {
@@ -248,14 +254,9 @@ def _cmd_dispersion(args) -> int:
 
 
 def _cmd_phasematch_sweep(args) -> int:
-    scenario = {"crystal": args.crystal, "__dir__": "."}
-    diags: list = []
-    crystal = _resolve_crystal(scenario, diags)
-    if crystal is None:
-        return _fail_validation(diags)
+    crystal = _crystal(args.crystal)
     if args.points < 2 or args.stop_nm <= args.start_nm:
-        return _fail_validation([{"path": "/sweep",
-                                  "message": "need points >= 2 and stop > start"}])
+        raise _invalid("/sweep", "need points >= 2 and stop > start")
     lo, hi = args.window_nm
     pumps = np.linspace(args.start_nm, args.stop_nm, args.points)
     query = phasematch.PhaseMatchQuery(
@@ -279,14 +280,9 @@ def _cmd_phasematch_sweep(args) -> int:
 
 
 def _cmd_fit_sellmeier(args) -> int:
-    scenario = {"crystal": args.crystal, "__dir__": "."}
-    diags: list = []
-    crystal = _resolve_crystal(scenario, diags)
-    if crystal is None:
-        return _fail_validation(diags)
+    crystal = _crystal(args.crystal)
     if not Path(args.data).exists():
-        return _fail_validation([{"path": "/data",
-                                  "message": f"dataset not found: {args.data}"}])
+        raise _invalid("/data", f"dataset not found: {args.data}")
     points = sellmeier_fit.load_dataset_csv(args.data)
     lo, hi = args.window_nm
     query = phasematch.PhaseMatchQuery(
@@ -309,38 +305,10 @@ def _cmd_fit_sellmeier(args) -> int:
     return EXIT_OK
 
 
-def _jsa_from_scenario(scenario: dict):
-    crystal = _resolve_crystal(scenario, [])
-    pump = biphoton.PumpSpec(**{k: float(v) for k, v in scenario["pump"].items()})
-    coupling = biphoton.CouplingSpec(
-        **{k: float(v) for k, v in scenario["coupling"].items()})
-    g = scenario["grid"]
-    grid_spec = biphoton.JsaGridSpec(
-        n=int(g["n"]), range_fraction=float(g["range_fraction"]),
-        signal_center_phz=float(g["signal_center_phz"]),
-        idler_center_phz=float(g["idler_center_phz"]))
-    query = _query_from_scenario(scenario, [])
-    grid = biphoton.jsa_grid(pump, coupling, crystal, grid_spec, query)
-    return grid
-
-
-def _out_dir(scenario: dict) -> Path:
-    base = Path(scenario.get("__dir__", "."))
-    out = scenario.get("output_dir", ".")
-    path = base / out if not Path(out).is_absolute() else Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _cmd_jsa(args) -> int:
-    scenario, diags = _load_scenario(args.scenario)
-    if scenario is None:
-        return _fail_validation(diags)
-    scenario.setdefault("command", "jsa")
-    diags = validate_scenario(scenario)
-    if diags:
-        return _fail_validation(diags)
-    grid = _jsa_from_scenario(scenario)
+    scenario, inputs = _scenario_inputs(args.scenario, "jsa")
+    grid = biphoton.jsa_grid(inputs["pump"], inputs["coupling"], inputs["crystal"],
+                             inputs["grid"], inputs["query"])
     fit2 = biphoton.fit_gaussian_2d(grid)
     om_s, p_s = biphoton.marginal(grid, "signal")
     fit_s = biphoton.fit_gaussian_1d(om_s, p_s)
@@ -363,18 +331,10 @@ def _cmd_jsa(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    scenario, diags = _load_scenario(args.scenario)
-    if scenario is None:
-        return _fail_validation(diags)
-    scenario.setdefault("command", "fiber")
-    diags = validate_scenario(scenario)
-    if diags:
-        return _fail_validation(diags)
-    grid = _jsa_from_scenario(scenario)
-    fiber = fiber_prop.FiberSpec(
-        gvd_2beta_s2_per_m=float(scenario["fiber"]["gvd_2beta_s2_per_m"]),
-        length_m=float(scenario["fiber"]["length_m"]))
-    method = scenario.get("method", "stationary")
+    scenario, inputs = _scenario_inputs(args.scenario, "fiber")
+    grid = biphoton.jsa_grid(inputs["pump"], inputs["coupling"], inputs["crystal"],
+                             inputs["grid"], inputs["query"])
+    fiber, method = inputs["fiber"], inputs["method"]
     if method == "exact":
         tg = fiber_prop.propagate_exact(grid, fiber)
     else:
@@ -400,25 +360,13 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_rectguide(args) -> int:
-    scenario, diags = _load_scenario(args.scenario)
-    if scenario is None:
-        return _fail_validation(diags)
-    scenario.setdefault("command", "rectguide")
-    diags = validate_scenario(scenario)
-    if diags:
-        return _fail_validation(diags)
-    s = scenario["spec"]
-    spec = rect_guide.RectGuideSpec(
-        width_a_um=float(s["width_a_um"]), height_b_um=float(s["height_b_um"]),
-        core_index=float(s["core_index"]),
-        clad_index=float(s.get("clad_index", 1.0)),
-        kind=s.get("kind", "dielectric"))
+    scenario, inputs = _scenario_inputs(args.scenario, "rectguide")
+    spec = inputs["spec"]
     if spec.kind == "hollow":
-        modes = rect_guide.hollow_modes(spec, float(scenario["frequency_thz"]))
+        modes = rect_guide.hollow_modes(spec, inputs["frequency_thz"])
     else:
         modes = rect_guide.marcatili_solve(
-            spec, float(scenario["wavelength_um"]),
-            scenario.get("polarization", "Ey"))
+            spec, inputs["wavelength_um"], scenario.get("polarization", "Ey"))
     _emit({"status": "ok",
            "modes": [{"family": m.family, "m": m.m, "n": m.n,
                       "k_x_per_um": m.k_x_per_um, "k_y_per_um": m.k_y_per_um,
@@ -429,20 +377,8 @@ def _cmd_rectguide(args) -> int:
 
 
 def _cmd_bentguide_solve(args) -> int:
-    scenario, diags = _load_scenario(args.scenario)
-    if scenario is None:
-        return _fail_validation(diags)
-    scenario.setdefault("command", "bentguide solve")
-    diags = validate_scenario(scenario)
-    if diags:
-        return _fail_validation(diags)
-    s = scenario["spec"]
-    spec = bent_guide.BentGuideSpec(
-        inner_radius_um=float(s["inner_radius_um"]),
-        outer_radius_um=float(s["outer_radius_um"]),
-        half_height_um=float(s["half_height_um"]),
-        core_index=float(s["core_index"]), clad_index=float(s["clad_index"]),
-        vacuum_wavelength_um=float(s["vacuum_wavelength_um"]))
+    scenario, inputs = _scenario_inputs(args.scenario, "bentguide solve")
+    spec = inputs["spec"]
     modes = bent_guide.solve_modes(spec)
     rows = [{"p": m.p, "q": m.q, "parity": m.parity,
              "beta_w_per_um": m.beta_w_per_um, "beta_s_per_um": m.beta_s_per_um,
@@ -474,11 +410,9 @@ def _cmd_stats_g2(args) -> int:
         elif kind == "tmsv":
             moments = photon_stats.tmsv_moments(float(param)).per_mode
         else:
-            return _fail_validation([{"path": "/state",
-                                      "message": f"unknown state kind {kind!r}"}])
+            raise _invalid("/state", f"unknown state kind {kind!r}")
     except ValueError:
-        return _fail_validation([{"path": "/state",
-                                  "message": f"bad parameter {param!r}"}])
+        raise _invalid("/state", f"bad parameter {param!r}") from None
     g2 = photon_stats.g2_from_moments(moments)
     _emit({"status": "ok", "state": args.state,
            "mean": moments.mean, "variance": moments.variance,
@@ -487,13 +421,9 @@ def _cmd_stats_g2(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    scenario, diags = _load_scenario(args.scenario)
-    if scenario is None:
-        return _fail_validation(diags)
-    diags = validate_scenario(scenario)
-    _emit({"status": "ok" if not diags else "validation-error",
-           "diagnostics": diags})
-    return EXIT_OK if not diags else EXIT_VALIDATION
+    _build(_load_scenario(args.scenario))
+    _emit({"status": "ok", "diagnostics": []})
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- golden runs
@@ -633,6 +563,9 @@ def run(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         return args.func(args)
+    except ScenarioError as exc:
+        _emit({"status": "validation-error", "diagnostics": exc.diagnostics})
+        return EXIT_VALIDATION
     except PhotonkitError as exc:
         _emit({"status": "solver-error",
                "error": type(exc).__name__, "message": str(exc)})

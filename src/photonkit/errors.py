@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the workbench."""
+"""Exception hierarchy shared across the workbench, and the positivity check
+the spec dataclasses share."""
+
+from __future__ import annotations
 
 
 class PhotonkitError(Exception):
@@ -6,7 +9,21 @@ class PhotonkitError(Exception):
 
 
 class DomainError(PhotonkitError, ValueError):
-    """Input outside the supported domain of an operation."""
+    """Input outside the supported domain of an operation.
+
+    `field`, when set, names the dataclass field whose check failed.
+    """
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
+
+
+def require_positive(spec, *fields: str) -> None:
+    """Raise DomainError at the first of `fields` on `spec` that is not > 0."""
+    for name in fields:
+        if getattr(spec, name) <= 0:
+            raise DomainError("must be positive", field=name)
 
 
 # --- numerics ---

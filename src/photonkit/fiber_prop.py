@@ -44,7 +44,7 @@ class FiberSpec:
 
     def __post_init__(self):
         if self.length_m < 0:
-            raise DomainError("fiber length must be nonnegative")
+            raise DomainError("must be nonnegative", field="length_m")
 
 
 @dataclass(frozen=True)
@@ -174,18 +174,9 @@ def propagate_stationary(grid: JsaGrid, fiber: FiberSpec) -> TimeGrid:
 def time_grid_stats(tg: TimeGrid) -> TimeStats:
     """Moment-based arrival-time statistics of a time-domain grid."""
     p = np.asarray(tg.probability, dtype=float)
-    total = p.sum()
-    if total <= 0:
+    if p.sum() <= 0:
         raise DomainError("empty time grid")
-    p = p / total
-    ps = p.sum(axis=1)
-    pi = p.sum(axis=0)
-    mu_s = float(np.dot(ps, tg.t_s_ns))
-    mu_i = float(np.dot(pi, tg.t_i_ns))
-    var_s = float(np.dot(ps, (tg.t_s_ns - mu_s) ** 2))
-    var_i = float(np.dot(pi, (tg.t_i_ns - mu_i) ** 2))
-    cov = float(((tg.t_s_ns - mu_s)[:, None]
-                 * (tg.t_i_ns - mu_i)[None, :] * p).sum())
+    _, _, var_s, var_i, cov = numerics.grid_moments(tg.t_s_ns, tg.t_i_ns, p)
     if var_s <= 0 or var_i <= 0:
         return TimeStats(math.sqrt(max(var_s, 0.0)),
                          math.sqrt(max(var_i, 0.0)), 0.0)

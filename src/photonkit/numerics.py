@@ -1,9 +1,11 @@
 """Shared numerical kernel: root bracketing, quadrature, damped least squares,
 real-order Bessel functions of both kinds, and the pieces every solver shares:
-the speed of light, the worker-thread count and the grid CSV writer."""
+the speed of light, the worker-thread count, the slab mode profile, the moments
+of a weighted grid and the grid CSV writer."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -27,6 +29,8 @@ __all__ = [
     "bessel_jy",
     "bessel_jy_derivatives",
     "worker_count",
+    "slab_profile",
+    "grid_moments",
     "write_grid_csv",
 ]
 
@@ -279,6 +283,40 @@ def worker_count() -> int:
         return max(1, int(env))
     except ValueError:
         return 1
+
+
+def slab_profile(coord, k_t, extent, gamma, parity_odd):
+    """Core sinusoid with value-matched exponential tails, centred slab.
+
+    The core of width `extent` carries cos (sin when `parity_odd`) of k_t x;
+    outside it the field decays as exp(-gamma (|x| - extent/2)).
+    """
+    coord = np.asarray(coord, dtype=float)
+    half = 0.5 * extent
+    if parity_odd:
+        core = np.sin(k_t * coord)
+        edge = math.sin(k_t * half)
+        sign = np.sign(coord)
+    else:
+        core = np.cos(k_t * coord)
+        edge = math.cos(k_t * half)
+        sign = np.ones_like(coord)
+    tail = sign * edge * np.exp(-gamma * (np.abs(coord) - half))
+    return np.where(np.abs(coord) <= half, core, tail)
+
+
+def grid_moments(x, y, weights):
+    """Means, variances and covariance (mu_x, mu_y, var_x, var_y, cov) of the
+    grid carrying weights[j, k] at (x[j], y[k]); the weights need not sum to 1."""
+    total = weights.sum()
+    px = weights.sum(axis=1) / total
+    py = weights.sum(axis=0) / total
+    mu_x = float(np.dot(px, x))
+    mu_y = float(np.dot(py, y))
+    var_x = float(np.dot(px, (x - mu_x)**2))
+    var_y = float(np.dot(py, (y - mu_y)**2))
+    cov = float(((x - mu_x)[:, None] * (y - mu_y)[None, :] * weights).sum() / total)
+    return mu_x, mu_y, var_x, var_y, cov
 
 
 def write_grid_csv(path, header: Sequence[str], x, y, values) -> None:

@@ -55,12 +55,12 @@ class PhaseMatchQuery:
     """One phase-matching question: pump, geometry, polarizations, QPM order.
 
     Angles are internal to the crystal, in radians. The pump propagates along
-    the poling axis (x); signal direction is (theta_vis, phi_vis).
+    the poling axis (x); the signal leaves it at polar angle signal_theta_rad,
+    and the mismatch does not depend on the azimuth.
     """
 
     pump_wavelength_nm: float
     signal_theta_rad: float = 0.0
-    signal_phi_rad: float = 0.0
     temperature_k: float = 298.0
     pol_pump: Polarization = Polarization.Z
     pol_signal: Polarization = Polarization.Z
@@ -70,18 +70,20 @@ class PhaseMatchQuery:
 
     def __post_init__(self):
         if self.pump_wavelength_nm <= 0:
-            raise DomainError("pump wavelength must be positive")
+            raise DomainError("pump wavelength must be positive",
+                              field="pump_wavelength_nm")
         if abs(self.qpm_sign) != 1:
-            raise DomainError("qpm_sign must be +1 or -1")
+            raise DomainError("qpm_sign must be +1 or -1", field="qpm_sign")
         if self.qpm_order < 0:
-            raise DomainError("qpm_order must be nonnegative")
+            raise DomainError("qpm_order must be nonnegative", field="qpm_order")
         for field in ("pol_pump", "pol_signal", "pol_idler"):
             pol = getattr(self, field)
             if not isinstance(pol, Polarization):
                 try:
                     pol = Polarization(str(pol).lower())
                 except ValueError:
-                    raise DomainError(f"unknown polarization {pol!r}") from None
+                    raise DomainError(f"unknown polarization {pol!r}",
+                                      field=field) from None
                 object.__setattr__(self, field, pol)
 
 

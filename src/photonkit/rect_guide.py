@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DomainError, NoGuidedModes
+from .errors import DomainError, NoGuidedModes, require_positive
 from .numerics import C_UM_PER_FS
 
 __all__ = [
@@ -41,12 +41,15 @@ class RectGuideSpec:
     kind: str = "dielectric"
 
     def __post_init__(self):
-        if self.width_a_um <= 0 or self.height_b_um <= 0:
-            raise DomainError("cross-section dimensions must be positive")
+        require_positive(self, "width_a_um", "height_b_um", "core_index")
         if self.kind not in ("hollow", "dielectric"):
-            raise DomainError("kind must be 'hollow' or 'dielectric'")
-        if self.kind == "dielectric" and not self.core_index >= self.clad_index >= 1.0:
-            raise DomainError("dielectric guide needs n1 >= clad index >= 1")
+            raise DomainError("kind must be 'hollow' or 'dielectric'", field="kind")
+        if self.kind == "dielectric":
+            if self.core_index < self.clad_index:
+                raise DomainError("core index must not be below clad index",
+                                  field="core_index")
+            if self.clad_index < 1.0:
+                raise DomainError("clad index must be >= 1", field="clad_index")
 
 
 @dataclass(frozen=True)
@@ -186,22 +189,6 @@ def marcatili_solve(spec: RectGuideSpec, wavelength_um: float,
     return modes
 
 
-def _slab_profile(coord, k_t, extent, gamma, parity_odd):
-    """Core sinusoid with value-matched exponential tails, centred slab."""
-    coord = np.asarray(coord, dtype=float)
-    half = 0.5 * extent
-    if parity_odd:
-        core = np.sin(k_t * coord)
-        edge = math.sin(k_t * half)
-        sign = np.sign(coord)
-    else:
-        core = np.cos(k_t * coord)
-        edge = math.cos(k_t * half)
-        sign = np.ones_like(coord)
-    tail = sign * edge * np.exp(-gamma * (np.abs(coord) - half))
-    return np.where(np.abs(coord) <= half, core, tail)
-
-
 def mode_field(mode: RectMode, spec: RectGuideSpec, x_um, y_um) -> np.ndarray:
     """Dominant-component field magnitude on the (x, y) sample grid.
 
@@ -232,8 +219,8 @@ def mode_field(mode: RectMode, spec: RectGuideSpec, x_um, y_um) -> np.ndarray:
                        - mode.k_x_per_um**2, 1e-30))
     gy = math.sqrt(max(k0**2 * (spec.core_index**2 - spec.clad_index**2)
                        - mode.k_y_per_um**2, 1e-30))
-    u = _slab_profile(x, mode.k_x_per_um, a, gx, parity_odd=(mode.m % 2 == 0))
-    v = _slab_profile(y, mode.k_y_per_um, b, gy, parity_odd=(mode.n % 2 == 0))
+    u = numerics.slab_profile(x, mode.k_x_per_um, a, gx, parity_odd=(mode.m % 2 == 0))
+    v = numerics.slab_profile(y, mode.k_y_per_um, b, gy, parity_odd=(mode.n % 2 == 0))
     field = np.abs(u[:, None] * v[None, :])
     corner = (np.abs(x)[:, None] > 0.5 * a) & (np.abs(y)[None, :] > 0.5 * b)
     return np.where(corner, 0.0, field)

@@ -154,7 +154,8 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     exact one of model_jacobian, taken at the roots the fit already holds, so
     it costs no root solves. Points whose model root vanishes during a step
     are masked for that step. The report carries both the fitted RSS and the
-    RSS at the start values, both from the same sweep solve.
+    RSS at the start values, both from the same sweep solve and both in nm^2,
+    also when the fit itself minimises the weighted chi^2.
     """
     n_free = len(setup.free_indices)
     if len(points) < n_free + 1:
@@ -175,12 +176,14 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     result = numerics.least_squares_fit(model, pumps, signals, start,
                                         weights=weights, max_iter=max_iter,
                                         jacobian=jacobian)
+    fitted_rss = (rss(points, result.parameters, setup) if weighted
+                  else result.residual_sum_squares)
     report = SellmeierFitReport(
         fitted=tuple(result.parameters),
         uncertainties=tuple(result.standard_errors),
-        rss_nm2=result.residual_sum_squares,
+        rss_nm2=fitted_rss,
         rss_start_nm2=start_rss,
-        average_error_nm=math.sqrt(result.residual_sum_squares / len(points)),
+        average_error_nm=math.sqrt(fitted_rss / len(points)),
         n_points=len(points),
         converged=result.converged,
         iterations=result.iterations,

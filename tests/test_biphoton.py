@@ -83,6 +83,16 @@ class TestPumpEnvelope:
             PumpSpec(central_frequency_phz=-1.0, pulse_duration_fs=1.0,
                      spatial_width_um=1.0)
 
+    @pytest.mark.parametrize("name", ["central_frequency_phz",
+                                      "pulse_duration_fs", "spatial_width_um"])
+    def test_validation_names_the_field(self, name):
+        values = dict(central_frequency_phz=1.0, pulse_duration_fs=1.0,
+                      spatial_width_um=1.0)
+        values[name] = 0.0
+        with pytest.raises(DomainError) as info:
+            PumpSpec(**values)
+        assert info.value.field == name
+
 
 class TestLongitudinalMismatch:
     def test_collinear_reduction(self, vis_ir_setup):
@@ -135,6 +145,12 @@ class TestGridSpec:
                         idler_center_phz=1.0, idler_n=48)
         assert g.signal_axis().size == 32
         assert g.idler_axis().size == 48
+
+    def test_idler_count_validated(self):
+        with pytest.raises(DomainError) as info:
+            JsaGridSpec(n=32, range_fraction=0.1, signal_center_phz=2.0,
+                        idler_center_phz=1.0, idler_n=8)
+        assert info.value.field == "idler_n"
 
 
 @pytest.fixture(scope="module")

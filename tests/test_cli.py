@@ -247,6 +247,113 @@ class TestValidate:
         assert out["diagnostics"][0]["path"] == "/command"
 
 
+def _jsa_edit(block, key, value):
+    def edit(scenario):
+        scenario[block][key] = value
+        return scenario
+    return edit
+
+
+def _guide(spec, **extra):
+    return lambda _scenario: {"spec": spec, **extra}
+
+
+RUN_ARGV = {"jsa": ["jsa", "--scenario"],
+            "rectguide": ["rectguide", "--scenario"],
+            "bentguide solve": ["bentguide", "solve", "--spec"]}
+
+BENT_SPEC = {"inner_radius_um": 0.5, "outer_radius_um": 1.5,
+             "half_height_um": 0.25, "core_index": 2.3,
+             "clad_index": 1.0, "vacuum_wavelength_um": 0.8}
+
+# Scenarios that passed `validate` and then failed the run while the CLI
+# checked them separately from the spec dataclasses.
+INVALID_SCENARIOS = {
+    "offset-not-a-number": (
+        "jsa", _jsa_edit("coupling", "signal_offset_per_um", "abc"),
+        "/coupling/signal_offset_per_um"),
+    "unknown-pump-key": (
+        "jsa", _jsa_edit("pump", "wavelength_nm", 780.0), "/pump/wavelength_nm"),
+    "unknown-coupling-key": (
+        "jsa", _jsa_edit("coupling", "offset_per_um", 0.1),
+        "/coupling/offset_per_um"),
+    "fractional-grid-n": ("jsa", _jsa_edit("grid", "n", 24.7), "/grid/n"),
+    "signal-phi": (
+        "jsa", _jsa_edit("query", "signal_phi_rad", 0.1), "/query/signal_phi_rad"),
+    "rect-frequency-not-a-number": (
+        "rectguide", _guide({"width_a_um": 1.0, "height_b_um": 0.5,
+                             "core_index": 1.0, "kind": "hollow"},
+                            frequency_thz="abc"),
+        "/frequency_thz"),
+    "rect-clad-above-core": (
+        "rectguide", _guide({"width_a_um": 2.0, "height_b_um": 1.0,
+                             "core_index": 1.5, "clad_index": 1.6},
+                            wavelength_um=1.55),
+        "/spec/core_index"),
+    "bent-clad-below-one": (
+        "bentguide solve", _guide(dict(BENT_SPEC, clad_index=0.5)),
+        "/spec/clad_index"),
+}
+
+
+class TestScenarioValidation:
+    @staticmethod
+    def _run_quiet(capsys, argv):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, json.loads(captured.out)
+
+    @pytest.mark.parametrize("case", sorted(INVALID_SCENARIOS))
+    def test_validate_and_run_agree(self, capsys, jsa_scenario, case):
+        command, edit, pointer = INVALID_SCENARIOS[case]
+        path, scenario = jsa_scenario
+        scenario = edit(scenario)
+        path.write_text(json.dumps(scenario))
+        code, run_out = self._run_quiet(capsys, RUN_ARGV[command] + [str(path)])
+        path.write_text(json.dumps(dict(scenario, command=command)))
+        vcode, val_out = self._run_quiet(capsys, ["validate", str(path)])
+        assert code == vcode == cli.EXIT_VALIDATION
+        assert run_out == val_out
+        assert [d["path"] for d in val_out["diagnostics"]] == [pointer]
+
+    def test_jsa_honours_idler_n(self, capsys, jsa_scenario, tmp_path):
+        path, scenario = jsa_scenario
+        scenario["grid"]["idler_n"] = 40
+        path.write_text(json.dumps(scenario))
+        code, _ = run_json(capsys, ["jsa", "--scenario", str(path)])
+        assert code == cli.EXIT_OK
+        with open(tmp_path / "out" / "jsa_grid.csv") as fh:
+            assert sum(1 for _ in fh) - 1 == 24 * 40
+
+    @pytest.mark.parametrize("block,key,value,message", [
+        ("pump", "pulse_duration_fs", -66.88, "must be positive"),
+        ("grid", "n", 8, "n must be >= 16"),
+        ("grid", "range_fraction", 0.7, "must lie in (0, 0.5)"),
+    ])
+    def test_single_defect_single_diagnostic(self, capsys, jsa_scenario,
+                                             block, key, value, message):
+        path, scenario = jsa_scenario
+        scenario["command"] = "jsa"
+        scenario[block][key] = value
+        path.write_text(json.dumps(scenario))
+        code, out = run_json(capsys, ["validate", str(path)])
+        assert code == cli.EXIT_VALIDATION
+        assert out["diagnostics"] == [{"path": f"/{block}/{key}",
+                                       "message": message}]
+
+    def test_type_errors_reported_for_every_field(self, capsys, jsa_scenario):
+        path, scenario = jsa_scenario
+        scenario["command"] = "jsa"
+        scenario["pump"] = {"central_frequency_phz": "x", "pulse_duration_fs": True}
+        path.write_text(json.dumps(scenario))
+        _, out = run_json(capsys, ["validate", str(path)])
+        assert out["diagnostics"] == [
+            {"path": "/pump/central_frequency_phz", "message": "number required"},
+            {"path": "/pump/pulse_duration_fs", "message": "number required"},
+            {"path": "/pump/spatial_width_um", "message": "number required"}]
+
+
 class TestGolden:
     def test_all_pass(self, capsys):
         code = cli.run(["--golden"])

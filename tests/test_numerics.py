@@ -244,6 +244,23 @@ class TestWriteGridCsv:
         assert got.count(b"\r\n") == 1 + x.size * y.size
 
 
+class TestGridMoments:
+    def test_diagonal_pair(self):
+        # Equal weight at (0, 0) and (1, 1), unnormalised.
+        x = np.array([0.0, 1.0])
+        w = 3.0 * np.eye(2)
+        assert numerics.grid_moments(x, x, w) == (0.5, 0.5, 0.25, 0.25, 0.25)
+
+    def test_product_grid_uncorrelated(self):
+        x = np.linspace(-2.0, 2.0, 41)
+        y = np.linspace(0.0, 3.0, 31)
+        w = np.exp(-x**2)[:, None] * np.exp(-(y - 1.5)**2)[None, :]
+        mu_x, mu_y, _, _, cov = numerics.grid_moments(x, y, w)
+        assert mu_x == pytest.approx(0.0, abs=1e-15)
+        assert mu_y == pytest.approx(1.5, rel=1e-14)
+        assert cov == pytest.approx(0.0, abs=1e-15)
+
+
 class TestBessel:
     def test_wronskian_identity(self):
         # J_{v+1}(x) Y_v(x) - J_v(x) Y_{v+1}(x) = 2 / (pi x)

@@ -108,6 +108,17 @@ class TestFit:
         report = fit(pts, true_coeffs, setup, weighted=True)
         assert report.rss_nm2 <= report.rss_start_nm2
 
+    def test_weighted_fit_reports_unweighted_rss(self, setup, true_coeffs):
+        # The weighted fit minimises chi^2, but rss_nm2 stays the nm^2 sum at
+        # the fitted coefficients, comparable with rss_start_nm2.
+        pumps = np.linspace(394.0, 401.0, 8)
+        pts = synthesize_noisy_dataset(true_coeffs, pumps, 0.005, seed=9,
+                                       setup=setup)
+        report = fit(pts, true_coeffs, setup, weighted=True)
+        assert report.rss_nm2 == rss(pts, report.fitted, setup)
+        assert report.rss_nm2 == pytest.approx(19.76, abs=0.01)
+        assert report.average_error_nm == math.sqrt(report.rss_nm2 / len(pts))
+
 
 class TestJacobian:
     @staticmethod
