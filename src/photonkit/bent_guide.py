@@ -190,9 +190,11 @@ def radial_determinant(spec: BentGuideSpec, h_per_um: float, m) -> np.ndarray:
 def azimuthal_numbers(spec: BentGuideSpec, h_per_um: float) -> list[tuple[int, float, float]]:
     """All (p, m, gamma) roots of the radial determinant, m descending.
 
-    Scanned with a 0.05 bracketing step over m in (0, h r2], refined with the
-    Brent solver; gamma solves sin(gamma) J_lam(h r1) + cos(gamma) Y_lam(h r1)
-    = 0, i.e. tan(gamma) = -Y_lam(h r1) / J_lam(h r1).
+    Scanned with a 0.05 bracketing step over m in (0, h r2], each sign change
+    refined by numerics.find_root (Brent's method, to 1e-13); the determinant's
+    Bessel functions load scipy.special. gamma solves
+    sin(gamma) J_lam(h r1) + cos(gamma) Y_lam(h r1) = 0, i.e.
+    tan(gamma) = -Y_lam(h r1) / J_lam(h r1).
     """
     if h_per_um <= 0:
         raise DomainError("h must be positive")

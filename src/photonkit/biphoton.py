@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import numerics
 from .dispersion import CrystalSpec, Polarization, refractive_index
@@ -151,12 +150,19 @@ class GaussianFit1D:
     center_phz: float
     fwhm_phz: float
     standard_errors: tuple[float, float, float, float]
-    p_values: tuple[float, float, float, float]
     rss: float
+    dof: int
 
     @property
     def sigma_phz(self) -> float:
         return self.fwhm_phz / FWHM_SIGMA
+
+    @property
+    def p_values(self) -> tuple[float, float, float, float]:
+        """Two-sided Student-t p-values of (bias, amplitude, centre, FWHM)
+        against zero; computed on read, as they load scipy.special."""
+        return _p_values((self.bias, self.amplitude, self.center_phz, self.fwhm_phz),
+                         self.standard_errors, self.dof)
 
 
 @dataclass(frozen=True)
@@ -329,6 +335,8 @@ def marginal(grid: JsaGrid, axis: str = "signal"):
 
 
 def _p_values(params, errors, dof):
+    from scipy import special
+
     out = []
     for v, e in zip(params, errors):
         if e > 0 and np.isfinite(e):
@@ -362,13 +370,12 @@ def fit_gaussian_1d(omega_phz, values) -> GaussianFit1D:
 
     res = numerics.least_squares_fit(model, x, y, [bias0, amp0, c0, fwhm0])
     b, a, c, f = res.parameters
-    dof = max(x.size - 4, 1)
     return GaussianFit1D(
         bias=float(b), amplitude=float(a), center_phz=float(c),
         fwhm_phz=float(abs(f)),
         standard_errors=tuple(res.standard_errors),
-        p_values=_p_values(res.parameters, res.standard_errors, dof),
         rss=res.residual_sum_squares,
+        dof=max(x.size - 4, 1),
     )
 
 

@@ -158,6 +158,22 @@ def _spec(cls, block, pointer: str, diags: list, **defaults):
         return None
 
 
+def _string(scenario: dict, key: str, diags: list, default: str | None = None):
+    """The scenario's string `key`, or `default` when it is absent or null."""
+    value = scenario.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        diags.append({"path": f"/{key}", "message": "string required"})
+    return value
+
+
+def _out_dir(scenario: dict, diags: list) -> Path | None:
+    """The scenario's `output_dir` (default "."), relative to the scenario file."""
+    name = _string(scenario, "output_dir", diags, ".")
+    return Path(scenario.get("__dir__", ".")) / name if isinstance(name, str) else None
+
+
 def _build(scenario: dict) -> dict:
     """The inputs of the scenario's command, each spec built once.
 
@@ -181,6 +197,7 @@ def _build(scenario: dict) -> dict:
             inputs[key] = _spec(cls, scenario.get(key), f"/{key}", diags)
         inputs["query"] = _spec(phasematch.PhaseMatchQuery, scenario.get("query", {}),
                                 "/query", diags, pump_wavelength_nm=1.0)
+        inputs["out_dir"] = _out_dir(scenario, diags)
     if command == "fiber":
         inputs["fiber"] = _spec(fiber_prop.FiberSpec, scenario.get("fiber"),
                                 "/fiber", diags)
@@ -191,6 +208,9 @@ def _build(scenario: dict) -> dict:
     if command == "bentguide solve":
         inputs["spec"] = _spec(bent_guide.BentGuideSpec, scenario.get("spec"),
                                "/spec", diags)
+        inputs["field_csv"] = _string(scenario, "field_csv", diags)
+        if inputs["field_csv"]:
+            inputs["out_dir"] = _out_dir(scenario, diags)
     if command == "rectguide":
         spec = inputs["spec"] = _spec(rect_guide.RectGuideSpec, scenario.get("spec"),
                                       "/spec", diags)
@@ -201,8 +221,16 @@ def _build(scenario: dict) -> dict:
                               "message": f"{spec.kind} solve needs {key}"})
             elif not _json_ok(float, scenario[key]):
                 diags.append({"path": f"/{key}", "message": "number required"})
+            elif scenario[key] <= 0:
+                diags.append({"path": f"/{key}", "message": "must be positive"})
             else:
                 inputs[key] = float(scenario[key])
+            if spec.kind == "dielectric":
+                pol = inputs["polarization"] = _string(scenario, "polarization",
+                                                       diags, "Ey")
+                if isinstance(pol, str) and pol not in ("Ey", "Ex"):
+                    diags.append({"path": "/polarization",
+                                  "message": "polarization must be 'Ey' or 'Ex'"})
     if diags:
         raise ScenarioError(diags)
     return inputs
@@ -217,17 +245,16 @@ def validate_scenario(scenario: dict) -> list:
     return []
 
 
-def _scenario_inputs(path: str, command: str) -> tuple[dict, dict]:
+def _scenario_inputs(path: str, command: str) -> dict:
     """Load the scenario file and build its inputs for `command`."""
     scenario = _load_scenario(path)
     scenario["command"] = command
-    return scenario, _build(scenario)
+    return _build(scenario)
 
 
-def _out_dir(scenario: dict) -> Path:
-    path = Path(scenario.get("__dir__", ".")) / scenario.get("output_dir", ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _make_out_dir(inputs: dict) -> Path:
+    inputs["out_dir"].mkdir(parents=True, exist_ok=True)
+    return inputs["out_dir"]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -283,7 +310,10 @@ def _cmd_fit_sellmeier(args) -> int:
     crystal = _crystal(args.crystal)
     if not Path(args.data).exists():
         raise _invalid("/data", f"dataset not found: {args.data}")
-    points = sellmeier_fit.load_dataset_csv(args.data)
+    try:
+        points = sellmeier_fit.load_dataset_csv(args.data)
+    except (DomainError, UnicodeDecodeError) as exc:
+        raise _invalid("/data", str(exc)) from None
     lo, hi = args.window_nm
     query = phasematch.PhaseMatchQuery(
         pump_wavelength_nm=min(pt.pump_nm for pt in points),
@@ -306,13 +336,13 @@ def _cmd_fit_sellmeier(args) -> int:
 
 
 def _cmd_jsa(args) -> int:
-    scenario, inputs = _scenario_inputs(args.scenario, "jsa")
+    inputs = _scenario_inputs(args.scenario, "jsa")
     grid = biphoton.jsa_grid(inputs["pump"], inputs["coupling"], inputs["crystal"],
                              inputs["grid"], inputs["query"])
     fit2 = biphoton.fit_gaussian_2d(grid)
     om_s, p_s = biphoton.marginal(grid, "signal")
     fit_s = biphoton.fit_gaussian_1d(om_s, p_s)
-    out = _out_dir(scenario)
+    out = _make_out_dir(inputs)
     numerics.write_grid_csv(out / "jsa_grid.csv",
                             ("omega_s_phz", "omega_i_phz", "probability"),
                             grid.omega_s_phz, grid.omega_i_phz, grid.probability)
@@ -331,7 +361,7 @@ def _cmd_jsa(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
-    scenario, inputs = _scenario_inputs(args.scenario, "fiber")
+    inputs = _scenario_inputs(args.scenario, "fiber")
     grid = biphoton.jsa_grid(inputs["pump"], inputs["coupling"], inputs["crystal"],
                              inputs["grid"], inputs["query"])
     fiber, method = inputs["fiber"], inputs["method"]
@@ -342,7 +372,7 @@ def _cmd_fiber(args) -> int:
     stats = fiber_prop.time_grid_stats(tg)
     fit2 = biphoton.fit_gaussian_2d(grid)
     mapped = fiber_prop.time_stats_from_frequency(fit2, fiber)
-    out = _out_dir(scenario)
+    out = _make_out_dir(inputs)
     fiber_prop.save_time_grid_csv(tg, out / "time_grid.csv")
     _emit({"status": "ok",
            "method": method,
@@ -360,13 +390,13 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_rectguide(args) -> int:
-    scenario, inputs = _scenario_inputs(args.scenario, "rectguide")
+    inputs = _scenario_inputs(args.scenario, "rectguide")
     spec = inputs["spec"]
     if spec.kind == "hollow":
         modes = rect_guide.hollow_modes(spec, inputs["frequency_thz"])
     else:
-        modes = rect_guide.marcatili_solve(
-            spec, inputs["wavelength_um"], scenario.get("polarization", "Ey"))
+        modes = rect_guide.marcatili_solve(spec, inputs["wavelength_um"],
+                                           inputs["polarization"])
     _emit({"status": "ok",
            "modes": [{"family": m.family, "m": m.m, "n": m.n,
                       "k_x_per_um": m.k_x_per_um, "k_y_per_um": m.k_y_per_um,
@@ -377,7 +407,7 @@ def _cmd_rectguide(args) -> int:
 
 
 def _cmd_bentguide_solve(args) -> int:
-    scenario, inputs = _scenario_inputs(args.scenario, "bentguide solve")
+    inputs = _scenario_inputs(args.scenario, "bentguide solve")
     spec = inputs["spec"]
     modes = bent_guide.solve_modes(spec)
     rows = [{"p": m.p, "q": m.q, "parity": m.parity,
@@ -386,12 +416,12 @@ def _cmd_bentguide_solve(args) -> int:
              "mean_radius_um": m.mean_radius_um, "n_eff": m.n_eff,
              "physical": m.physical}
             for m in modes]
-    if scenario.get("field_csv"):
-        out = _out_dir(scenario)
+    if inputs["field_csv"]:
+        out = _make_out_dir(inputs)
         mode = modes[0]
         r = np.linspace(spec.inner_radius_um, spec.outer_radius_um, 101)
         z = np.linspace(-2 * spec.half_height_um, 2 * spec.half_height_um, 101)
-        numerics.write_grid_csv(out / scenario["field_csv"], ("r_um", "z_um", "abs_Er"),
+        numerics.write_grid_csv(out / inputs["field_csv"], ("r_um", "z_um", "abs_Er"),
                                 r, z, mode.field(r, z))
     _emit({"status": "ok", "modes": rows,
            "count_estimate": list(bent_guide.count_vertical_modes(spec))})

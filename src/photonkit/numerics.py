@@ -1,7 +1,10 @@
 """Shared numerical kernel: root bracketing, quadrature, damped least squares,
 real-order Bessel functions of both kinds, and the pieces every solver shares:
 the speed of light, the worker-thread count, the slab mode profile, the moments
-of a weighted grid and the grid CSV writer."""
+of a weighted grid and the grid CSV writer.
+
+Only the Bessel functions need scipy; they import scipy.special when called,
+so importing this module loads numpy alone."""
 
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import optimize, special
 
 from .errors import DomainError, MaxIterations, NoSignChange, SingularJacobian
 
@@ -43,6 +45,9 @@ LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-10
 LM_RSS_TOL = 1e-12
 
+# Brent's relative x tolerance: 4 eps, as in scipy.optimize.brentq.
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class RootBracket:
@@ -56,7 +61,9 @@ class RootBracket:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise NoSignChange(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-        if self.f_lo * self.f_hi > 0:
+        # Compare signs, not the product: the product of two tiny values
+        # underflows to zero and would pass a bracket with no sign change.
+        if (self.f_lo > 0 and self.f_hi > 0) or (self.f_lo < 0 and self.f_hi < 0):
             raise NoSignChange(
                 f"no sign change: f({self.lo})={self.f_lo}, f({self.hi})={self.f_hi}"
             )
@@ -78,7 +85,18 @@ class FitResult:
 
 def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float = 1e-12,
               max_iter: int = 200) -> float:
-    """Root of f inside the bracket via Brent's method (bisection-safeguarded)."""
+    """Root of f inside the bracket by Brent's method.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4: each
+    step interpolates (secant, or inverse quadratic through three points) when
+    that is a short step that keeps shrinking the bracket, and bisects
+    otherwise. The loop is scipy's brentq.c line for line, with xtol = tol and
+    rtol = 4 eps, so the roots are bit-identical to scipy.optimize.brentq; the
+    end values come from the bracket instead of two more calls of f.
+
+    An end where f is exactly zero is returned as is. Raises DomainError for
+    tol <= 0 or a NaN value of f, MaxIterations after max_iter steps.
+    """
     if tol <= 0:
         raise DomainError("tol must be positive")
     # Degenerate brackets: an endpoint is already a root.
@@ -86,14 +104,52 @@ def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float = 1e
         return bracket.lo
     if bracket.f_hi == 0.0:
         return bracket.hi
-    try:
-        x, res = optimize.brentq(f, bracket.lo, bracket.hi, xtol=tol,
-                                 maxiter=max_iter, full_output=True)
-    except RuntimeError as exc:
-        raise MaxIterations(str(exc)) from exc
-    if not res.converged:
-        raise MaxIterations(f"brentq did not converge in {max_iter} iterations")
-    return float(x)
+    xpre, xcur = float(bracket.lo), float(bracket.hi)
+    fpre, fcur = float(bracket.f_lo), float(bracket.f_hi)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise DomainError("f is NaN at a bracket end; Brent solver cannot continue")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate: secant through the two newest points
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate: inverse quadratic through all three
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C gives inf or NaN here, and either fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise DomainError(f"f({xcur!r}) is NaN; Brent solver cannot continue")
+    raise MaxIterations(f"Brent solver did not converge in {max_iter} iterations, "
+                        f"last x={xcur!r}")
 
 
 @lru_cache(maxsize=64)
@@ -258,6 +314,8 @@ def _check_bessel_domain(order, x):
 
 def bessel_jy(order, x):
     """Bessel functions J_nu(x) and Y_nu(x) for real order nu in [0, 60], x > 0."""
+    from scipy import special
+
     order, x = _check_bessel_domain(order, x)
     j = special.jv(order, x)
     y = special.yv(order, x)
@@ -268,6 +326,8 @@ def bessel_jy(order, x):
 
 def bessel_jy_derivatives(order, x):
     """First derivatives J'_nu(x), Y'_nu(x) on the same domain."""
+    from scipy import special
+
     order, x = _check_bessel_domain(order, x)
     jp = special.jvp(order, x)
     yp = special.yvp(order, x)

@@ -214,15 +214,28 @@ def synthesize_noisy_dataset(coeffs: Sequence[float], pump_sweep_nm: Sequence[fl
 
 
 def load_dataset_csv(path) -> list[MeasurementPoint]:
-    """Read a `lambda_pump_nm,lambda_vis_nm,sigma_nm` dataset file."""
+    """Read a `lambda_pump_nm,lambda_vis_nm,sigma_nm` dataset file (sigma_nm
+    optional, 1 when absent). Raises DomainError for a missing column, and
+    with the line number for a value that is missing, not a number or not
+    positive."""
     points = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            points.append(MeasurementPoint(
-                pump_nm=float(row["lambda_pump_nm"]),
-                signal_nm=float(row["lambda_vis_nm"]),
-                sigma_nm=float(row.get("sigma_nm") or 1.0),
-            ))
+        reader = csv.DictReader(fh)
+        for column in ("lambda_pump_nm", "lambda_vis_nm"):
+            if column not in (reader.fieldnames or ()):
+                raise DomainError(f"missing column {column}")
+        for row in reader:
+            try:
+                points.append(MeasurementPoint(
+                    pump_nm=float(row["lambda_pump_nm"]),
+                    signal_nm=float(row["lambda_vis_nm"]),
+                    sigma_nm=float(row.get("sigma_nm") or 1.0),
+                ))
+            except DomainError as exc:
+                raise DomainError(f"line {reader.line_num}: {exc}") from None
+            except (TypeError, ValueError):
+                raise DomainError(f"line {reader.line_num}: value missing "
+                                  "or not a number") from None
     return points
 
 

@@ -274,6 +274,23 @@ class TestFit1D:
         fit = fit_gaussian_1d(x, y)
         assert all(pv < 0.01 for pv in fit.p_values)
 
+    def test_p_values_on_read_match_eager_formula(self):
+        # fit_gaussian_1d used to compute the p-values itself, from the fitted
+        # parameters, their standard errors and dof = samples - 4; the
+        # property must give those values bit for bit.
+        from scipy import special
+
+        x = np.linspace(-1, 1, 80)
+        rng = np.random.default_rng(2)
+        y = 1.0 + np.exp(-4 * math.log(2) * (x - 0.3) ** 2 / 0.2) \
+            + 1e-3 * rng.standard_normal(x.size)
+        fit = fit_gaussian_1d(x, y)
+        params = (fit.bias, fit.amplitude, fit.center_phz, fit.fwhm_phz)
+        eager = tuple(float(2.0 * special.stdtr(x.size - 4, -abs(v) / e))
+                      for v, e in zip(params, fit.standard_errors))
+        assert fit.dof == x.size - 4
+        assert fit.p_values == eager
+
     def test_degenerate(self):
         with pytest.raises(DegenerateFit):
             fit_gaussian_1d([1, 2, 3], [1, 2, 1])

@@ -97,6 +97,36 @@ class TestPhasematchSweepAndFit:
             "--data", "/no/such/file.csv"])
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("text,message", [
+        ("a,b\n1,2\n", "missing column lambda_pump_nm"),
+        ("lambda_pump_nm,lambda_vis_nm\n395.0,abc\n",
+         "line 2: value missing or not a number"),
+        ("lambda_pump_nm,lambda_vis_nm\n395.0,533.0\n396.0\n",
+         "line 3: value missing or not a number"),
+        ("lambda_pump_nm,lambda_vis_nm\n395.0,-533.0\n",
+         "line 2: measurement fields must be positive"),
+    ])
+    def test_fit_unreadable_dataset(self, capsys, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code = cli.run(["fit-sellmeier", "--crystal", "ppktp_kato2002",
+                        "--data", str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == cli.EXIT_VALIDATION
+        assert json.loads(captured.out)["diagnostics"] == [
+            {"path": "/data", "message": message}]
+
+    def test_fit_binary_dataset(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xff\xfe\x00\x81")
+        code = cli.run(["fit-sellmeier", "--crystal", "ppktp_kato2002",
+                        "--data", str(path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == cli.EXIT_VALIDATION
+        assert [d["path"] for d in json.loads(captured.out)["diagnostics"]] == ["/data"]
+
 
 class TestJsa:
     def test_runs_and_writes_grid(self, capsys, jsa_scenario, tmp_path):
@@ -265,6 +295,9 @@ RUN_ARGV = {"jsa": ["jsa", "--scenario"],
 BENT_SPEC = {"inner_radius_um": 0.5, "outer_radius_um": 1.5,
              "half_height_um": 0.25, "core_index": 2.3,
              "clad_index": 1.0, "vacuum_wavelength_um": 0.8}
+HOLLOW_SPEC = {"width_a_um": 1.0, "height_b_um": 0.5, "core_index": 1.0,
+               "kind": "hollow"}
+DIELECTRIC_SPEC = {"width_a_um": 2.0, "height_b_um": 1.0, "core_index": 1.5}
 
 # Scenarios that passed `validate` and then failed the run while the CLI
 # checked them separately from the spec dataclasses.
@@ -293,6 +326,15 @@ INVALID_SCENARIOS = {
     "bent-clad-below-one": (
         "bentguide solve", _guide(dict(BENT_SPEC, clad_index=0.5)),
         "/spec/clad_index"),
+    "rect-frequency-negative": (
+        "rectguide", _guide(HOLLOW_SPEC, frequency_thz=-5), "/frequency_thz"),
+    "rect-polarization-ez": (
+        "rectguide", _guide(DIELECTRIC_SPEC, wavelength_um=1.55, polarization="Ez"),
+        "/polarization"),
+    "output-dir-not-a-string": (
+        "jsa", lambda scenario: dict(scenario, output_dir=5), "/output_dir"),
+    "bent-field-csv-not-a-string": (
+        "bentguide solve", _guide(BENT_SPEC, field_csv=5), "/field_csv"),
 }
 
 
@@ -363,15 +405,83 @@ class TestGolden:
         assert lines and all(ln.startswith("PASS") for ln in lines)
 
 
+# Runs `photonkit.cli.run(argv)` in a fresh interpreter, then prints its exit
+# code and every loaded module whose name starts with "scipy".
+_RUN_AND_LIST_SCIPY = (
+    "import sys\n"
+    "from photonkit import cli\n"
+    "code = cli.run(sys.argv[1:])\n"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+
+
+def _fresh_python(*args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 class TestImports:
     def test_cli_does_not_import_scipy_stats(self):
-        # scipy.stats costs about half a second of start-up; photonkit needs
-        # only the Student t tail, which scipy.special provides.
-        code = ("import sys, photonkit.cli; "
-                "print('scipy.stats' in sys.modules)")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # Importing the CLI loads numpy alone: scipy is imported only by the
+        # functions that need it (Bessel functions, Student-t p-values).
+        out = _fresh_python("-c", "import sys, photonkit.cli; "
+                                  "print('scipy.stats' in sys.modules); "
+                                  "print(*[m for m in sys.modules "
+                                  "if m.startswith('scipy')])")
+        stats_loaded, scipy_modules = out.split("\n")[:2]
+        assert stats_loaded == "False"
+        assert scipy_modules == ""
+
+    @staticmethod
+    def _argv(case, tmp_path, jsa_scenario):
+        path, scenario = jsa_scenario
+        files = {
+            "fiber": dict(scenario, fiber={"gvd_2beta_s2_per_m": -2.27e-26,
+                                           "length_m": 1.0e4}),
+            "hollow": {"spec": HOLLOW_SPEC, "frequency_thz": 400.0},
+            "dielectric": {"spec": DIELECTRIC_SPEC, "wavelength_um": 1.55},
+            "validate": dict(scenario, command="jsa"),
+            "bent": {"spec": BENT_SPEC},
+        }
+        for name, content in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        sweep = tmp_path / "sweep.csv"
+        return {
+            "jsa": ["jsa", "--scenario", str(path)],
+            "fiber": ["fiber", "--scenario", str(tmp_path / "fiber.json")],
+            "phasematch sweep": ["phasematch", "sweep", "--crystal", "ppktp_kato2002",
+                                 "--start-nm", "395", "--stop-nm", "400",
+                                 "--points", "5", "--out", str(sweep)],
+            "fit-sellmeier": ["fit-sellmeier", "--crystal", "ppktp_kato2002",
+                              "--data", str(sweep)],
+            "dispersion": ["dispersion", "--crystal", "ppktp_kato2002",
+                           "--wavelength-um", "0.8"],
+            "rectguide hollow": ["rectguide", "--scenario", str(tmp_path / "hollow.json")],
+            "rectguide dielectric": ["rectguide", "--scenario",
+                                     str(tmp_path / "dielectric.json")],
+            "stats g2": ["stats", "g2", "--state", "thermal:0.7"],
+            "validate": ["validate", str(tmp_path / "validate.json")],
+            "bentguide solve": ["bentguide", "solve", "--spec",
+                                str(tmp_path / "bent.json")],
+        }[case]
+
+    @pytest.mark.parametrize("case", [
+        "jsa", "fiber", "phasematch sweep", "fit-sellmeier", "dispersion",
+        "rectguide hollow", "rectguide dielectric", "stats g2", "validate"])
+    def test_command_loads_no_scipy(self, capsys, tmp_path, jsa_scenario, case):
+        if case == "fit-sellmeier":
+            cli.run(self._argv("phasematch sweep", tmp_path, jsa_scenario))
+            capsys.readouterr()
+        out = _fresh_python("-c", _RUN_AND_LIST_SCIPY,
+                            *self._argv(case, tmp_path, jsa_scenario))
+        assert out.splitlines()[-1].split() == [str(cli.EXIT_OK)]
+
+    def test_bent_guide_loads_scipy_special(self, tmp_path, jsa_scenario):
+        # The check above sees an import: the Bessel functions need scipy.
+        out = _fresh_python("-c", _RUN_AND_LIST_SCIPY,
+                            *self._argv("bentguide solve", tmp_path, jsa_scenario))
+        code, *loaded = out.splitlines()[-1].split()
+        assert code == str(cli.EXIT_OK)
+        assert "scipy.special" in loaded

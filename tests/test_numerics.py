@@ -8,7 +8,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonkit import numerics
-from photonkit.errors import DomainError, NoSignChange
+from photonkit.errors import DomainError, MaxIterations, NoSignChange
+
+
+def _brent_table(seed=20240, per_family=60):
+    """Seeded bracketed problems (name, f, lo, hi, tol), each with one sign
+    change: cos, a factored cubic written out, exp and atan plus a line."""
+    rng = np.random.default_rng(seed)
+    tols = (1e-8, 1e-10, 1e-12, 1e-14)
+    table = []
+    for i in range(per_family):
+        tol = tols[i % len(tols)]
+        c = rng.uniform(-0.9, 0.9)
+        r = math.acos(c)
+        room = 0.99 * min(r, math.pi - r)
+        table.append(("cos", lambda x, c=c: math.cos(x) - c,
+                      r - rng.uniform(0.05, 1.0) * room,
+                      r + rng.uniform(0.05, 1.0) * room, tol))
+        r, q = rng.uniform(-2.0, 2.0), rng.uniform(0.1, 3.0)
+        table.append(("cubic", lambda x, r=r, q=q: x**3 - r * x**2 + q * x - q * r,
+                      r - rng.uniform(0.01, 2.0), r + rng.uniform(0.01, 2.0), tol))
+        a, b = rng.uniform(0.2, 4.0), rng.uniform(0.1, 10.0)
+        r = math.log(b) / a
+        table.append(("exp", lambda x, a=a, b=b: math.exp(a * x) - b,
+                      r - rng.uniform(0.01, 2.0), r + rng.uniform(0.01, 2.0), tol))
+        a, k, c = rng.uniform(0.5, 20.0), rng.uniform(0.05, 1.0), rng.uniform(-1.0, 1.0)
+        span = (math.pi / 2 + 1.0) / k + 1.0
+        table.append(("atan", lambda x, a=a, k=k, c=c: math.atan(a * x) + k * x - c,
+                      -span * rng.uniform(1.0, 2.0), span * rng.uniform(1.0, 2.0), tol))
+    return table
 
 
 class TestFindRoot:
@@ -45,6 +73,59 @@ class TestFindRoot:
         br = numerics.bracket_root(f, -1.0, 1.0)
         with pytest.raises(DomainError):
             numerics.find_root(f, br, tol=0.0)
+
+    def test_bit_identical_to_scipy_brentq(self):
+        # The solver is a port of scipy's brentq loop; every root must match
+        # to the last bit, including the iteration budget running out.
+        from scipy import optimize
+
+        table = _brent_table()
+        for name, f, lo, hi, tol in table:
+            ours = numerics.find_root(f, numerics.bracket_root(f, lo, hi), tol=tol)
+            theirs = optimize.brentq(f, lo, hi, xtol=tol, maxiter=200)
+            assert ours.hex() == theirs.hex(), (name, lo, hi, tol)
+        for name, f, lo, hi, tol in table[::7]:
+            with pytest.raises(RuntimeError):
+                optimize.brentq(f, lo, hi, xtol=tol, maxiter=2)
+            with pytest.raises(MaxIterations):
+                numerics.find_root(f, numerics.bracket_root(f, lo, hi), tol=tol,
+                                   max_iter=2)
+
+    def test_reuses_bracket_values(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x**3 - 2.0
+
+        bracket = numerics.bracket_root(f, 0.0, 2.0)
+        calls.clear()
+        numerics.find_root(f, bracket)
+        assert 0.0 not in calls and 2.0 not in calls
+
+    def test_nan_inside_bracket(self):
+        f = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5
+        with pytest.raises(DomainError):
+            numerics.find_root(f, numerics.bracket_root(f, 0.0, 1.0))
+
+    def test_nan_at_bracket_end(self):
+        f = lambda x: math.nan if x == 1.0 else x - 0.5
+        with pytest.raises(DomainError):
+            numerics.find_root(f, numerics.bracket_root(f, 0.0, 1.0))
+
+    def test_max_iterations(self):
+        with pytest.raises(MaxIterations):
+            numerics.find_root(math.cos, numerics.bracket_root(math.cos, 1.0, 2.0),
+                               max_iter=3)
+        with pytest.raises(MaxIterations):
+            numerics.find_root(math.cos, numerics.bracket_root(math.cos, 1.0, 2.0),
+                               max_iter=0)
+
+    def test_tiny_values_without_sign_change(self):
+        # f(lo) * f(hi) underflows to zero; the signs still agree.
+        f = lambda x: 1e-300 * (x + 2.0)
+        with pytest.raises(NoSignChange):
+            numerics.bracket_root(f, -1.0, 1.0)
 
     def test_residual_small_on_assorted_functions(self):
         cases = [
