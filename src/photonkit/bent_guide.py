@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -142,24 +143,22 @@ def vertical_roots(spec: BentGuideSpec) -> list[VerticalRoot]:
 
     def f_even(beta):
         # beta sin(b z0) - gamma cos(b z0): continuous form of the tan branch
-        gamma = math.sqrt(max(cap**2 - beta**2, 0.0))
-        return beta * math.sin(beta * z0) - gamma * math.cos(beta * z0)
+        return beta * np.sin(beta * z0) - np.sqrt(cap**2 - beta**2) * np.cos(beta * z0)
 
     def f_odd(beta):
-        gamma = math.sqrt(max(cap**2 - beta**2, 0.0))
-        return beta * math.cos(beta * z0) + gamma * math.sin(beta * z0)
+        return beta * np.cos(beta * z0) + np.sqrt(cap**2 - beta**2) * np.sin(beta * z0)
 
     n_scan = max(400, int(800 * (cap * z0 / math.pi + 1)))
     grid = np.linspace(cap * 1e-9, cap * (1 - 1e-12), n_scan)
     roots = []
     for parity, f in (("even", f_even), ("odd", f_odd)):
-        vals = np.array([f(b) for b in grid])
+        vals = f(grid)
         sign = np.sign(vals)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            root = numerics.find_root(
-                f, numerics.bracket_root(f, grid[i], grid[i + 1]), tol=1e-14)
-            gamma = math.sqrt(max(cap**2 - root**2, 0.0))
-            roots.append((parity, root, gamma))
+        i = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        beta = numerics.find_root(
+            f, numerics.RootBracket(grid[i], grid[i + 1], vals[i], vals[i + 1]),
+            tol=1e-14)
+        roots += [(parity, b, math.sqrt(cap**2 - b**2)) for b in beta.tolist()]
     roots.sort(key=lambda t: t[1])
     return [VerticalRoot(parity, q, beta, gamma)
             for q, (parity, beta, gamma) in enumerate(roots, start=1)]
@@ -190,9 +189,10 @@ def radial_determinant(spec: BentGuideSpec, h_per_um: float, m) -> np.ndarray:
 def azimuthal_numbers(spec: BentGuideSpec, h_per_um: float) -> list[tuple[int, float, float]]:
     """All (p, m, gamma) roots of the radial determinant, m descending.
 
-    Scanned with a 0.05 bracketing step over m in (0, h r2], each sign change
-    refined by numerics.find_root (Brent's method, to 1e-13); the determinant's
-    Bessel functions load scipy.special. gamma solves
+    Scanned with a 0.05 bracketing step over m in (0, h r2]; one
+    numerics.find_root call refines every sign change to 1e-13, by bisection,
+    as the determinant has no closed-form slope in m. The determinant's Bessel
+    functions load scipy.special. gamma solves
     sin(gamma) J_lam(h r1) + cos(gamma) Y_lam(h r1) = 0, i.e.
     tan(gamma) = -Y_lam(h r1) / J_lam(h r1).
     """
@@ -208,20 +208,14 @@ def azimuthal_numbers(spec: BentGuideSpec, h_per_um: float) -> list[tuple[int, f
     grid = grid[grid <= m_hi]
     vals = radial_determinant(spec, h_per_um, grid)
     sign = np.sign(vals)
-    ms = []
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        f = lambda m: float(radial_determinant(spec, h_per_um, m))
-        root = numerics.find_root(
-            f, numerics.bracket_root(f, grid[i], grid[i + 1]), tol=1e-13)
-        ms.append(root)
-    ms.sort(reverse=True)
-    out = []
-    for p, m in enumerate(ms, start=1):
-        lam = math.sqrt(m**2 + 1.0)
-        j1, y1 = numerics.bessel_jy(lam, h_per_um * spec.inner_radius_um)
-        gamma = math.atan2(-y1, j1)
-        out.append((p, m, gamma))
-    return out
+    i = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    ms = numerics.find_root(
+        partial(radial_determinant, spec, h_per_um),
+        numerics.RootBracket(grid[i], grid[i + 1], vals[i], vals[i + 1]), tol=1e-13)
+    ms = np.sort(ms)[::-1]
+    j1, y1 = numerics.bessel_jy(np.sqrt(ms**2 + 1.0), h_per_um * spec.inner_radius_um)
+    gammas = np.arctan2(-y1, j1)
+    return list(zip(range(1, ms.size + 1), ms.tolist(), gammas.tolist()))
 
 
 def approximate_azimuthal(spec: BentGuideSpec, h_per_um: float, p: int) -> float:

@@ -160,9 +160,14 @@ class GaussianFit1D:
     @property
     def p_values(self) -> tuple[float, float, float, float]:
         """Two-sided Student-t p-values of (bias, amplitude, centre, FWHM)
-        against zero; computed on read, as they load scipy.special."""
-        return _p_values((self.bias, self.amplitude, self.center_phz, self.fwhm_phz),
-                         self.standard_errors, self.dof)
+        against zero, NaN where the standard error is not positive and finite;
+        computed on read, as they load scipy.special."""
+        from scipy import special
+
+        params = (self.bias, self.amplitude, self.center_phz, self.fwhm_phz)
+        return tuple(float(2.0 * special.stdtr(self.dof, -abs(v) / e))
+                     if e > 0 and np.isfinite(e) else math.nan
+                     for v, e in zip(params, self.standard_errors))
 
 
 @dataclass(frozen=True)
@@ -332,18 +337,6 @@ def marginal(grid: JsaGrid, axis: str = "signal"):
     if axis == "idler":
         return grid.omega_i_phz, grid.probability.sum(axis=0)
     raise DomainError(f"axis must be 'signal' or 'idler', got {axis!r}")
-
-
-def _p_values(params, errors, dof):
-    from scipy import special
-
-    out = []
-    for v, e in zip(params, errors):
-        if e > 0 and np.isfinite(e):
-            out.append(float(2.0 * special.stdtr(dof, -abs(v) / e)))
-        else:
-            out.append(float("nan"))
-    return tuple(out)
 
 
 def fit_gaussian_1d(omega_phz, values) -> GaussianFit1D:

@@ -417,11 +417,12 @@ def _cmd_bentguide_solve(args) -> int:
              "physical": m.physical}
             for m in modes]
     if inputs["field_csv"]:
-        out = _make_out_dir(inputs)
+        path = inputs["out_dir"] / inputs["field_csv"]
+        path.parent.mkdir(parents=True, exist_ok=True)
         mode = modes[0]
         r = np.linspace(spec.inner_radius_um, spec.outer_radius_um, 101)
         z = np.linspace(-2 * spec.half_height_um, 2 * spec.half_height_um, 101)
-        numerics.write_grid_csv(out / inputs["field_csv"], ("r_um", "z_um", "abs_Er"),
+        numerics.write_grid_csv(path, ("r_um", "z_um", "abs_Er"),
                                 r, z, mode.field(r, z))
     _emit({"status": "ok", "modes": rows,
            "count_estimate": list(bent_guide.count_vertical_modes(spec))})

@@ -1,7 +1,7 @@
-"""Shared numerical kernel: root bracketing, quadrature, damped least squares,
-real-order Bessel functions of both kinds, and the pieces every solver shares:
-the speed of light, the worker-thread count, the slab mode profile, the moments
-of a weighted grid and the grid CSV writer.
+"""Shared numerical kernel: the one bracketed root solver, quadrature, damped
+least squares, real-order Bessel functions of both kinds, and the pieces every
+solver shares: the speed of light, the worker-thread count, the slab mode
+profile, the moments of a weighted grid and the grid CSV writer.
 
 Only the Bessel functions need scipy; they import scipy.special when called,
 so importing this module loads numpy alone."""
@@ -45,28 +45,27 @@ LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-10
 LM_RSS_TOL = 1e-12
 
-# Brent's relative x tolerance: 4 eps, as in scipy.optimize.brentq.
-BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class RootBracket:
-    """Interval [lo, hi] with function values of opposite sign at the ends."""
+    """Interval [lo, hi] with function values of opposite sign at the ends.
 
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
+    The fields are floats, or equal-shape arrays holding one bracket per
+    element."""
+
+    lo: float | np.ndarray
+    hi: float | np.ndarray
+    f_lo: float | np.ndarray
+    f_hi: float | np.ndarray
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise NoSignChange(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+        lo, hi, f_lo, f_hi = self.lo, self.hi, self.f_lo, self.f_hi
+        if not np.all(lo < hi):
+            raise NoSignChange(f"bracket requires lo < hi, got [{lo}, {hi}]")
         # Compare signs, not the product: the product of two tiny values
         # underflows to zero and would pass a bracket with no sign change.
-        if (self.f_lo > 0 and self.f_hi > 0) or (self.f_lo < 0 and self.f_hi < 0):
-            raise NoSignChange(
-                f"no sign change: f({self.lo})={self.f_lo}, f({self.hi})={self.f_hi}"
-            )
+        if np.any(((f_lo > 0) & (f_hi > 0)) | ((f_lo < 0) & (f_hi < 0))):
+            raise NoSignChange(f"no sign change: f({lo})={f_lo}, f({hi})={f_hi}")
 
 
 def bracket_root(f: Callable[[float], float], lo: float, hi: float) -> RootBracket:
@@ -83,73 +82,56 @@ class FitResult:
     iterations: int
 
 
-def find_root(f: Callable[[float], float], bracket: RootBracket, tol: float = 1e-12,
-              max_iter: int = 200) -> float:
-    """Root of f inside the bracket by Brent's method.
+def find_root(f: Callable, bracket: RootBracket, tol: float = 1e-12,
+              max_iter: int = 200, ftol: float = math.inf):
+    """Roots of f inside the bracket, every bracket of an array bracket at once.
 
-    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4: each
-    step interpolates (secant, or inverse quadratic through three points) when
-    that is a short step that keeps shrinking the bracket, and bisects
-    otherwise. The loop is scipy's brentq.c line for line, with xtol = tol and
-    rtol = 4 eps, so the roots are bit-identical to scipy.optimize.brentq; the
-    end values come from the bracket instead of two more calls of f.
+    f takes the abscissae (a float for a float bracket, else an array of the
+    bracket's shape) and returns the values of f there, or a (values, slopes)
+    pair. Each root starts from regula falsi and keeps its sign change in
+    [a, b]; a step is Newton's x - f/f' when f gives slopes and that lands
+    inside (a, b), and bisection otherwise. A root is done once |f| <= ftol
+    and the Newton step or the bracket is no wider than tol, or than two float
+    spacings at x, the finest a bracket gets; a NaN slope never passes that
+    test. An exact zero of f is done at once, at a bracket end too.
 
-    An end where f is exactly zero is returned as is. Raises DomainError for
-    tol <= 0 or a NaN value of f, MaxIterations after max_iter steps.
+    Returns a float for a float bracket, else an array. Raises DomainError for
+    tol <= 0 or a NaN value of f, MaxIterations when a root is not done
+    within max_iter steps.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    # Degenerate brackets: an endpoint is already a root.
-    if bracket.f_lo == 0.0:
-        return bracket.lo
-    if bracket.f_hi == 0.0:
-        return bracket.hi
-    xpre, xcur = float(bracket.lo), float(bracket.hi)
-    fpre, fcur = float(bracket.f_lo), float(bracket.f_hi)
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise DomainError("f is NaN at a bracket end; Brent solver cannot continue")
-    xblk = fblk = spre = scur = 0.0
+    scalar = np.ndim(bracket.lo) == 0
+    a, b, fa, fb = (np.asarray(v, dtype=float) for v in
+                    (bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi))
+    if np.isnan(fa).any() or np.isnan(fb).any():
+        raise DomainError("f is NaN at a bracket end")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(fb == 0.0, b, a - fa * (b - a) / (fb - fa))
+    done = np.zeros(x.shape, dtype=bool)
     for _ in range(max_iter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (tol + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate: secant through the two newest points
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate: inverse quadratic through all three
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # C gives inf or NaN here, and either fails the test below
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            raise DomainError(f"f({xcur!r}) is NaN; Brent solver cannot continue")
-    raise MaxIterations(f"Brent solver did not converge in {max_iter} iterations, "
-                        f"last x={xcur!r}")
+        out = f(float(x) if scalar else x)
+        fx, slope = out if isinstance(out, tuple) else (out, None)
+        fx = np.asarray(fx, dtype=float)
+        if np.isnan(fx).any():
+            raise DomainError("f is NaN inside the bracket; the solver cannot continue")
+        same = np.sign(fx) == np.sign(fa)
+        a = np.where(same, x, a)
+        fa = np.where(same, fx, fa)
+        b = np.where(same, b, x)
+        step = np.inf if slope is None else fx / slope
+        # Where f is flat, rounding noise keeps the Newton step above tol;
+        # the collapsed bracket then pins the root.
+        pinned = (np.minimum(np.abs(step), b - a)
+                  <= np.maximum(tol, 2.0 * np.spacing(np.abs(x))))
+        done |= (np.abs(fx) <= ftol) & (pinned | (fx == 0.0))
+        if done.all():
+            return float(x) if scalar else x
+        newton = x - step
+        inside = (newton > a) & (newton < b)
+        x = np.where(done, x, np.where(inside, newton, 0.5 * (a + b)))
+    raise MaxIterations(f"{np.count_nonzero(~done)} of {done.size} root(s) not "
+                        f"found to tol={tol}, ftol={ftol} within {max_iter} steps")
 
 
 @lru_cache(maxsize=64)

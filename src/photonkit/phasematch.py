@@ -1,14 +1,16 @@
 """Quasi-phase-matching: wavevector mismatch, idler geometry, and the root
 solve for the signal wavelength.
 
-One solver serves both entry points: the mismatch is scanned over the search
-window at COARSE_STEP_NM, and each bracketed sign change is refined by
-bracket-safeguarded Newton steps on the closed-form slope."""
+Both entry points scan the mismatch over the search window at COARSE_STEP_NM
+and hand every bracketed sign change at once to numerics.find_root, which
+takes bracket-safeguarded Newton steps on the closed-form slope until
+|dk| <= MISMATCH_TOL_PER_UM."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -21,13 +23,8 @@ from .dispersion import (
     refractive_index,
     wavevector_magnitude,
 )
-from .errors import (
-    ArcsineDomain,
-    DomainError,
-    MaxIterations,
-    MultipleRoots,
-    NoRootInWindow,
-)
+from .errors import ArcsineDomain, DomainError, MultipleRoots, NoRootInWindow
+from .numerics import RootBracket, find_root
 
 __all__ = [
     "PhaseMatchQuery",
@@ -45,7 +42,7 @@ __all__ = [
 
 COARSE_STEP_NM = 0.1
 MISMATCH_TOL_PER_UM = 1e-10
-# Newton refinement of the roots: step cap and final step size.
+# find_root's step cap and final step size for the roots.
 SWEEP_MAX_STEPS = 64
 SWEEP_STEP_TOL_NM = 1e-12
 
@@ -242,47 +239,22 @@ def _scan(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
 
 
 def _refine(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
-            grid: np.ndarray, dk: np.ndarray, rows, cols):
+            grid: np.ndarray, dk: np.ndarray, rows, cols) -> np.ndarray:
     """Roots of the scanned mismatch in the brackets [grid[c], grid[c + 1]] of
-    pumps_nm[r], for r, c in zip(rows, cols), and the mismatch at each root.
-
-    Newton steps on the analytic slope start from regula falsi and fall back
-    to bisection when they leave the bracket. Refinement stops once every
-    |dk| <= MISMATCH_TOL_PER_UM with the Newton step or the bracket no wider
-    than SWEEP_STEP_TOL_NM, and raises MaxIterations after SWEEP_MAX_STEPS
-    without that.
-    """
-    pumps = pumps_nm[rows]
-    a, b = grid[cols], grid[cols + 1]
-    fa, fb = dk[rows, cols], dk[rows, cols + 1]
-    x = a - fa * (b - a) / (fb - fa)
-    done = np.zeros(x.size, dtype=bool)
-    for _ in range(SWEEP_MAX_STEPS):
-        f, slope = _mismatch(query, crystal, pumps, x)
-        same = np.sign(f) == np.sign(fa)
-        a = np.where(same, x, a)
-        fa = np.where(same, f, fa)
-        b = np.where(same, b, x)
-        step = f / slope
-        # Where the mismatch is flat, rounding noise in dk keeps the Newton
-        # step above the tolerance; the collapsed bracket then pins the root.
-        pinned = np.minimum(np.abs(step), b - a) <= SWEEP_STEP_TOL_NM
-        done |= (np.abs(f) <= MISMATCH_TOL_PER_UM) & pinned
-        if done.all():
-            return x, f
-        newton = x - step
-        inside = (newton > a) & (newton < b)
-        x = np.where(done, x, np.where(inside, newton, 0.5 * (a + b)))
-    raise MaxIterations(
-        f"root refinement missed |dk| <= {MISMATCH_TOL_PER_UM} um^-1 within "
-        f"{SWEEP_MAX_STEPS} steps for {np.count_nonzero(~done)} pump(s)")
+    pumps_nm[r], for r, c in zip(rows, cols), each with |dk| <=
+    MISMATCH_TOL_PER_UM; find_root raises MaxIterations when a root misses
+    that within SWEEP_MAX_STEPS steps."""
+    bracket = RootBracket(grid[cols], grid[cols + 1], dk[rows, cols], dk[rows, cols + 1])
+    return find_root(partial(_mismatch, query, crystal, pumps_nm[rows]), bracket,
+                     tol=SWEEP_STEP_TOL_NM, max_iter=SWEEP_MAX_STEPS,
+                     ftol=MISMATCH_TOL_PER_UM)
 
 
 def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec, pump_sweep_nm,
                        search_window_nm: tuple[float, float]) -> np.ndarray:
     """Collinear signal-wavelength roots for many pump wavelengths at once.
 
-    Shares the window scan and the Newton refinement of
+    Shares the window scan and the find_root refinement of
     solve_signal_wavelength. Pumps whose mismatch keeps its sign over the
     window come back NaN; where several sign changes exist for one pump, the
     bracket closest to the window centre is refined. Collinear geometry only.
@@ -297,7 +269,7 @@ def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec, pump_sweep_
     roots = np.full(pumps.size, np.nan)
     if rows.size:
         cols = np.argmin(dist, axis=1)[rows]
-        roots[rows], _ = _refine(query, crystal, pumps, grid, dk, rows, cols)
+        roots[rows] = _refine(query, crystal, pumps, grid, dk, rows, cols)
     return roots
 
 
@@ -314,8 +286,8 @@ def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
     """Signal wavelength zeroing the scalar mismatch inside the window.
 
     Scans the window on the same grid as solve_signal_sweep and refines the
-    one bracketed sign change by the same Newton loop, so the root meets
-    |dk| <= MISMATCH_TOL_PER_UM. A grid point where dk is exactly zero is a
+    one bracketed sign change through the same find_root call, so the root
+    meets |dk| <= MISMATCH_TOL_PER_UM. A grid point where dk is exactly zero is a
     root as it stands. Raises NoRootInWindow without a root and
     MultipleRoots, listing every bracket, with more than one.
     """
@@ -336,8 +308,8 @@ def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
     if exact.size:
         root, residual = float(grid[exact[0]]), 0.0
     else:
-        x, f = _refine(query, crystal, pump, grid, dk, [0], flips)
-        root, residual = float(x[0]), abs(float(f[0]))
+        x = _refine(query, crystal, pump, grid, dk, [0], flips)
+        root, residual = float(x[0]), abs(float(_mismatch(query, crystal, pump, x)[0][0]))
     return PhaseMatchSolution(
         signal_wavelength_nm=root,
         idler_wavelength_nm=idler_wavelength(query.pump_wavelength_nm, root),

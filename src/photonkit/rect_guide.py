@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -113,34 +114,31 @@ def _slab_roots(k0: float, n1: float, n2: float, extent: float,
     """Roots of k x extent = p pi - 2 arctan(index_factor * k / gamma(k)).
 
     gamma(k) = sqrt(k0^2 (n1^2 - n2^2) - k^2) is the cladding decay rate; the
-    arctan branch keeps all arithmetic real. Returns (p, k) pairs, p >= 1.
+    arctan branch keeps all arithmetic real. Every p is solved in one
+    find_root call, by Newton steps on the closed-form slope
+    extent + 2 F k_lim^2 / (gamma (gamma^2 + F^2 k^2)), F = index_factor.
+    Returns (p, k) pairs, p >= 1.
     """
     k_lim = k0 * math.sqrt(n1**2 - n2**2)
     if k_lim <= 0:
         return []
-    eps = 1e-12 * k_lim
+    lo, hi = 1e-12 * k_lim, k_lim - 1e-12 * k_lim
 
-    def residual(p):
-        def f(k):
-            gamma = math.sqrt(max(k_lim**2 - k**2, 0.0))
-            if gamma <= 0:
-                atan = math.pi / 2.0
-            else:
-                atan = math.atan(index_factor * k / gamma)
-            return k * extent - p * math.pi + 2.0 * atan
-        return f
+    def residual(k, p):
+        gamma = np.sqrt(k_lim**2 - k**2)
+        fk = index_factor * k
+        return (k * extent - p * math.pi + 2.0 * np.arctan(fk / gamma),
+                extent + 2.0 * index_factor * k_lim**2 / (gamma * (gamma**2 + fk**2)))
 
-    roots = []
-    p = 1
-    while True:
-        f = residual(p)
-        lo, hi = eps, k_lim - eps
-        if f(lo) >= 0 or f(hi) <= 0:
-            break
-        root = numerics.find_root(f, numerics.bracket_root(f, lo, hi), tol=1e-14)
-        roots.append((p, root))
-        p += 1
-    return roots
+    # 2 arctan < pi, so no root has p * pi beyond hi * extent + pi.
+    p = np.arange(1, int(hi * extent / math.pi) + 2)
+    f_lo, f_hi = residual(lo, p)[0], residual(hi, p)[0]
+    keep = (f_lo < 0) & (f_hi > 0)
+    p = p[keep]
+    bracket = numerics.RootBracket(np.full(p.shape, lo), np.full(p.shape, hi),
+                                   f_lo[keep], f_hi[keep])
+    k = numerics.find_root(partial(residual, p=p), bracket, tol=1e-14)
+    return list(zip(p.tolist(), k.tolist()))
 
 
 def marcatili_slab_roots(spec: RectGuideSpec, wavelength_um: float,

@@ -80,6 +80,32 @@ class TestVerticalRoots:
         assert count_vertical_modes(bent_reference_spec) == (2, 1)
 
 
+    def test_roots_agree_with_brentq(self, bent_reference_spec):
+        # scipy is the reference only, on a scan 4x finer than the solver's.
+        # Both stop within 1e-14 of the root (brentq within 1e-14 + 4 eps
+        # beta), so they agree to twice that.
+        from scipy import optimize
+
+        eps = np.finfo(float).eps
+        s = bent_reference_spec
+        cap, z0 = s.contrast_k_per_um, s.half_height_um
+        gamma = lambda b: math.sqrt(cap**2 - b**2)
+        families = {
+            "even": lambda b: b * math.sin(b * z0) - gamma(b) * math.cos(b * z0),
+            "odd": lambda b: b * math.cos(b * z0) + gamma(b) * math.sin(b * z0)}
+        grid = np.linspace(cap * 1e-9, cap * (1 - 1e-12), 3200)
+        ref = []
+        for parity, f in families.items():
+            sign = np.sign([f(b) for b in grid])
+            ref += [(optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-14), parity)
+                    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]]
+        ref.sort()
+        roots = vertical_roots(s)
+        assert [r.parity for r in roots] == [parity for _, parity in ref]
+        for root, (beta, _) in zip(roots, ref):
+            assert abs(root.beta_w_per_um - beta) <= 2e-14 + 4 * eps * beta
+
+
 class TestAzimuthal:
     def test_determinant_zero_at_roots(self, bent_reference_spec):
         s = bent_reference_spec
@@ -88,6 +114,24 @@ class TestAzimuthal:
             scale = float(np.max(np.abs(radial_determinant(
                 s, h, np.linspace(max(m - 0.5, 0.1), m + 0.5, 41)))))
             assert abs(float(radial_determinant(s, h, m))) < 1e-10 * scale
+
+    def test_roots_agree_with_brentq(self, bent_reference_spec):
+        # scipy is the reference only, on a scan 5x finer than the solver's.
+        # Both stop within 1e-13 of the root (brentq within 1e-13 + 4 eps m),
+        # so they agree to twice that.
+        from scipy import optimize
+
+        eps = np.finfo(float).eps
+        s, h = bent_reference_spec, 15.0
+        f = lambda m: float(radial_determinant(s, h, m))
+        grid = np.arange(0.01, h * s.outer_radius_um, 0.01)
+        sign = np.sign(radial_determinant(s, h, grid))
+        ref = sorted((optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-13)
+                      for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]), reverse=True)
+        ms = [m for _, m, _ in azimuthal_numbers(s, h)]
+        assert len(ms) == len(ref) > 0
+        for m, m_ref in zip(ms, ref):
+            assert abs(m - m_ref) <= 2e-13 + 4 * eps * m_ref
 
     def test_descending_m(self, bent_reference_spec):
         ms = [m for _, m, _ in azimuthal_numbers(bent_reference_spec, 15.0)]

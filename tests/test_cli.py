@@ -231,6 +231,19 @@ class TestBentguide:
         assert len(out["modes"]) == 12
         assert out["count_estimate"] == [2, 1]
 
+    def test_field_csv_in_new_subdirectory(self, capsys, tmp_path):
+        # The run creates the CSV's parent directory, as it does output_dir.
+        scenario = {"spec": BENT_SPEC, "output_dir": "out", "field_csv": "sub/f.csv"}
+        path = tmp_path / "bent.json"
+        path.write_text(json.dumps(dict(scenario, command="bentguide solve")))
+        code, out = run_json(capsys, ["validate", str(path)])
+        assert code == cli.EXIT_OK and out["diagnostics"] == []
+        path.write_text(json.dumps(scenario))
+        code, out = run_json(capsys, ["bentguide", "solve", "--spec", str(path)])
+        assert code == cli.EXIT_OK and len(out["modes"]) == 12
+        lines = (tmp_path / "out" / "sub" / "f.csv").read_text().splitlines()
+        assert lines[0] == "r_um,z_um,abs_Er" and len(lines) == 1 + 101 * 101
+
     def test_inverted_radii(self, capsys, tmp_path):
         path = tmp_path / "bent.json"
         path.write_text(json.dumps({

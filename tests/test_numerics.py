@@ -74,22 +74,47 @@ class TestFindRoot:
         with pytest.raises(DomainError):
             numerics.find_root(f, br, tol=0.0)
 
-    def test_bit_identical_to_scipy_brentq(self):
-        # The solver is a port of scipy's brentq loop; every root must match
-        # to the last bit, including the iteration budget running out.
+    def test_agrees_with_scipy_brentq(self):
+        # scipy is the reference only. Each root lies within tol of the true
+        # root (brentq's within tol + 4 eps |x|), on either side, so the two
+        # agree to 2 tol + 4 eps |x|; a two-step budget raises MaxIterations.
         from scipy import optimize
 
+        eps = np.finfo(float).eps
         table = _brent_table()
         for name, f, lo, hi, tol in table:
             ours = numerics.find_root(f, numerics.bracket_root(f, lo, hi), tol=tol)
             theirs = optimize.brentq(f, lo, hi, xtol=tol, maxiter=200)
-            assert ours.hex() == theirs.hex(), (name, lo, hi, tol)
+            assert abs(ours - theirs) <= 2 * tol + 4 * eps * abs(theirs), (name, lo, hi)
         for name, f, lo, hi, tol in table[::7]:
-            with pytest.raises(RuntimeError):
-                optimize.brentq(f, lo, hi, xtol=tol, maxiter=2)
             with pytest.raises(MaxIterations):
                 numerics.find_root(f, numerics.bracket_root(f, lo, hi), tol=tol,
                                    max_iter=2)
+
+    @pytest.mark.parametrize("newton", [True, False])
+    def test_one_call_matches_single_calls(self, newton):
+        # Brackets do not interact: one call over N brackets gives each root
+        # the bits of its own float-bracket call, Newton steps or bisection.
+        rng = np.random.default_rng(11)
+        r, q = rng.uniform(-2.0, 2.0, 40), rng.uniform(0.1, 3.0, 40)
+        lo, hi = r - rng.uniform(0.01, 2.0, 40), r + rng.uniform(0.01, 2.0, 40)
+
+        def f(x, r, q):
+            value = (x - r) * (x * x + q)
+            return (value, x * x + q + 2.0 * x * (x - r)) if newton else value
+
+        def bracket(lo, hi, r, q):
+            value = lambda x: (x - r) * (x * x + q)
+            return numerics.RootBracket(lo, hi, value(lo), value(hi))
+
+        many = numerics.find_root(lambda x: f(x, r, q), bracket(lo, hi, r, q), tol=1e-13)
+        assert many.shape == (40,)
+        for i in range(40):
+            one = numerics.find_root(lambda x: f(x, r[i], q[i]),
+                                     bracket(lo[i], hi[i], r[i], q[i]), tol=1e-13)
+            assert isinstance(one, float)
+            assert one.hex() == float(many[i]).hex()
+            assert abs(one - r[i]) <= 1e-13
 
     def test_reuses_bracket_values(self):
         calls = []

@@ -141,6 +141,33 @@ class TestMarcatili:
             marcatili_solve(dielectric, 0.8, "TE")
 
 
+    @pytest.mark.parametrize("polarization", ["Ey", "Ex"])
+    def test_slab_roots_agree_with_brentq(self, dielectric, polarization):
+        # scipy is the reference only. Both stop within 1e-14 of the root
+        # (brentq within 1e-14 + 4 eps k), so they agree to twice that.
+        from scipy import optimize
+
+        eps = np.finfo(float).eps
+        k0 = 2.0 * math.pi / 1.55
+        n1, n2 = dielectric.core_index, dielectric.clad_index
+        k_lim = k0 * math.sqrt(n1**2 - n2**2)
+        lo, hi = 1e-12 * k_lim, k_lim - 1e-12 * k_lim
+        factor = (n2 / n1) ** 2
+        kx, ky = marcatili_slab_roots(dielectric, 1.55, polarization)
+        for roots, extent, fi in (
+                (kx, dielectric.width_a_um, factor if polarization == "Ex" else 1.0),
+                (ky, dielectric.height_b_um, factor if polarization == "Ey" else 1.0)):
+            def f(k, p):
+                return (k * extent - p * math.pi
+                        + 2.0 * math.atan(fi * k / math.sqrt(k_lim**2 - k**2)))
+
+            assert [p for p, _ in roots] == list(range(1, len(roots) + 1))
+            assert roots and f(hi, len(roots) + 1) <= 0
+            for p, k in roots:
+                ref = optimize.brentq(f, lo, hi, args=(p,), xtol=1e-14)
+                assert abs(k - ref) <= 2e-14 + 4 * eps * ref
+
+
 class TestModeField:
     def test_hollow_vanishes_on_walls(self, hollow):
         modes = hollow_modes(hollow, 400.0)
