@@ -372,6 +372,36 @@ def fit_gaussian_1d(omega_phz, values) -> GaussianFit1D:
     )
 
 
+def _gaussian_2d(params, ws, wi):
+    """amp exp(-q) at the points (ws, wi), q the bivariate-normal quadratic
+    form; NaN everywhere for a width <= 0 or |rho| >= 1."""
+    amp, ms, mi, ss, si, rho = params
+    if ss <= 0 or si <= 0 or not -1 < rho < 1:
+        return np.full(ws.shape, np.nan)
+    us = (ws - ms) / ss
+    ui = (wi - mi) / si
+    q = (us**2 - 2.0 * rho * us * ui + ui**2) / (2.0 * (1.0 - rho**2))
+    return amp * np.exp(-q)
+
+
+def _gaussian_2d_jacobian(params, ws, wi, values):
+    """Derivatives of _gaussian_2d with respect to (amp, ms, mi, ss, si, rho),
+    shape (len(ws), 6), given its values f at params.
+
+    With c = 1 - rho^2: df/dms = f (us - rho ui) / (c ss), df/dss = us df/dms,
+    the idler pair likewise, and df/drho = f (us ui - 2 rho q) / c.
+    """
+    amp, ms, mi, ss, si, rho = params
+    us = (ws - ms) / ss
+    ui = (wi - mi) / si
+    c = 1.0 - rho**2
+    q = (us**2 - 2.0 * rho * us * ui + ui**2) / (2.0 * c)
+    d_ms = values * (us - rho * ui) / (c * ss)
+    d_mi = values * (ui - rho * us) / (c * si)
+    return np.column_stack([values / amp, d_ms, d_mi, us * d_ms, ui * d_mi,
+                            values * (us * ui - 2.0 * rho * q) / c])
+
+
 def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
     """Fit a bivariate normal surface to the joint probability grid."""
     ws = grid.omega_s_phz
@@ -387,21 +417,17 @@ def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
 
     wsg, wig = np.meshgrid(ws, wi, indexing="ij")
     x = np.arange(p.size, dtype=float)
-    y = p.ravel()
     wsf = wsg.ravel()
     wif = wig.ravel()
 
     def model(params, _):
-        amp, ms, mi, ss, si, rho = params
-        if ss <= 0 or si <= 0 or not -1 < rho < 1:
-            return np.full(y.shape, np.nan)
-        us = (wsf - ms) / ss
-        ui = (wif - mi) / si
-        q = (us**2 - 2.0 * rho * us * ui + ui**2) / (2.0 * (1.0 - rho**2))
-        return amp * np.exp(-q)
+        return _gaussian_2d(params, wsf, wif)
+
+    def jacobian(params, _, values):
+        return _gaussian_2d_jacobian(params, wsf, wif, values)
 
     start = [amp0, mu_s, mu_i, math.sqrt(var_s), math.sqrt(var_i), rho0]
-    res = numerics.least_squares_fit(model, x, y, start)
+    res = numerics.least_squares_fit(model, x, p.ravel(), start, jacobian=jacobian)
     amp, ms, mi, ss, si, rho = res.parameters
     return GaussianFit2D(
         amplitude=float(amp), signal_center_phz=float(ms), idler_center_phz=float(mi),

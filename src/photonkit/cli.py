@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import typing
 from pathlib import Path
@@ -174,6 +175,14 @@ def _out_dir(scenario: dict, diags: list) -> Path | None:
     return Path(scenario.get("__dir__", ".")) / name if isinstance(name, str) else None
 
 
+def _names_directory(name: str, out_dir: Path) -> bool:
+    """Whether the file name `name` under `out_dir` is empty, ends in a path
+    separator, or resolves to the output directory or another directory."""
+    path = out_dir / name
+    return (not name or name.endswith(("/", os.sep))
+            or path.resolve() == out_dir.resolve() or path.is_dir())
+
+
 def _build(scenario: dict) -> dict:
     """The inputs of the scenario's command, each spec built once.
 
@@ -208,9 +217,12 @@ def _build(scenario: dict) -> dict:
     if command == "bentguide solve":
         inputs["spec"] = _spec(bent_guide.BentGuideSpec, scenario.get("spec"),
                                "/spec", diags)
-        inputs["field_csv"] = _string(scenario, "field_csv", diags)
-        if inputs["field_csv"]:
-            inputs["out_dir"] = _out_dir(scenario, diags)
+        field_csv = inputs["field_csv"] = _string(scenario, "field_csv", diags)
+        if isinstance(field_csv, str):
+            out_dir = inputs["out_dir"] = _out_dir(scenario, diags)
+            if out_dir is not None and _names_directory(field_csv, out_dir):
+                diags.append({"path": "/field_csv",
+                              "message": "field_csv must name a file, not a directory"})
     if command == "rectguide":
         spec = inputs["spec"] = _spec(rect_guide.RectGuideSpec, scenario.get("spec"),
                                       "/spec", diags)
@@ -416,7 +428,7 @@ def _cmd_bentguide_solve(args) -> int:
              "mean_radius_um": m.mean_radius_um, "n_eff": m.n_eff,
              "physical": m.physical}
             for m in modes]
-    if inputs["field_csv"]:
+    if inputs["field_csv"] is not None:
         path = inputs["out_dir"] / inputs["field_csv"]
         path.parent.mkdir(parents=True, exist_ok=True)
         mode = modes[0]

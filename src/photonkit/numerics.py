@@ -44,6 +44,11 @@ MAX_BESSEL_ORDER = 60.0
 LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-10
 LM_RSS_TOL = 1e-12
+# Geodesic acceleration: finite-difference step along the velocity for the
+# second directional derivative, and the largest accepted ratio of
+# 2|D a| to |D v|.
+LM_GEODESIC_H = 0.1
+LM_ACCEL_RATIO = 0.75
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,7 @@ class FitResult:
     residual_sum_squares: float
     converged: bool
     iterations: int
+    initial_residual_sum_squares: float
 
 
 def find_root(f: Callable, bracket: RootBracket, tol: float = 1e-12,
@@ -188,12 +194,27 @@ def _eval_model(model, params, x):
 def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[float],
                       initial: Sequence[float], weights: Sequence[float] | None = None,
                       max_iter: int = 200, jacobian: Callable | None = None) -> FitResult:
-    """Levenberg-Marquardt minimization of sum w_i (y_i - model(p, x_i))^2.
+    """Geodesic-accelerated Levenberg-Marquardt minimization of
+    sum w_i (y_i - model(p, x_i))^2 (Transtrum & Sethna, arXiv:1201.5885).
+
+    Each damped trial solves (J^T W J + lam D^2) v = J^T W r for the velocity
+    v, with D^2 = diag(J^T W J). One more model call at p + h v gives the
+    directional second derivative m'' ~ (2/h)((m(p + h v) - m(p))/h - J v) on
+    the current mask, and the same damped system against -J^T W m'' gives the
+    acceleration a. The trial steps to p + v + a/2 when
+    2 |D a| <= alpha |D v|, and to p + v when the acceleration is larger or
+    the probe raises or is not finite (h = LM_GEODESIC_H,
+    alpha = LM_ACCEL_RATIO).
 
     The model may return NaN for individual points; those points are masked for
-    the current step rather than aborting the fit. Damping starts at 1e-3 and is
-    divided/multiplied by 10 on accepted/rejected steps. Standard errors come
-    from the covariance estimate scaled by residual variance, with the
+    the current step rather than aborting the fit. A trial the model cannot
+    evaluate at all (it raises, or every point is NaN) has left the model's
+    domain and counts as an infinitely bad step. Damping starts at 1e-3 and is
+    divided/multiplied by 10 on accepted/rejected steps. The fit stops on an
+    accepted step whose relative step or RSS drop is tiny; that stop counts as
+    converged unless a trial of the same iteration left the domain, as a fit
+    pressed against a domain wall stops on tiny steps too. Standard errors
+    come from the covariance estimate scaled by residual variance, with the
     Jacobian and mask taken at the returned parameters.
 
     jacobian(params, x, values), given the model values at params, returns the
@@ -229,9 +250,25 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         except Exception:
             return np.inf, None, None
 
+    def accelerated(dp, damp, jac, jw, sw, d2):
+        # The geodesic correction needs one more model call; a probe that
+        # fails or an acceleration too large to trust leaves the plain step.
+        try:
+            probe = _eval_model(model, p + LM_GEODESIC_H * dp, x)[mask]
+        except Exception:
+            return dp
+        if not np.isfinite(probe).all():
+            return dp
+        m2 = (2.0 / LM_GEODESIC_H) * ((probe - m[mask]) / LM_GEODESIC_H - jac @ dp)
+        acc = np.linalg.solve(damp, -(jw.T @ (sw * m2)))
+        if 2.0 * math.sqrt(d2 @ acc**2) <= LM_ACCEL_RATIO * math.sqrt(d2 @ dp**2):
+            return dp + 0.5 * acc
+        return dp
+
     rss, mask, m = masked_rss(p)
     if not np.isfinite(rss):
         raise DomainError("model not evaluable at the initial parameters")
+    initial_rss = rss
     lam = LM_LAMBDA0
     converged = False
     iterations = 0
@@ -243,27 +280,30 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         r = sw * (y[mask] - m[mask])
         a = jw.T @ jw
         g = jw.T @ r
-        accepted = False
+        d2 = np.diag(a)
+        accepted = stop = left_domain = False
         while lam < 1e14:
-            damp = a + lam * np.diag(np.maximum(np.diag(a), 1e-30))
+            damp = a + lam * np.diag(np.maximum(d2, 1e-30))
             try:
                 dp = np.linalg.solve(damp, g)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
-            trial = p + dp
+            step = accelerated(dp, damp, jac, jw, sw, d2)
+            trial = p + step
             trial_rss, trial_mask, trial_m = guarded_rss(trial)
+            left_domain |= not np.isfinite(trial_rss)
             if (np.isfinite(trial_rss) and trial_rss <= rss
                     and np.count_nonzero(trial_mask) >= np.count_nonzero(mask)):
-                rel_step = np.max(np.abs(dp) / np.maximum(np.abs(p), 1e-300))
+                rel_step = np.max(np.abs(step) / np.maximum(np.abs(p), 1e-300))
                 rel_drop = (rss - trial_rss) / max(rss, 1e-300)
                 p, rss, mask, m = trial, trial_rss, trial_mask, trial_m
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if rel_step < LM_STEP_TOL or rel_drop < LM_RSS_TOL:
-                    converged = True
+                stop = rel_step < LM_STEP_TOL or rel_drop < LM_RSS_TOL
+                converged = stop and not left_domain
                 break
             lam *= 10.0
-        if converged or not accepted:
+        if stop or not accepted:
             break
 
     if accepted:
@@ -281,7 +321,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         se = np.full(p.size, np.nan)
     return FitResult(parameters=p, standard_errors=se,
                      residual_sum_squares=rss, converged=converged,
-                     iterations=iterations)
+                     iterations=iterations, initial_residual_sum_squares=initial_rss)
 
 
 def _check_bessel_domain(order, x):

@@ -137,12 +137,17 @@ def rss(points: Sequence[MeasurementPoint], coeffs: Sequence[float],
         setup: FitSetup) -> float:
     """Residual sum of squares in nm^2 over the dataset."""
     pumps = np.array([pt.pump_nm for pt in points])
-    model = model_signal_wavelength(pumps, coeffs, setup)
-    missing = np.isnan(model)
-    if missing.any():
-        raise NoRootInWindow(f"no model root for pump {float(pumps[missing][0])} nm")
+    model = _require_roots(pumps, model_signal_wavelength(pumps, coeffs, setup))
     r = np.array([pt.signal_nm for pt in points]) - model
     return float(np.dot(r, r))
+
+
+def _require_roots(pumps_nm, roots_nm):
+    """roots_nm, or NoRootInWindow naming the first pump without a root."""
+    missing = np.isnan(roots_nm)
+    if missing.any():
+        raise NoRootInWindow(f"no model root for pump {float(pumps_nm[missing][0])} nm")
+    return roots_nm
 
 
 def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
@@ -153,9 +158,11 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     The LM model is the sweep solve over all pumps, and the LM Jacobian is the
     exact one of model_jacobian, taken at the roots the fit already holds, so
     it costs no root solves. Points whose model root vanishes during a step
-    are masked for that step. The report carries both the fitted RSS and the
-    RSS at the start values, both from the same sweep solve and both in nm^2,
-    also when the fit itself minimises the weighted chi^2.
+    are masked for that step, but every point needs its root at the start
+    values (NoRootInWindow otherwise). The report carries both the fitted RSS
+    and the RSS at the start values, both from the same sweep solve and both
+    in nm^2, also when the fit itself minimises the weighted chi^2; an
+    unweighted fit takes the start RSS from the LM's own first sweep.
     """
     n_free = len(setup.free_indices)
     if len(points) < n_free + 1:
@@ -165,19 +172,29 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     weights = (np.array([1.0 / pt.sigma_nm**2 for pt in points])
                if weighted else None)
 
+    at_start = True
+
     def model(params, x):
-        return model_signal_wavelength(x, params, setup)
+        nonlocal at_start
+        roots = model_signal_wavelength(x, params, setup)
+        if at_start:
+            # The LM's first call is at the start values.
+            at_start = False
+            _require_roots(x, roots)
+        return roots
 
     def jacobian(params, x, values):
         return model_jacobian(x, values, params, setup)
 
-    start = np.asarray(start, dtype=float)
-    start_rss = rss(points, start, setup)
     result = numerics.least_squares_fit(model, pumps, signals, start,
                                         weights=weights, max_iter=max_iter,
                                         jacobian=jacobian)
-    fitted_rss = (rss(points, result.parameters, setup) if weighted
-                  else result.residual_sum_squares)
+    if weighted:
+        start_rss = rss(points, start, setup)
+        fitted_rss = rss(points, result.parameters, setup)
+    else:
+        start_rss = result.initial_residual_sum_squares
+        fitted_rss = result.residual_sum_squares
     report = SellmeierFitReport(
         fitted=tuple(result.parameters),
         uncertainties=tuple(result.standard_errors),

@@ -338,6 +338,33 @@ class TestFit2D:
         with pytest.raises(DegenerateFit):
             fit_gaussian_2d(grid)
 
+    def test_jacobian_matches_central_differences(self, telecom_setup):
+        s = telecom_setup
+        pump = PumpSpec(central_frequency_phz=s["pump_sum_phz"],
+                        pulse_duration_fs=508.5, spatial_width_um=41.0)
+        g = JsaGridSpec(n=48, range_fraction=0.0075,
+                        signal_center_phz=s["signal_center"],
+                        idler_center_phz=s["idler_center"])
+        grid = jsa_grid(pump, s["coupling"], s["crystal"], g, s["query"])
+        fit = fit_gaussian_2d(grid)
+        params = np.array([fit.amplitude, fit.signal_center_phz, fit.idler_center_phz,
+                           fit.signal_sigma_phz, fit.idler_sigma_phz, fit.pearson])
+        wsg, wig = np.meshgrid(grid.omega_s_phz, grid.omega_i_phz, indexing="ij")
+        ws, wi = wsg.ravel(), wig.ravel()
+        values = biphoton._gaussian_2d(params, ws, wi)
+        exact = biphoton._gaussian_2d_jacobian(params, ws, wi, values)
+        # steps small against the widths, which set the scale of every
+        # parameter but the amplitude
+        steps = 1e-4 * np.array([params[0], params[3], params[4], params[3],
+                                 params[4], 0.1])
+        for j, h in enumerate(steps):
+            up, down = params.copy(), params.copy()
+            up[j] += h
+            down[j] -= h
+            numeric = (biphoton._gaussian_2d(up, ws, wi)
+                       - biphoton._gaussian_2d(down, ws, wi)) / (2.0 * h)
+            assert np.abs(exact[:, j] - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
 
 class TestScreening:
     class _FakeFit:

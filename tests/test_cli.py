@@ -372,6 +372,30 @@ class TestScenarioValidation:
         assert run_out == val_out
         assert [d["path"] for d in val_out["diagnostics"]] == [pointer]
 
+    @pytest.mark.parametrize("field_csv,output_dir,existing", [
+        ("", None, None), (".", "o", None), ("sub/", "o", None),
+        ("sub/..", None, None), ("sub", None, "sub")])
+    def test_field_csv_naming_a_directory(self, capsys, tmp_path, field_csv,
+                                          output_dir, existing):
+        scenario = {"spec": BENT_SPEC, "field_csv": field_csv}
+        if output_dir is not None:
+            scenario["output_dir"] = output_dir
+        if existing is not None:
+            (tmp_path / existing).mkdir()
+        path = tmp_path / "bent.json"
+        path.write_text(json.dumps(scenario))
+        code, run_out = self._run_quiet(capsys, RUN_ARGV["bentguide solve"] + [str(path)])
+        path.write_text(json.dumps(dict(scenario, command="bentguide solve")))
+        vcode, val_out = self._run_quiet(capsys, ["validate", str(path)])
+        assert code == vcode == cli.EXIT_VALIDATION
+        assert run_out == val_out
+        assert val_out["diagnostics"] == [{
+            "path": "/field_csv",
+            "message": "field_csv must name a file, not a directory"}]
+        # the run wrote nothing
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+            ["bent.json"] + ([existing] if existing else []))
+
     def test_jsa_honours_idler_n(self, capsys, jsa_scenario, tmp_path):
         path, scenario = jsa_scenario
         scenario["grid"]["idler_n"] = 40

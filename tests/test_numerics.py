@@ -262,8 +262,9 @@ class TestLeastSquares:
             numerics.least_squares_fit(model, [1, 2, 3], [1, 2, 3], [1.0])
 
     def test_model_calls_per_iteration(self):
-        # Each iteration costs one forward-difference probe per parameter
-        # plus the trial step; the values at p are reused, not re-evaluated.
+        # Each iteration costs one forward-difference probe per parameter,
+        # the geodesic probe at p + h v and the trial step; the values at p
+        # are reused, not re-evaluated.
         calls = []
 
         def model(p, xx):
@@ -274,7 +275,70 @@ class TestLeastSquares:
         res = numerics.least_squares_fit(model, x, 3.0 * x, [1.0])
         assert res.converged
         # plus one probe at the returned parameters for the standard errors
-        assert len(calls) == 2 + 2 * res.iterations
+        assert len(calls) == 2 + 3 * res.iterations
+
+    def test_linear_model_has_no_acceleration(self):
+        # For a linear model m(p + h v) - m(p) = h J v, so the acceleration
+        # vanishes and one iteration takes the plain damped Gauss-Newton step.
+        x = np.linspace(0, 1, 10)
+        y = 2.0 * x + 1.0
+        model = lambda p, xx: p[0] + p[1] * xx
+        jacobian = lambda p, xx, values: np.column_stack([np.ones_like(xx), xx])
+        res = numerics.least_squares_fit(model, x, y, [0.0, 0.0], max_iter=1,
+                                         jacobian=jacobian)
+        jac = jacobian(None, x, None)
+        a = jac.T @ jac
+        v = np.linalg.solve(a + numerics.LM_LAMBDA0 * np.diag(np.diag(a)),
+                            jac.T @ y)
+        assert res.iterations == 1
+        assert res.parameters == pytest.approx(v, rel=1e-12)
+
+    def test_nan_probe_falls_back_to_plain_step(self):
+        # With an analytic Jacobian the model is called at the start, then at
+        # the probe and the trial of every damped trial, in that order.
+        x = np.linspace(-3, 3, 60)
+        truth = [0.2, 1.5, 0.4, 0.7]
+        y = self._gaussian(truth, x)
+        calls = []
+
+        def model(p, xx):
+            calls.append(tuple(p))
+            if len(calls) % 2 == 0:
+                return np.full(np.shape(xx), np.nan)
+            return self._gaussian(p, xx)
+
+        def jacobian(p, xx, values):
+            b, a, c, s = p
+            e = np.exp(-0.5 * ((xx - c) / s) ** 2)
+            return np.column_stack([np.ones_like(xx), e,
+                                    a * e * (xx - c) / s**2,
+                                    a * e * (xx - c) ** 2 / s**3])
+
+        res = numerics.least_squares_fit(model, x, y, [0.0, 1.0, 0.0, 1.0],
+                                         jacobian=jacobian)
+        assert res.converged
+        assert res.parameters == pytest.approx(truth, abs=1e-8)
+        assert len(calls) % 2 == 1
+
+    def test_stop_at_domain_wall_is_not_convergence(self):
+        # The least-squares slope -0.5 lies outside the model's domain: the
+        # trials that cross the slope >= 0 wall raise, and the fit creeps up
+        # to the wall until its steps are too small to go on.
+        def model(p, xx):
+            if p[1] < 0:
+                raise DomainError("slope must be nonnegative")
+            return p[0] + p[1] * np.asarray(xx, dtype=float)
+
+        x = np.linspace(0.0, 1.0, 20)
+        res = numerics.least_squares_fit(model, x, 1.0 - 0.5 * x, [0.0, 1.0])
+        assert 0.0 <= res.parameters[1] < 1e-9
+        assert not res.converged
+
+    def test_initial_rss_reported(self):
+        x = np.linspace(0.5, 2.0, 20)
+        model = lambda p, xx: p[0] * np.asarray(xx, dtype=float)
+        res = numerics.least_squares_fit(model, x, 3.0 * x, [1.0])
+        assert res.initial_residual_sum_squares == float(np.dot(2.0 * x, 2.0 * x))
 
     def test_analytic_jacobian(self):
         x = np.linspace(-3, 3, 60)

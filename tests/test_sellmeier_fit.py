@@ -116,8 +116,56 @@ class TestFit:
                                        setup=setup)
         report = fit(pts, true_coeffs, setup, weighted=True)
         assert report.rss_nm2 == rss(pts, report.fitted, setup)
-        assert report.rss_nm2 == pytest.approx(19.76, abs=0.01)
+        assert report.rss_nm2 == pytest.approx(18.79, abs=0.01)
         assert report.average_error_nm == math.sqrt(report.rss_nm2 / len(pts))
+        # 2.672 is where the plain LM stopped at its iteration cap
+        model = model_signal_wavelength([pt.pump_nm for pt in pts], report.fitted,
+                                        setup)
+        chi2 = sum(((pt.signal_nm - m) / pt.sigma_nm)**2 for pt, m in zip(pts, model))
+        assert chi2 <= 2.672
+
+    def test_unweighted_start_rss_from_the_fit(self, setup, true_coeffs):
+        pumps = np.linspace(394.0, 401.0, 8)
+        pts = synthesize_noisy_dataset(true_coeffs, pumps, 0.005, seed=9,
+                                       setup=setup)
+        start = (true_coeffs[0] * 1.001, true_coeffs[1], true_coeffs[2])
+        report = fit(pts, start, setup)
+        assert report.rss_start_nm2 == rss(pts, start, setup)
+
+    def test_start_without_root_raises(self, setup, true_coeffs):
+        narrow = FitSetup(crystal=setup.crystal, query=setup.query,
+                          search_window_nm=(530.0, 540.0))
+        pts = synthesize_noisy_dataset(true_coeffs, np.linspace(392.0, 403.0, 8),
+                                       0.0, seed=1, setup=setup)
+        with pytest.raises(NoRootInWindow):
+            fit(pts, true_coeffs, narrow)
+
+    def test_criterion_3_clean_fit_iterations(self, setup, true_coeffs):
+        # Geodesic acceleration: the plain LM took 132 iterations here.
+        pts = synthesize_noisy_dataset(true_coeffs, np.linspace(392.0, 403.0, 55),
+                                       0.0, seed=1, setup=setup)
+        start = (true_coeffs[0] * 1.002, true_coeffs[1] * 0.99,
+                 true_coeffs[2] * 1.01)
+        report = fit(pts, start, setup)
+        assert report.converged
+        assert report.iterations <= 30
+        for got, want in zip(report.fitted, true_coeffs):
+            assert abs(got - want) / abs(want) < 1e-6
+
+    def test_stop_at_pole_wall_not_converged(self, telecom_setup):
+        # Only the idler is on z, and a0 + 0.2% pushes a2 onto its a2 >= 0
+        # wall: the fit stops on tiny steps there, far from the data.
+        crystal = telecom_setup["crystal"]
+        wall_setup = FitSetup(crystal=crystal, query=telecom_setup["query"],
+                              search_window_nm=(1450.0, 1650.0))
+        s = crystal.sellmeier_z
+        pts = synthesize_noisy_dataset((s.a0, s.a1, s.a2),
+                                       np.linspace(776.0, 784.0, 21), 0.0,
+                                       seed=1, setup=wall_setup)
+        report = fit(pts, (s.a0 * 1.002, s.a1, s.a2), wall_setup)
+        assert report.fitted[2] < 1e-9
+        assert report.rss_nm2 > 1e4
+        assert not report.converged
 
 
 class TestJacobian:
