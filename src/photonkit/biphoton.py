@@ -3,6 +3,10 @@
 Frequencies are angular, in PHz (rad/fs); lengths in um; times in fs. The
 four transverse wavevector integrals are evaluated in closed form as complex
 Gaussian quadratic forms, leaving one numerical integral along the crystal.
+The crystal is centred on z = 0 and the integrand at -z is the complex
+conjugate of the one at +z, so that integral is real (Grice & Walmsley,
+Phys. Rev. A 56, 1627, 1997): the Gauss-Legendre sum is folded onto the
+nodes z >= 0 and accumulated in real arithmetic.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ __all__ = [
 
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 Z_QUAD_ORDER = 64
+JSA_BLOCK_CELLS = 16384
 
 
 def omega_phz_from_wavelength_um(wavelength_um):
@@ -261,8 +266,13 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
 
     theta is the phase-matching overlap: per crystal slice the four transverse
     integrals reduce to (2 pi)^2 / det A(z) for a complex symmetric 2x2 form A,
-    and the slice contributions are summed with Gauss-Legendre nodes along the
-    crystal. The returned grid is normalized to unit sum.
+    and the slice contributions are summed with z_order Gauss-Legendre nodes
+    along the crystal. A(-z) is the conjugate of A(z), so theta is real; the
+    sum is folded onto the nodes z >= 0, with the weights of the nodes z > 0
+    doubled, and only its real part is computed. theta can change sign (the
+    sinc lobes), and that sign is the amplitude's only phase. The returned
+    grid is normalized to unit sum; threads sets the worker count (default
+    WORKBENCH_THREADS), with the same result for any count.
     """
     w_s = grid.signal_axis()
     w_i = grid.idler_axis()
@@ -272,57 +282,71 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     k_p = _axis_k(crystal, query.pol_pump, w_sum)          # (n, n)
     dk0 = k_p - k_s[:, None] - k_i[None, :] + grating_vector(query, crystal)
 
+    # A(z) = A0 + i z A1 with the real matrices A0 = [[a_ss, a_si],
+    # [a_si, a_ii]] of squared widths and A1 = [[g_ss, 1/k_p], [1/k_p, g_ii]],
+    # so det A(z) = d0 - z^2 d2 + i z d1 with real coefficients.
     ws2 = coupling.signal_width_um**2
     wi2 = coupling.idler_width_um**2
     wp2 = pump.spatial_width_um**2
-    inv_ks = 1.0 / k_s[:, None]
-    inv_ki = 1.0 / k_i[None, :]
+    a_ss, a_ii, a_si = ws2 + wp2, wi2 + wp2, wp2
     inv_kp = 1.0 / k_p
+    g_ss = inv_kp - 1.0 / k_s[:, None]
+    g_ii = inv_kp - 1.0 / k_i[None, :]
+    d0 = a_ss * a_ii - a_si * a_si
+    d1 = a_ss * g_ii + a_ii * g_ss - 2.0 * a_si * inv_kp
+    d2 = g_ss * g_ii - inv_kp * inv_kp
 
+    # The integrand at -z is the complex conjugate of the one at +z, so theta
+    # is real: sum Re[e^{i dk0 z} / det A(z)] over the nodes z >= 0, the
+    # weight doubled for z > 0 (a centre node of an odd order counts once).
     half_l = 0.5 * crystal.length_um
     nodes, weights = numerics.gauss_legendre(z_order)
-    z_nodes = half_l * nodes
-    z_weights = half_l * weights
+    z_nodes = half_l * nodes[z_order // 2:]
+    z_weights = half_l * weights[z_order // 2:]
+    z_weights[z_nodes > 0] *= 2.0
 
+    # exp(b^T A^-1 b / 2) factor from the offset fiber centres (x-direction
+    # only; offsets are scalars along one axis): b^T adj(A) b = q0 + i z q1.
     b_s = ws2 * coupling.signal_offset_per_um
     b_i = wi2 * coupling.idler_offset_per_um
+    has_offset = b_s != 0.0 or b_i != 0.0
+    q0 = a_ii * b_s**2 - 2.0 * a_si * b_s * b_i + a_ss * b_i**2
+    q1 = g_ii * b_s**2 - 2.0 * inv_kp * b_s * b_i + g_ss * b_i**2
     const_offset = math.exp(-0.5 * (ws2 * coupling.signal_offset_per_um**2
                                     + wi2 * coupling.idler_offset_per_um**2))
 
     def accumulate(rows: slice) -> np.ndarray:
-        acc = np.zeros((rows.stop - rows.start, w_i.size), dtype=complex)
-        a_ss0 = ws2 + wp2 + 1j * 0.0
+        acc = np.zeros((rows.stop - rows.start, w_i.size))
         for z, wz in zip(z_nodes, z_weights):
-            a_ss = ws2 + wp2 + 1j * z * (inv_kp[rows] - inv_ks[rows])
-            a_ii = wi2 + wp2 + 1j * z * (inv_kp[rows] - inv_ki)
-            a_si = wp2 + 1j * z * inv_kp[rows]
-            det = a_ss * a_ii - a_si * a_si
-            phase = np.exp(1j * dk0[rows] * z)
-            term = phase / det
-            if b_s != 0.0 or b_i != 0.0:
-                # exp(b^T A^-1 b / 2) factor from the offset fiber centres
-                # (x-direction only; offsets are scalars along one axis)
-                quad = (a_ii * b_s**2 - 2 * a_si * b_s * b_i + a_ss * b_i**2) / det
-                term = term * np.exp(0.5 * quad)
-            acc += wz * term
+            det_re = d0 - z * z * d2[rows]
+            det_im = z * d1[rows]
+            det2 = det_re * det_re + det_im * det_im
+            phase = z * dk0[rows]
+            if has_offset:
+                # quad = (q0 + i z q1) / det: Im(quad)/2 joins the phase and
+                # e^{Re(quad)/2} divides det2
+                q1z = z * q1[rows]
+                phase += 0.5 * (q1z * det_re - q0 * det_im) / det2
+                det2 *= np.exp(-0.5 * (q0 * det_re + q1z * det_im) / det2)
+            acc += wz * (np.cos(phase) * det_re + np.sin(phase) * det_im) / det2
         return acc
 
+    # Row blocks of about JSA_BLOCK_CELLS cells keep each node's temporaries
+    # small; threads take whole blocks, so the sums do not depend on them.
     n = w_s.size
+    rows = max(1, JSA_BLOCK_CELLS // w_i.size)
+    blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
     workers = threads if threads is not None else numerics.worker_count()
-    theta = np.empty((n, w_i.size), dtype=complex)
     if workers > 1:
-        chunk = max(1, n // workers)
-        slices = [slice(i, min(i + chunk, n)) for i in range(0, n, chunk)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for sl, block in zip(slices, pool.map(accumulate, slices)):
-                theta[sl] = block
+            theta = np.vstack(list(pool.map(accumulate, blocks)))
     else:
-        theta[:] = accumulate(slice(0, n))
+        theta = np.vstack([accumulate(sl) for sl in blocks])
 
     prefactor = (coupling.signal_width_um * coupling.idler_width_um
                  * pump.spatial_width_um / math.pi**1.5) * (2.0 * math.pi)**2
     psi = pump_temporal_amplitude(w_sum, pump) * prefactor * const_offset * theta
-    prob = np.abs(psi)**2
+    prob = psi**2
     if not np.any(prob > 0):
         raise DegenerateGrid("all probabilities underflowed to zero")
     return JsaGrid(w_s, w_i, prob).normalize()

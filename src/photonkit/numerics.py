@@ -191,6 +191,12 @@ def _eval_model(model, params, x):
         return np.array([model(params, xi) for xi in x], dtype=float)
 
 
+def _selection(mask):
+    """Index of the points mask keeps: the full slice when it keeps them all,
+    so that indexing gives views rather than copies."""
+    return slice(None) if mask.all() else mask
+
+
 def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[float],
                       initial: Sequence[float], weights: Sequence[float] | None = None,
                       max_iter: int = 200, jacobian: Callable | None = None) -> FitResult:
@@ -225,21 +231,29 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     x = np.asarray(xdata, dtype=float)
     y = np.asarray(ydata, dtype=float)
     p = np.array(initial, dtype=float)
-    if weights is None:
-        w = np.ones_like(y)
-    else:
+    sw = None
+    if weights is not None:
         w = np.asarray(weights, dtype=float)
         if np.any(w <= 0):
             raise DomainError("weights must be positive")
+        sw = np.sqrt(w)
     if y.size < p.size:
         raise DomainError("need at least as many data points as parameters")
+
+    def weigh(values, sel):
+        # sqrt(w) times values (one per selected point, or one row each);
+        # an unweighted fit skips the multiply by 1.
+        if sw is None:
+            return values
+        return values * (sw[sel][:, None] if values.ndim == 2 else sw[sel])
 
     def masked_rss(params):
         m = _eval_model(model, params, x)
         mask = np.isfinite(m)
         if not mask.any():
             return np.inf, mask, m
-        r = np.sqrt(w[mask]) * (y[mask] - m[mask])
+        sel = _selection(mask)
+        r = weigh(y[sel] - m[sel], sel)
         return float(np.dot(r, r)), mask, m
 
     def guarded_rss(params):
@@ -250,17 +264,17 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         except Exception:
             return np.inf, None, None
 
-    def accelerated(dp, damp, jac, jw, sw, d2):
+    def accelerated(dp, damp, jac, jw, sel, d2):
         # The geodesic correction needs one more model call; a probe that
         # fails or an acceleration too large to trust leaves the plain step.
         try:
-            probe = _eval_model(model, p + LM_GEODESIC_H * dp, x)[mask]
+            probe = _eval_model(model, p + LM_GEODESIC_H * dp, x)[sel]
         except Exception:
             return dp
         if not np.isfinite(probe).all():
             return dp
-        m2 = (2.0 / LM_GEODESIC_H) * ((probe - m[mask]) / LM_GEODESIC_H - jac @ dp)
-        acc = np.linalg.solve(damp, -(jw.T @ (sw * m2)))
+        m2 = (2.0 / LM_GEODESIC_H) * ((probe - m[sel]) / LM_GEODESIC_H - jac @ dp)
+        acc = np.linalg.solve(damp, -(jw.T @ weigh(m2, sel)))
         if 2.0 * math.sqrt(d2 @ acc**2) <= LM_ACCEL_RATIO * math.sqrt(d2 @ dp**2):
             return dp + 0.5 * acc
         return dp
@@ -274,10 +288,10 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     iterations = 0
     accepted = True
     for iterations in range(1, max_iter + 1):
-        jac = jacobian(p, x, m)[mask]
-        sw = np.sqrt(w[mask])
-        jw = jac * sw[:, None]
-        r = sw * (y[mask] - m[mask])
+        sel = _selection(mask)
+        jac = jacobian(p, x, m)[sel]
+        jw = weigh(jac, sel)
+        r = weigh(y[sel] - m[sel], sel)
         a = jw.T @ jw
         g = jw.T @ r
         d2 = np.diag(a)
@@ -288,7 +302,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
                 dp = np.linalg.solve(damp, g)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
-            step = accelerated(dp, damp, jac, jw, sw, d2)
+            step = accelerated(dp, damp, jac, jw, sel, d2)
             trial = p + step
             trial_rss, trial_mask, trial_m = guarded_rss(trial)
             left_domain |= not np.isfinite(trial_rss)
@@ -306,14 +320,14 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         if stop or not accepted:
             break
 
+    sel = _selection(mask)
     if accepted:
         # The last accepted step moved p and possibly the mask: the standard
         # errors belong to the returned parameters, so linearise there.
-        jac = jacobian(p, x, m)[mask]
+        jac = jacobian(p, x, m)[sel]
     n_used = int(np.count_nonzero(mask))
     dof = max(n_used - p.size, 1)
-    sw = np.sqrt(w[mask])
-    jw = jac * sw[:, None]
+    jw = weigh(jac, sel)
     try:
         cov = np.linalg.inv(jw.T @ jw) * (rss / dof)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))

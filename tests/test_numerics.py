@@ -382,6 +382,31 @@ class TestLeastSquares:
         se = math.sqrt(res.residual_sum_squares / dof / np.dot(x, x))
         assert res.standard_errors[0] == pytest.approx(se, rel=1e-6)
 
+    def test_unit_weights_bit_identical_to_unweighted(self):
+        # A bivariate Gaussian on a 300 x 300 grid: skipping the multiply by
+        # sqrt(w) = 1 and the copy of a full mask changes no bit.
+        from photonkit import biphoton
+
+        rng = np.random.default_rng(11)
+        ws, wi = np.meshgrid(np.linspace(-3, 3, 300), np.linspace(-2, 4, 300),
+                             indexing="ij")
+        ws, wi = ws.ravel(), wi.ravel()
+        truth = [1.0, 0.2, 0.9, 1.1, 0.8, 0.6]
+        y = (biphoton._gaussian_2d(truth, ws, wi)
+             + 1e-3 * rng.standard_normal(ws.size))
+        model = lambda p, _: biphoton._gaussian_2d(p, ws, wi)
+        jac = lambda p, _, values: biphoton._gaussian_2d_jacobian(p, ws, wi, values)
+        start = [0.8, 0.0, 1.0, 1.0, 1.0, 0.3]
+        x = np.arange(ws.size, dtype=float)
+        plain = numerics.least_squares_fit(model, x, y, start, jacobian=jac)
+        unit = numerics.least_squares_fit(model, x, y, start, jacobian=jac,
+                                          weights=np.ones(ws.size))
+        assert plain.converged and plain.iterations > 2
+        assert np.array_equal(plain.parameters, unit.parameters)
+        assert np.array_equal(plain.standard_errors, unit.standard_errors)
+        assert plain.residual_sum_squares == unit.residual_sum_squares
+        assert plain.iterations == unit.iterations
+
     def test_standard_errors_scale_with_noise(self):
         rng = np.random.default_rng(7)
         x = np.linspace(0, 1, 200)
