@@ -11,7 +11,6 @@ dimension-dependent inverse-square potential behind it. Lengths in um.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -268,6 +267,8 @@ def solve_modes(spec: BentGuideSpec) -> list[BentModeSolution]:
 
     workers = numerics.worker_count()
     if workers > 1 and len(verts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(modes_for, verts))
     else:

@@ -12,7 +12,6 @@ nodes z >= 0 and accumulated in real arithmetic.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,6 +337,8 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
     workers = threads if threads is not None else numerics.worker_count()
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             theta = np.vstack(list(pool.map(accumulate, blocks)))
     else:
@@ -397,11 +398,12 @@ def fit_gaussian_1d(omega_phz, values) -> GaussianFit1D:
 
 
 def _gaussian_2d(params, ws, wi):
-    """amp exp(-q) at the points (ws, wi), q the bivariate-normal quadratic
-    form; NaN everywhere for a width <= 0 or |rho| >= 1."""
+    """amp exp(-q) at the points (ws, wi), broadcast against each other, q the
+    bivariate-normal quadratic form; NaN everywhere for a width <= 0 or
+    |rho| >= 1."""
     amp, ms, mi, ss, si, rho = params
     if ss <= 0 or si <= 0 or not -1 < rho < 1:
-        return np.full(ws.shape, np.nan)
+        return np.full(np.broadcast_shapes(np.shape(ws), np.shape(wi)), np.nan)
     us = (ws - ms) / ss
     ui = (wi - mi) / si
     q = (us**2 - 2.0 * rho * us * ui + ui**2) / (2.0 * (1.0 - rho**2))
@@ -410,7 +412,8 @@ def _gaussian_2d(params, ws, wi):
 
 def _gaussian_2d_jacobian(params, ws, wi, values):
     """Derivatives of _gaussian_2d with respect to (amp, ms, mi, ss, si, rho),
-    shape (len(ws), 6), given its values f at params.
+    given its values f at params (ws and wi broadcast to the shape of f), as
+    an (f.size, 6) matrix: the transposed view of one (6, f.size) array.
 
     With c = 1 - rho^2: df/dms = f (us - rho ui) / (c ss), df/dss = us df/dms,
     the idler pair likewise, and df/drho = f (us ui - 2 rho q) / c.
@@ -420,10 +423,18 @@ def _gaussian_2d_jacobian(params, ws, wi, values):
     ui = (wi - mi) / si
     c = 1.0 - rho**2
     q = (us**2 - 2.0 * rho * us * ui + ui**2) / (2.0 * c)
-    d_ms = values * (us - rho * ui) / (c * ss)
-    d_mi = values * (ui - rho * us) / (c * si)
-    return np.column_stack([values / amp, d_ms, d_mi, us * d_ms, ui * d_mi,
-                            values * (us * ui - 2.0 * rho * q) / c])
+    out = np.empty((6,) + values.shape)
+    d_amp, d_ms, d_mi, d_ss, d_si, d_rho = out
+    np.divide(values, amp, out=d_amp)
+    np.multiply(values, us - rho * ui, out=d_ms)
+    d_ms /= c * ss
+    np.multiply(values, ui - rho * us, out=d_mi)
+    d_mi /= c * si
+    np.multiply(us, d_ms, out=d_ss)
+    np.multiply(ui, d_mi, out=d_si)
+    np.multiply(values, us * ui - 2.0 * rho * q, out=d_rho)
+    d_rho /= c
+    return out.reshape(6, -1).T
 
 
 def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
@@ -439,16 +450,17 @@ def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
     rho0 = max(min(rho0, 0.999), -0.999)
     amp0 = float(p.max())
 
-    wsg, wig = np.meshgrid(ws, wi, indexing="ij")
+    # The model and its Jacobian are evaluated on the tensor grid by
+    # broadcasting the axes; the fit sees the j-major flattened grid.
+    ws_col = ws[:, None]
+    wi_row = wi[None, :]
     x = np.arange(p.size, dtype=float)
-    wsf = wsg.ravel()
-    wif = wig.ravel()
 
     def model(params, _):
-        return _gaussian_2d(params, wsf, wif)
+        return _gaussian_2d(params, ws_col, wi_row).ravel()
 
     def jacobian(params, _, values):
-        return _gaussian_2d_jacobian(params, wsf, wif, values)
+        return _gaussian_2d_jacobian(params, ws_col, wi_row, values.reshape(p.shape))
 
     start = [amp0, mu_s, mu_i, math.sqrt(var_s), math.sqrt(var_i), rho0]
     res = numerics.least_squares_fit(model, x, p.ravel(), start, jacobian=jacobian)

@@ -1,9 +1,14 @@
 """Batch command-line front end.
 
-Subcommands bind the solver modules to scenario files and flags, write CSV
-grids plus JSON summaries, and keep all floating-point output at 9
-significant digits. Exit codes: 0 success, 2 validation failure, 3 solver
-failure.
+Subcommands bind the solver modules to scenario files and flags and write CSV
+grids plus JSON summaries. JSON payloads are rounded to 9 significant digits;
+CSV files carry `repr` floats, which round-trip exactly. Exit codes: 0
+success, 2 validation failure, 3 solver failure.
+
+Each CLI call is a fresh process, so every command imports the solver modules
+it runs inside its own function, and a process loads only those. Before
+numpy loads, the BLAS thread count defaults to the CLI's worker count (see
+`_BLAS_THREAD_VARS`).
 """
 
 from __future__ import annotations
@@ -18,20 +23,21 @@ import sys
 import typing
 from pathlib import Path
 
-import numpy as np
+from . import worker_count
 
-from . import (
-    bent_guide,
-    biphoton,
-    dispersion,
-    fiber_prop,
-    numerics,
-    phasematch,
-    photon_stats,
-    rect_guide,
-    sellmeier_fit,
-)
-from .errors import DomainError, PhotonkitError, ScenarioError
+# OpenBLAS (numpy's, and scipy's when it loads) reads these once, when it
+# loads, and otherwise starts one thread per core. Unless the user set one, a
+# CLI process runs as many BLAS threads as it has workers. This must run
+# before the first numpy import, which the `dispersion` import below makes.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    for _var in _BLAS_THREAD_VARS:
+        os.environ.setdefault(_var, str(worker_count()))
+
+import numpy as np  # noqa: E402
+
+from . import dispersion  # noqa: E402
+from .errors import DomainError, PhotonkitError, ScenarioError  # noqa: E402
 
 __all__ = ["main", "run", "validate_scenario"]
 
@@ -195,6 +201,8 @@ def _build(scenario: dict) -> dict:
     diags: list = []
     inputs: dict = {}
     if command in ("jsa", "fiber"):
+        from . import biphoton, phasematch
+
         try:
             inputs["crystal"] = _crystal(scenario.get("crystal"),
                                          scenario.get("__dir__", "."))
@@ -208,6 +216,8 @@ def _build(scenario: dict) -> dict:
                                 "/query", diags, pump_wavelength_nm=1.0)
         inputs["out_dir"] = _out_dir(scenario, diags)
     if command == "fiber":
+        from . import fiber_prop
+
         inputs["fiber"] = _spec(fiber_prop.FiberSpec, scenario.get("fiber"),
                                 "/fiber", diags)
         inputs["method"] = scenario.get("method", "stationary")
@@ -215,6 +225,8 @@ def _build(scenario: dict) -> dict:
             diags.append({"path": "/method",
                           "message": "method must be 'stationary' or 'exact'"})
     if command == "bentguide solve":
+        from . import bent_guide
+
         inputs["spec"] = _spec(bent_guide.BentGuideSpec, scenario.get("spec"),
                                "/spec", diags)
         field_csv = inputs["field_csv"] = _string(scenario, "field_csv", diags)
@@ -224,6 +236,8 @@ def _build(scenario: dict) -> dict:
                 diags.append({"path": "/field_csv",
                               "message": "field_csv must name a file, not a directory"})
     if command == "rectguide":
+        from . import rect_guide
+
         spec = inputs["spec"] = _spec(rect_guide.RectGuideSpec, scenario.get("spec"),
                                       "/spec", diags)
         if spec is not None:
@@ -293,6 +307,8 @@ def _cmd_dispersion(args) -> int:
 
 
 def _cmd_phasematch_sweep(args) -> int:
+    from . import phasematch
+
     crystal = _crystal(args.crystal)
     if args.points < 2 or args.stop_nm <= args.start_nm:
         raise _invalid("/sweep", "need points >= 2 and stop > start")
@@ -319,6 +335,8 @@ def _cmd_phasematch_sweep(args) -> int:
 
 
 def _cmd_fit_sellmeier(args) -> int:
+    from . import phasematch, sellmeier_fit
+
     crystal = _crystal(args.crystal)
     if not Path(args.data).exists():
         raise _invalid("/data", f"dataset not found: {args.data}")
@@ -348,6 +366,8 @@ def _cmd_fit_sellmeier(args) -> int:
 
 
 def _cmd_jsa(args) -> int:
+    from . import biphoton, numerics
+
     inputs = _scenario_inputs(args.scenario, "jsa")
     grid = biphoton.jsa_grid(inputs["pump"], inputs["coupling"], inputs["crystal"],
                              inputs["grid"], inputs["query"])
@@ -373,6 +393,8 @@ def _cmd_jsa(args) -> int:
 
 
 def _cmd_fiber(args) -> int:
+    from . import biphoton, fiber_prop
+
     inputs = _scenario_inputs(args.scenario, "fiber")
     grid = biphoton.jsa_grid(inputs["pump"], inputs["coupling"], inputs["crystal"],
                              inputs["grid"], inputs["query"])
@@ -402,6 +424,8 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_rectguide(args) -> int:
+    from . import rect_guide
+
     inputs = _scenario_inputs(args.scenario, "rectguide")
     spec = inputs["spec"]
     if spec.kind == "hollow":
@@ -419,6 +443,8 @@ def _cmd_rectguide(args) -> int:
 
 
 def _cmd_bentguide_solve(args) -> int:
+    from . import bent_guide, numerics
+
     inputs = _scenario_inputs(args.scenario, "bentguide solve")
     spec = inputs["spec"]
     modes = bent_guide.solve_modes(spec)
@@ -442,6 +468,8 @@ def _cmd_bentguide_solve(args) -> int:
 
 
 def _cmd_stats_g2(args) -> int:
+    from . import photon_stats
+
     kind, _, param = args.state.partition(":")
     try:
         if kind == "fock":
@@ -472,6 +500,8 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------- golden runs
 
 def _golden_checks() -> list[tuple[str, bool]]:
+    from . import bent_guide, fiber_prop, photon_stats, rect_guide, sellmeier_fit
+
     checks: list[tuple[str, bool]] = []
 
     spec = bent_guide.BentGuideSpec(0.5, 1.5, 0.25, 2.3, 1.0, 0.8)

@@ -1,22 +1,23 @@
 """Shared numerical kernel: the one bracketed root solver, quadrature, damped
 least squares, real-order Bessel functions of both kinds, and the pieces every
-solver shares: the speed of light, the worker-thread count, the slab mode
-profile, the moments of a weighted grid and the grid CSV writer.
+solver shares: the speed of light, the worker-thread count (defined in the
+package `__init__`, which loads no numpy), the slab mode profile, the moments
+of a weighted grid and the grid CSV writer.
 
 Only the Bessel functions need scipy; they import scipy.special when called,
-so importing this module loads numpy alone."""
+and `gauss_legendre` imports numpy.polynomial on its first call, so importing
+this module loads the numpy core alone."""
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
+from . import worker_count
 from .errors import DomainError, MaxIterations, NoSignChange, SingularJacobian
 
 __all__ = [
@@ -145,6 +146,8 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], cached per order."""
     if order < 2:
         raise DomainError("quadrature order must be >= 2")
+    from numpy.polynomial.legendre import leggauss
+
     nodes, weights = leggauss(order)
     return nodes, weights
 
@@ -370,15 +373,6 @@ def bessel_jy_derivatives(order, x):
     if jp.ndim == 0:
         return float(jp), float(yp)
     return jp, yp
-
-
-def worker_count() -> int:
-    """Worker threads from WORKBENCH_THREADS: 1 when unset or not an integer."""
-    env = os.environ.get("WORKBENCH_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def slab_profile(coord, k_t, extent, gamma, parity_odd):

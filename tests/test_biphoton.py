@@ -479,6 +479,26 @@ class TestFit2D:
                        - biphoton._gaussian_2d(down, ws, wi)) / (2.0 * h)
             assert np.abs(exact[:, j] - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
+    @pytest.mark.parametrize("params", [
+        (2.0, 1.01, 1.98, 0.05, 0.08, 0.5),
+        (0.7, 0.97, 2.03, 0.03, 0.11, -0.8),
+        (1.0, 1.0, 2.0, -0.05, 0.08, 0.5),   # out of domain: NaN everywhere
+    ])
+    def test_tensor_grid_bit_identical_to_flat_points(self, params):
+        # The fit evaluates the model and its Jacobian on the broadcast axes;
+        # that is the same arithmetic per point as on the flattened meshgrid.
+        ws = np.linspace(0.8, 1.2, 37)
+        wi = np.linspace(1.8, 2.2, 29)
+        wsg, wig = np.meshgrid(ws, wi, indexing="ij")
+        flat = biphoton._gaussian_2d(params, wsg.ravel(), wig.ravel())
+        tensor = biphoton._gaussian_2d(params, ws[:, None], wi[None, :])
+        assert tensor.shape == (37, 29)
+        assert np.array_equal(tensor.ravel(), flat, equal_nan=True)
+        jac_flat = biphoton._gaussian_2d_jacobian(params, wsg.ravel(), wig.ravel(), flat)
+        jac = biphoton._gaussian_2d_jacobian(params, ws[:, None], wi[None, :], tensor)
+        assert jac.shape == (37 * 29, 6)
+        assert np.array_equal(jac, jac_flat, equal_nan=True)
+
 
 class TestScreening:
     class _FakeFit:

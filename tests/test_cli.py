@@ -442,18 +442,26 @@ class TestGolden:
         assert lines and all(ln.startswith("PASS") for ln in lines)
 
 
+# The loaded modules the import tests watch: scipy, the photonkit modules, and
+# the stdlib/numpy parts only some commands need.
+_WATCHED = ("scipy", "photonkit", "numpy.polynomial", "concurrent.futures")
+
 # Runs `photonkit.cli.run(argv)` in a fresh interpreter, then prints its exit
-# code and every loaded module whose name starts with "scipy".
-_RUN_AND_LIST_SCIPY = (
+# code and every loaded module whose name starts with one of _WATCHED.
+_RUN_AND_LIST = (
     "import sys\n"
     "from photonkit import cli\n"
     "code = cli.run(sys.argv[1:])\n"
-    "print(code, *sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    f"print(code, *sorted(m for m in sys.modules if m.startswith({_WATCHED!r})))\n")
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _fresh_python(*args):
+def _fresh_python(*args, env=None):
+    """Standard output of a fresh interpreter run with `args` and the
+    environment `env` (default: this one), with the package on the path."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, check=True).stdout
@@ -470,6 +478,13 @@ class TestImports:
         stats_loaded, scipy_modules = out.split("\n")[:2]
         assert stats_loaded == "False"
         assert scipy_modules == ""
+
+    def test_cli_import_loads_no_solver(self):
+        out = _fresh_python("-c", "import sys, photonkit.cli; "
+                                  f"print(*sorted(m for m in sys.modules "
+                                  f"if m.startswith({_WATCHED!r})))")
+        assert out.split() == ["photonkit", "photonkit.cli", "photonkit.dispersion",
+                               "photonkit.errors"]
 
     @staticmethod
     def _argv(case, tmp_path, jsa_scenario):
@@ -504,21 +519,96 @@ class TestImports:
                                 str(tmp_path / "bent.json")],
         }[case]
 
+    def _loaded(self, case, capsys, tmp_path, jsa_scenario):
+        """The watched modules loaded by a fresh process that runs `case`."""
+        if case == "fit-sellmeier":
+            cli.run(self._argv("phasematch sweep", tmp_path, jsa_scenario))
+            capsys.readouterr()
+        out = _fresh_python("-c", _RUN_AND_LIST,
+                            *self._argv(case, tmp_path, jsa_scenario))
+        code, *loaded = out.splitlines()[-1].split()
+        assert code == str(cli.EXIT_OK)
+        return loaded
+
     @pytest.mark.parametrize("case", [
         "jsa", "fiber", "phasematch sweep", "fit-sellmeier", "dispersion",
         "rectguide hollow", "rectguide dielectric", "stats g2", "validate"])
     def test_command_loads_no_scipy(self, capsys, tmp_path, jsa_scenario, case):
-        if case == "fit-sellmeier":
-            cli.run(self._argv("phasematch sweep", tmp_path, jsa_scenario))
-            capsys.readouterr()
-        out = _fresh_python("-c", _RUN_AND_LIST_SCIPY,
-                            *self._argv(case, tmp_path, jsa_scenario))
-        assert out.splitlines()[-1].split() == [str(cli.EXIT_OK)]
+        loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
+        assert [m for m in loaded if m.startswith("scipy")] == []
 
-    def test_bent_guide_loads_scipy_special(self, tmp_path, jsa_scenario):
+    def test_bent_guide_loads_scipy_special(self, capsys, tmp_path, jsa_scenario):
         # The check above sees an import: the Bessel functions need scipy.
-        out = _fresh_python("-c", _RUN_AND_LIST_SCIPY,
-                            *self._argv("bentguide solve", tmp_path, jsa_scenario))
-        code, *loaded = out.splitlines()[-1].split()
-        assert code == str(cli.EXIT_OK)
+        loaded = self._loaded("bentguide solve", capsys, tmp_path, jsa_scenario)
         assert "scipy.special" in loaded
+
+    # Solver modules each command must leave unloaded.
+    _UNLOADED = {
+        "dispersion": ("biphoton", "bent_guide", "rect_guide", "photon_stats",
+                       "sellmeier_fit", "fiber_prop"),
+        "jsa": ("bent_guide", "rect_guide", "photon_stats", "sellmeier_fit",
+                "fiber_prop"),
+        "fit-sellmeier": ("biphoton", "bent_guide", "rect_guide", "photon_stats",
+                          "fiber_prop"),
+        "validate": ("bent_guide", "rect_guide"),
+    }
+
+    @pytest.mark.parametrize("case", list(_UNLOADED))
+    def test_command_loads_only_its_modules(self, capsys, tmp_path, jsa_scenario, case):
+        loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
+        assert [m for m in loaded
+                if m.rpartition(".")[2] in self._UNLOADED[case]] == []
+
+    def test_stats_g2_loads_photon_stats_alone(self, capsys, tmp_path, jsa_scenario):
+        loaded = self._loaded("stats g2", capsys, tmp_path, jsa_scenario)
+        assert loaded == ["photonkit", "photonkit.cli", "photonkit.dispersion",
+                          "photonkit.errors", "photonkit.photon_stats"]
+
+    def test_golden_in_fresh_process(self):
+        # --golden imports its solver modules when it runs
+        out = _fresh_python("-c", "from photonkit.cli import main; main()", "--golden")
+        lines = out.splitlines()
+        assert len(lines) == 8 and all(ln.startswith("PASS  ") for ln in lines)
+
+
+class TestBlasThreads:
+    """Importing the CLI before numpy sets the BLAS thread count from
+    WORKBENCH_THREADS, unless the user set one or numpy is already loaded."""
+
+    _PRINT = ("import json, os, photonkit.cli; "
+              f"print(json.dumps({{v: os.environ.get(v) for v in {_BLAS_VARS!r}}}))")
+
+    @staticmethod
+    def _env(**settings):
+        # _fresh_python would otherwise inherit this process's thread settings
+        env = {k: v for k, v in os.environ.items()
+               if k not in _BLAS_VARS + ("WORKBENCH_THREADS",)}
+        return dict(env, **settings)
+
+    @pytest.mark.parametrize("settings, expected", [
+        ({}, "1"),
+        ({"WORKBENCH_THREADS": "2"}, "2"),
+        ({"WORKBENCH_THREADS": "abc"}, "1"),
+    ])
+    def test_default_from_worker_count(self, settings, expected):
+        out = _fresh_python("-c", self._PRINT, env=self._env(**settings))
+        assert json.loads(out) == dict.fromkeys(_BLAS_VARS, expected)
+
+    def test_user_setting_untouched(self):
+        out = _fresh_python("-c", self._PRINT,
+                            env=self._env(OPENBLAS_NUM_THREADS="3", WORKBENCH_THREADS="2"))
+        assert json.loads(out) == {"OPENBLAS_NUM_THREADS": "3",
+                                   "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+
+    def test_numpy_already_loaded(self):
+        out = _fresh_python("-c", "import os, numpy; before = dict(os.environ); "
+                                  "import photonkit.cli; print(before == os.environ)",
+                            env=self._env())
+        assert out.split() == ["True"]
+
+    def test_one_worker_count(self):
+        # the CLI reads it before numpy loads; the solvers read the same one
+        import photonkit
+        from photonkit import numerics
+
+        assert numerics.worker_count is photonkit.worker_count
