@@ -1,9 +1,13 @@
 """Batch command-line front end.
 
 Subcommands bind the solver modules to scenario files and flags and write CSV
-grids plus JSON summaries. JSON payloads are rounded to 9 significant digits;
-CSV files carry `repr` floats, which round-trip exactly. Exit codes: 0
-success, 2 validation failure, 3 solver failure.
+grids plus JSON summaries. A command returns its payload and prints nothing;
+a payload block that is exactly a solver result dataclass's fields is built
+from that object. `run` alone prints JSON, one document per call: the
+command's payload, or the validation-error or solver-error payload of the
+exception it raised. It also picks the exit code: 0 success, 2 validation
+failure, 3 solver failure. JSON payloads are rounded to 9 significant digits;
+CSV files carry `repr` floats, which round-trip exactly.
 
 Each CLI call is a fresh process, so every command imports the solver modules
 it runs inside its own function, and a process loads only those. Before
@@ -64,10 +68,6 @@ def _round_sig(value, digits: int = 9):
     if isinstance(value, np.ndarray):
         return [_round_sig(v, digits) for v in value.tolist()]
     return value
-
-
-def _emit(payload: dict) -> None:
-    print(json.dumps(_round_sig(payload), sort_keys=True, indent=2))
 
 
 def _invalid(path: str, message: str) -> ScenarioError:
@@ -284,15 +284,16 @@ def _make_out_dir(inputs: dict) -> Path:
 
 
 # ---------------------------------------------------------------- subcommands
+#
+# Each command returns its "ok" payload without `status`, which `run` adds.
 
-def _cmd_dispersion(args) -> int:
+def _cmd_dispersion(args) -> dict:
     crystal = _crystal(args.crystal)
     if args.wavelength_um <= 0:
         raise _invalid("/wavelength_um", "must be positive")
     sell = crystal.axis_set(_pol(args.axis))
     n = dispersion.refractive_index(sell, args.wavelength_um)
     payload = {
-        "status": "ok",
         "crystal": crystal.name,
         "axis": args.axis,
         "wavelength_um": args.wavelength_um,
@@ -302,11 +303,10 @@ def _cmd_dispersion(args) -> int:
     if crystal.poling_period_um > 0:
         payload["poling_period_um"] = dispersion.poling_period(
             crystal, args.temperature_k)
-    _emit(payload)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_phasematch_sweep(args) -> int:
+def _cmd_phasematch_sweep(args) -> dict:
     from . import phasematch
 
     crystal = _crystal(args.crystal)
@@ -329,12 +329,11 @@ def _cmd_phasematch_sweep(args) -> int:
                 if row["signal_nm"] is not None:
                     writer.writerow([repr(row["pump_nm"]),
                                      repr(row["signal_nm"]), "1.0"])
-    _emit({"status": "ok", "crystal": crystal.name, "points": rows,
-           "solved": int(np.isfinite(roots).sum())})
-    return EXIT_OK
+    return {"crystal": crystal.name, "points": rows,
+            "solved": int(np.isfinite(roots).sum())}
 
 
-def _cmd_fit_sellmeier(args) -> int:
+def _cmd_fit_sellmeier(args) -> dict:
     from . import phasematch, sellmeier_fit
 
     crystal = _crystal(args.crystal)
@@ -352,25 +351,24 @@ def _cmd_fit_sellmeier(args) -> int:
                                    search_window_nm=(lo, hi))
     start = (tuple(args.start) if args.start
              else crystal.sellmeier_z.as_tuple()[:3])
-    report = sellmeier_fit.fit(points, start, setup, weighted=args.weighted)
-    _emit({"status": "ok",
-           "fitted": list(report.fitted),
-           "uncertainties": list(report.uncertainties),
-           "rss_nm2": report.rss_nm2,
-           "rss_start_nm2": report.rss_start_nm2,
-           "average_error_nm": report.average_error_nm,
-           "n_points": report.n_points,
-           "converged": report.converged,
-           "iterations": report.iterations})
-    return EXIT_OK
+    return dataclasses.asdict(
+        sellmeier_fit.fit(points, start, setup, weighted=args.weighted))
 
 
-def _cmd_jsa(args) -> int:
-    from . import biphoton, numerics
+def _scenario_grid(args, command: str):
+    """The inputs of the scenario `command` runs on, and their joint spectrum."""
+    from . import biphoton
 
-    inputs = _scenario_inputs(args.scenario, "jsa")
+    inputs = _scenario_inputs(args.scenario, command)
     grid = biphoton.jsa_grid(inputs["pump"], inputs["coupling"], inputs["crystal"],
                              inputs["grid"], inputs["query"])
+    return inputs, grid
+
+
+def _cmd_jsa(args) -> dict:
+    from . import biphoton, numerics
+
+    inputs, grid = _scenario_grid(args, "jsa")
     fit2 = biphoton.fit_gaussian_2d(grid)
     om_s, p_s = biphoton.marginal(grid, "signal")
     fit_s = biphoton.fit_gaussian_1d(om_s, p_s)
@@ -378,26 +376,22 @@ def _cmd_jsa(args) -> int:
     numerics.write_grid_csv(out / "jsa_grid.csv",
                             ("omega_s_phz", "omega_i_phz", "probability"),
                             grid.omega_s_phz, grid.omega_i_phz, grid.probability)
-    _emit({"status": "ok",
-           "grid_csv": str(out / "jsa_grid.csv"),
-           "joint_fit": {
-               "signal_center_phz": fit2.signal_center_phz,
-               "idler_center_phz": fit2.idler_center_phz,
-               "signal_sigma_phz": fit2.signal_sigma_phz,
-               "idler_sigma_phz": fit2.idler_sigma_phz,
-               "pearson": fit2.pearson},
-           "signal_marginal_fit": {
-               "center_phz": fit_s.center_phz,
-               "fwhm_phz": fit_s.fwhm_phz}})
-    return EXIT_OK
+    return {"grid_csv": str(out / "jsa_grid.csv"),
+            "joint_fit": {
+                "signal_center_phz": fit2.signal_center_phz,
+                "idler_center_phz": fit2.idler_center_phz,
+                "signal_sigma_phz": fit2.signal_sigma_phz,
+                "idler_sigma_phz": fit2.idler_sigma_phz,
+                "pearson": fit2.pearson},
+            "signal_marginal_fit": {
+                "center_phz": fit_s.center_phz,
+                "fwhm_phz": fit_s.fwhm_phz}}
 
 
-def _cmd_fiber(args) -> int:
+def _cmd_fiber(args) -> dict:
     from . import biphoton, fiber_prop
 
-    inputs = _scenario_inputs(args.scenario, "fiber")
-    grid = biphoton.jsa_grid(inputs["pump"], inputs["coupling"], inputs["crystal"],
-                             inputs["grid"], inputs["query"])
+    inputs, grid = _scenario_grid(args, "fiber")
     fiber, method = inputs["fiber"], inputs["method"]
     if method == "exact":
         tg = fiber_prop.propagate_exact(grid, fiber)
@@ -408,22 +402,16 @@ def _cmd_fiber(args) -> int:
     mapped = fiber_prop.time_stats_from_frequency(fit2, fiber)
     out = _make_out_dir(inputs)
     fiber_prop.save_time_grid_csv(tg, out / "time_grid.csv")
-    _emit({"status": "ok",
-           "method": method,
-           "time_grid_csv": str(out / "time_grid.csv"),
-           "dispersion_scale_ns_per_phz": fiber_prop.dispersion_scale(fiber),
-           "far_field_parameter": fiber_prop.far_field_parameter(
-               fiber, fit2.signal_sigma_phz),
-           "time_stats": {"tau_s_ns": stats.tau_s_ns,
-                          "tau_i_ns": stats.tau_i_ns,
-                          "pearson_t": stats.pearson_t},
-           "mapped_frequency_stats": {"tau_s_ns": mapped.tau_s_ns,
-                                      "tau_i_ns": mapped.tau_i_ns,
-                                      "pearson_t": mapped.pearson_t}})
-    return EXIT_OK
+    return {"method": method,
+            "time_grid_csv": str(out / "time_grid.csv"),
+            "dispersion_scale_ns_per_phz": fiber_prop.dispersion_scale(fiber),
+            "far_field_parameter": fiber_prop.far_field_parameter(
+                fiber, fit2.signal_sigma_phz),
+            "time_stats": dataclasses.asdict(stats),
+            "mapped_frequency_stats": dataclasses.asdict(mapped)}
 
 
-def _cmd_rectguide(args) -> int:
+def _cmd_rectguide(args) -> dict:
     from . import rect_guide
 
     inputs = _scenario_inputs(args.scenario, "rectguide")
@@ -433,41 +421,29 @@ def _cmd_rectguide(args) -> int:
     else:
         modes = rect_guide.marcatili_solve(spec, inputs["wavelength_um"],
                                            inputs["polarization"])
-    _emit({"status": "ok",
-           "modes": [{"family": m.family, "m": m.m, "n": m.n,
-                      "k_x_per_um": m.k_x_per_um, "k_y_per_um": m.k_y_per_um,
-                      "k_z_per_um": m.k_z_per_um,
-                      "cutoff_thz": m.cutoff_thz}
-                     for m in modes]})
-    return EXIT_OK
+    return {"modes": [dataclasses.asdict(m) for m in modes]}
 
 
-def _cmd_bentguide_solve(args) -> int:
+def _cmd_bentguide_solve(args) -> dict:
     from . import bent_guide, numerics
 
     inputs = _scenario_inputs(args.scenario, "bentguide solve")
     spec = inputs["spec"]
     modes = bent_guide.solve_modes(spec)
-    rows = [{"p": m.p, "q": m.q, "parity": m.parity,
-             "beta_w_per_um": m.beta_w_per_um, "beta_s_per_um": m.beta_s_per_um,
-             "h_per_um": m.h_per_um, "m": m.m, "gamma_rad": m.gamma_rad,
-             "mean_radius_um": m.mean_radius_um, "n_eff": m.n_eff,
-             "physical": m.physical}
-            for m in modes]
     if inputs["field_csv"] is not None:
         path = inputs["out_dir"] / inputs["field_csv"]
         path.parent.mkdir(parents=True, exist_ok=True)
-        mode = modes[0]
         r = np.linspace(spec.inner_radius_um, spec.outer_radius_um, 101)
         z = np.linspace(-2 * spec.half_height_um, 2 * spec.half_height_um, 101)
         numerics.write_grid_csv(path, ("r_um", "z_um", "abs_Er"),
-                                r, z, mode.field(r, z))
-    _emit({"status": "ok", "modes": rows,
-           "count_estimate": list(bent_guide.count_vertical_modes(spec))})
-    return EXIT_OK
+                                r, z, modes[0].field(r, z))
+    # Every mode field but the back-reference to the spec.
+    return {"modes": [{f.name: getattr(m, f.name) for f in dataclasses.fields(m)
+                       if f.name != "spec"} for m in modes],
+            "count_estimate": list(bent_guide.count_vertical_modes(spec))}
 
 
-def _cmd_stats_g2(args) -> int:
+def _cmd_stats_g2(args) -> dict:
     from . import photon_stats
 
     kind, _, param = args.state.partition(":")
@@ -485,16 +461,13 @@ def _cmd_stats_g2(args) -> int:
     except ValueError:
         raise _invalid("/state", f"bad parameter {param!r}") from None
     g2 = photon_stats.g2_from_moments(moments)
-    _emit({"status": "ok", "state": args.state,
-           "mean": moments.mean, "variance": moments.variance,
-           "g2": g2, "classification": photon_stats.classify_g2(g2)})
-    return EXIT_OK
+    return {"state": args.state, **dataclasses.asdict(moments),
+            "g2": g2, "classification": photon_stats.classify_g2(g2)}
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     _build(_load_scenario(args.scenario))
-    _emit({"status": "ok", "diagnostics": []})
-    return EXIT_OK
+    return {"diagnostics": []}
 
 
 # ---------------------------------------------------------------- golden runs
@@ -627,6 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command; print its JSON payload and return the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.golden:
@@ -635,14 +609,16 @@ def run(argv=None) -> int:
         parser.print_help()
         return EXIT_VALIDATION
     try:
-        return args.func(args)
+        payload, code = {"status": "ok", **args.func(args)}, EXIT_OK
     except ScenarioError as exc:
-        _emit({"status": "validation-error", "diagnostics": exc.diagnostics})
-        return EXIT_VALIDATION
+        payload = {"status": "validation-error", "diagnostics": exc.diagnostics}
+        code = EXIT_VALIDATION
     except PhotonkitError as exc:
-        _emit({"status": "solver-error",
-               "error": type(exc).__name__, "message": str(exc)})
-        return EXIT_SOLVER
+        payload = {"status": "solver-error",
+                   "error": type(exc).__name__, "message": str(exc)}
+        code = EXIT_SOLVER
+    print(json.dumps(_round_sig(payload), sort_keys=True, indent=2))
+    return code
 
 
 def main() -> None:

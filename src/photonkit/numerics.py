@@ -185,13 +185,15 @@ def _jacobian(model, params, x, base):
 
 
 def _eval_model(model, params, x):
-    try:
-        out = np.asarray(model(params, x), dtype=float)
-        if out.shape != np.shape(x):
-            raise ValueError
-        return out
-    except (TypeError, ValueError):
-        return np.array([model(params, xi) for xi in x], dtype=float)
+    """The model's values at every point of x, from one vectorised call.
+
+    An exception from the model propagates; a result of another shape than
+    x raises DomainError."""
+    out = np.asarray(model(params, x), dtype=float)
+    if out.shape != np.shape(x):
+        raise DomainError(f"model returned shape {out.shape} for points of shape "
+                          f"{np.shape(x)}")
+    return out
 
 
 def _selection(mask):
@@ -215,7 +217,8 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     the probe raises or is not finite (h = LM_GEODESIC_H,
     alpha = LM_ACCEL_RATIO).
 
-    The model may return NaN for individual points; those points are masked for
+    model(params, x) takes all of x in one call and returns one value per
+    point. It may return NaN for individual points; those points are masked for
     the current step rather than aborting the fit. A trial the model cannot
     evaluate at all (it raises, or every point is NaN) has left the model's
     domain and counts as an infinitely bad step. Damping starts at 1e-3 and is

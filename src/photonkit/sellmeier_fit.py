@@ -62,15 +62,13 @@ class FitSetup:
     crystal: CrystalSpec
     query: phasematch.PhaseMatchQuery
     search_window_nm: tuple[float, float] = (500.0, 600.0)
-    free_indices: tuple[int, ...] = (0, 1, 2)
 
 
 def _crystal_with_z(setup: FitSetup, coeffs: Sequence[float]) -> CrystalSpec:
-    base = setup.crystal.sellmeier_z.as_tuple()
-    full = list(base)
-    for idx, value in zip(setup.free_indices, coeffs):
-        full[idx] = float(value)
-    return replace(setup.crystal, sellmeier_z=SellmeierSet(*full))
+    """The setup's crystal with the z-axis a0, a1, a2 set to `coeffs`."""
+    a0, a1, a2 = map(float, coeffs)
+    sell_z = replace(setup.crystal.sellmeier_z, a0=a0, a1=a1, a2=a2)
+    return replace(setup.crystal, sellmeier_z=sell_z)
 
 
 def model_signal_wavelength(pump_nm, coeffs: Sequence[float], setup: FitSetup):
@@ -102,8 +100,8 @@ def _index_coefficient_gradient(sellmeier: SellmeierSet, wavelength_um) -> np.nd
 
 def model_jacobian(pumps_nm, signals_nm, coeffs: Sequence[float],
                    setup: FitSetup) -> np.ndarray:
-    """Exact derivatives of the collinear signal roots with respect to the free
-    coefficients, shape (len(pumps_nm), len(free_indices)), in nm per unit.
+    """Exact derivatives of the collinear signal roots with respect to the
+    fitted a0, a1, a2, shape (len(pumps_nm), 3), in nm per unit.
 
     signals_nm must be the roots at coeffs (NaN rows stay NaN). By the implicit
     function theorem on dk(lam_s, a) = 0, dlam_s/da = -(ddk/da)/(ddk/dlam_s).
@@ -114,18 +112,17 @@ def model_jacobian(pumps_nm, signals_nm, coeffs: Sequence[float],
     crystal = _crystal_with_z(setup, coeffs)
     sell_z = crystal.sellmeier_z
     query = setup.query
-    free = list(setup.free_indices)
-    jac = np.full((pumps_nm.size, len(free)), np.nan)
+    jac = np.full((pumps_nm.size, 3), np.nan)
     ok = np.isfinite(signals_nm)
     p_um = pumps_nm[ok] * 1e-3
     s_um = signals_nm[ok] * 1e-3
     i_um = 1.0 / (1.0 / p_um - 1.0 / s_um)
-    ddk_da = np.zeros((p_um.size, len(free)))
+    ddk_da = np.zeros((p_um.size, 3))
     for pol, lam_um, sign in ((query.pol_pump, p_um, 1.0),
                               (query.pol_signal, s_um, -1.0),
                               (query.pol_idler, i_um, -1.0)):
         if crystal.axis_set(pol) is sell_z:
-            grad = _index_coefficient_gradient(sell_z, lam_um)[:, free]
+            grad = _index_coefficient_gradient(sell_z, lam_um)[:, :3]
             ddk_da += sign * 2.0 * math.pi / lam_um[:, None] * grad
     _, ddk_dlam = phasematch.collinear_mismatch(query, crystal, pumps_nm[ok],
                                                 signals_nm[ok])
@@ -153,7 +150,7 @@ def _require_roots(pumps_nm, roots_nm):
 def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
         setup: FitSetup, weighted: bool = False,
         max_iter: int = 400) -> SellmeierFitReport:
-    """Levenberg-Marquardt fit of the free z-axis coefficients.
+    """Levenberg-Marquardt fit of the z-axis coefficients a0, a1, a2.
 
     The LM model is the sweep solve over all pumps, and the LM Jacobian is the
     exact one of model_jacobian, taken at the roots the fit already holds, so
@@ -164,9 +161,8 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     in nm^2, also when the fit itself minimises the weighted chi^2; an
     unweighted fit takes the start RSS from the LM's own first sweep.
     """
-    n_free = len(setup.free_indices)
-    if len(points) < n_free + 1:
-        raise InsufficientData(f"need at least {n_free + 1} points")
+    if len(points) < 4:
+        raise InsufficientData("need at least 4 points")
     pumps = np.array([pt.pump_nm for pt in points])
     signals = np.array([pt.signal_nm for pt in points])
     weights = (np.array([1.0 / pt.sigma_nm**2 for pt in points])

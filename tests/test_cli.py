@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from photonkit import cli
+from photonkit.errors import PhotonkitError
 from photonkit.sellmeier_fit import load_dataset_csv
 
 
@@ -467,6 +468,40 @@ def _fresh_python(*args, env=None):
                           capture_output=True, text=True, check=True).stdout
 
 
+def _command_argv(case, tmp_path, jsa_scenario):
+    """The argv of a run of `case` that succeeds; writes its scenario files."""
+    path, scenario = jsa_scenario
+    files = {
+        "fiber": dict(scenario, fiber={"gvd_2beta_s2_per_m": -2.27e-26,
+                                       "length_m": 1.0e4}),
+        "hollow": {"spec": HOLLOW_SPEC, "frequency_thz": 400.0},
+        "dielectric": {"spec": DIELECTRIC_SPEC, "wavelength_um": 1.55},
+        "validate": dict(scenario, command="jsa"),
+        "bent": {"spec": BENT_SPEC},
+    }
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    sweep = tmp_path / "sweep.csv"
+    return {
+        "jsa": ["jsa", "--scenario", str(path)],
+        "fiber": ["fiber", "--scenario", str(tmp_path / "fiber.json")],
+        "phasematch sweep": ["phasematch", "sweep", "--crystal", "ppktp_kato2002",
+                             "--start-nm", "395", "--stop-nm", "400",
+                             "--points", "5", "--out", str(sweep)],
+        "fit-sellmeier": ["fit-sellmeier", "--crystal", "ppktp_kato2002",
+                          "--data", str(sweep)],
+        "dispersion": ["dispersion", "--crystal", "ppktp_kato2002",
+                       "--wavelength-um", "0.8"],
+        "rectguide hollow": ["rectguide", "--scenario", str(tmp_path / "hollow.json")],
+        "rectguide dielectric": ["rectguide", "--scenario",
+                                 str(tmp_path / "dielectric.json")],
+        "stats g2": ["stats", "g2", "--state", "thermal:0.7"],
+        "validate": ["validate", str(tmp_path / "validate.json")],
+        "bentguide solve": ["bentguide", "solve", "--spec",
+                            str(tmp_path / "bent.json")],
+    }[case]
+
+
 class TestImports:
     def test_cli_does_not_import_scipy_stats(self):
         # Importing the CLI loads numpy alone: scipy is imported only by the
@@ -486,46 +521,13 @@ class TestImports:
         assert out.split() == ["photonkit", "photonkit.cli", "photonkit.dispersion",
                                "photonkit.errors"]
 
-    @staticmethod
-    def _argv(case, tmp_path, jsa_scenario):
-        path, scenario = jsa_scenario
-        files = {
-            "fiber": dict(scenario, fiber={"gvd_2beta_s2_per_m": -2.27e-26,
-                                           "length_m": 1.0e4}),
-            "hollow": {"spec": HOLLOW_SPEC, "frequency_thz": 400.0},
-            "dielectric": {"spec": DIELECTRIC_SPEC, "wavelength_um": 1.55},
-            "validate": dict(scenario, command="jsa"),
-            "bent": {"spec": BENT_SPEC},
-        }
-        for name, content in files.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(content))
-        sweep = tmp_path / "sweep.csv"
-        return {
-            "jsa": ["jsa", "--scenario", str(path)],
-            "fiber": ["fiber", "--scenario", str(tmp_path / "fiber.json")],
-            "phasematch sweep": ["phasematch", "sweep", "--crystal", "ppktp_kato2002",
-                                 "--start-nm", "395", "--stop-nm", "400",
-                                 "--points", "5", "--out", str(sweep)],
-            "fit-sellmeier": ["fit-sellmeier", "--crystal", "ppktp_kato2002",
-                              "--data", str(sweep)],
-            "dispersion": ["dispersion", "--crystal", "ppktp_kato2002",
-                           "--wavelength-um", "0.8"],
-            "rectguide hollow": ["rectguide", "--scenario", str(tmp_path / "hollow.json")],
-            "rectguide dielectric": ["rectguide", "--scenario",
-                                     str(tmp_path / "dielectric.json")],
-            "stats g2": ["stats", "g2", "--state", "thermal:0.7"],
-            "validate": ["validate", str(tmp_path / "validate.json")],
-            "bentguide solve": ["bentguide", "solve", "--spec",
-                                str(tmp_path / "bent.json")],
-        }[case]
-
     def _loaded(self, case, capsys, tmp_path, jsa_scenario):
         """The watched modules loaded by a fresh process that runs `case`."""
         if case == "fit-sellmeier":
-            cli.run(self._argv("phasematch sweep", tmp_path, jsa_scenario))
+            cli.run(_command_argv("phasematch sweep", tmp_path, jsa_scenario))
             capsys.readouterr()
         out = _fresh_python("-c", _RUN_AND_LIST,
-                            *self._argv(case, tmp_path, jsa_scenario))
+                            *_command_argv(case, tmp_path, jsa_scenario))
         code, *loaded = out.splitlines()[-1].split()
         assert code == str(cli.EXIT_OK)
         return loaded
@@ -612,3 +614,97 @@ class TestBlasThreads:
         from photonkit import numerics
 
         assert numerics.worker_count is photonkit.worker_count
+
+
+def _key_paths(value, prefix=""):
+    """Every key of a JSON document as a slash path; list items share `[]`."""
+    if isinstance(value, dict):
+        return {path for key, item in value.items()
+                for path in {prefix + key} | _key_paths(item, f"{prefix}{key}/")}
+    if isinstance(value, list):
+        return set().union(*(_key_paths(item, prefix + "[]/") for item in value))
+    return set()
+
+
+_RECT_OK = ("status modes modes/[]/family modes/[]/m modes/[]/n modes/[]/k_x_per_um "
+            "modes/[]/k_y_per_um modes/[]/k_z_per_um modes/[]/cutoff_thz")
+
+# Every key of each command's `ok` payload as `run` prints it. A field added
+# to a result dataclass that a payload block is built from shows up here.
+OK_KEY_PATHS = {
+    "dispersion": "status crystal axis wavelength_um refractive_index "
+                  "wavevector_per_um poling_period_um",
+    "phasematch sweep": "status crystal points points/[]/pump_nm "
+                        "points/[]/signal_nm solved",
+    "fit-sellmeier": "status fitted uncertainties rss_nm2 rss_start_nm2 "
+                     "average_error_nm n_points converged iterations",
+    "jsa": "status grid_csv joint_fit joint_fit/signal_center_phz "
+           "joint_fit/idler_center_phz joint_fit/signal_sigma_phz "
+           "joint_fit/idler_sigma_phz joint_fit/pearson signal_marginal_fit "
+           "signal_marginal_fit/center_phz signal_marginal_fit/fwhm_phz",
+    "fiber": "status method time_grid_csv dispersion_scale_ns_per_phz "
+             "far_field_parameter time_stats time_stats/tau_s_ns "
+             "time_stats/tau_i_ns time_stats/pearson_t mapped_frequency_stats "
+             "mapped_frequency_stats/tau_s_ns mapped_frequency_stats/tau_i_ns "
+             "mapped_frequency_stats/pearson_t",
+    "rectguide hollow": _RECT_OK,
+    "rectguide dielectric": _RECT_OK,
+    "bentguide solve": "status count_estimate modes modes/[]/p modes/[]/q "
+                       "modes/[]/parity modes/[]/beta_w_per_um "
+                       "modes/[]/beta_s_per_um modes/[]/h_per_um modes/[]/m "
+                       "modes/[]/gamma_rad modes/[]/n_eff modes/[]/mean_radius_um "
+                       "modes/[]/physical",
+    "stats g2": "status state mean variance g2 classification",
+    "validate": "status diagnostics",
+}
+
+
+class TestPayloads:
+    """Commands return their payloads; `run` alone prints, once."""
+
+    @staticmethod
+    def _argv(case, capsys, tmp_path, jsa_scenario):
+        if case == "fit-sellmeier":
+            cli.run(_command_argv("phasematch sweep", tmp_path, jsa_scenario))
+            capsys.readouterr()
+        return _command_argv(case, tmp_path, jsa_scenario)
+
+    @pytest.mark.parametrize("case", list(OK_KEY_PATHS))
+    def test_command_returns_payload_and_run_prints_it(self, capsys, tmp_path,
+                                                        jsa_scenario, case):
+        argv = self._argv(case, capsys, tmp_path, jsa_scenario)
+        args = cli._build_parser().parse_args(argv)
+        payload = args.func(args)
+        assert isinstance(payload, dict)
+        assert capsys.readouterr() == ("", "")
+
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_OK
+        assert captured.err == ""
+        printed = json.loads(captured.out)  # exactly one JSON document
+        assert printed == json.loads(json.dumps(
+            cli._round_sig({"status": "ok", **payload})))
+        assert _key_paths(printed) == set(OK_KEY_PATHS[case].split())
+
+    @pytest.mark.parametrize("case,status,code", [
+        ("unknown crystal", "validation-error", cli.EXIT_VALIDATION),
+        ("zero dispersion", "solver-error", cli.EXIT_SOLVER)])
+    def test_errors_raise_and_run_prints_once(self, capsys, tmp_path, jsa_scenario,
+                                              case, status, code):
+        path, scenario = jsa_scenario
+        fiber = tmp_path / "fiber0.json"
+        fiber.write_text(json.dumps(dict(scenario, fiber={
+            "gvd_2beta_s2_per_m": 0.0, "length_m": 1.0e4})))
+        argv = {"unknown crystal": ["dispersion", "--crystal", "nope",
+                                    "--wavelength-um", "0.8"],
+                "zero dispersion": ["fiber", "--scenario", str(fiber)]}[case]
+        args = cli._build_parser().parse_args(argv)
+        with pytest.raises(PhotonkitError):
+            args.func(args)
+        assert capsys.readouterr() == ("", "")
+
+        assert cli.run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["status"] == status

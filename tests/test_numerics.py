@@ -334,6 +334,27 @@ class TestLeastSquares:
         assert 0.0 <= res.parameters[1] < 1e-9
         assert not res.converged
 
+    def test_raising_model_called_once_per_failing_trial(self):
+        # A trial that leaves the domain costs one model call: the fit does
+        # not retry the raising model point by point.
+        failing = []
+
+        def model(p, xx):
+            if p[1] < 0:
+                failing.append(tuple(p))
+                raise DomainError("slope must be nonnegative")
+            return p[0] + p[1] * np.asarray(xx, dtype=float)
+
+        x = np.linspace(0.0, 1.0, 20)
+        numerics.least_squares_fit(model, x, 1.0 - 0.5 * x, [0.0, 1.0])
+        assert failing
+        assert len(set(failing)) == len(failing)
+
+    def test_model_of_wrong_shape_is_domain_error(self):
+        model = lambda p, xx: p[0]
+        with pytest.raises(DomainError, match="shape"):
+            numerics.least_squares_fit(model, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0])
+
     def test_initial_rss_reported(self):
         x = np.linspace(0.5, 2.0, 20)
         model = lambda p, xx: p[0] * np.asarray(xx, dtype=float)
