@@ -2,7 +2,8 @@
 
 The vertical problem is a symmetric slab: cosine (even) and sine (odd) cores
 matched to exponential tails, giving tangent/cotangent transcendental
-equations for beta_w. The radial problem is a Bessel boundary problem whose
+equations for beta_w, solved by the shared Newton slab solver
+numerics.slab_roots. The radial problem is a Bessel boundary problem whose
 azimuthal number m is a positive real solving a 2x2 determinant condition.
 Also exposes the radial-Schrodinger substitution u = sqrt(r) R and the
 dimension-dependent inverse-square potential behind it. Lengths in um.
@@ -135,32 +136,14 @@ def vertical_roots(spec: BentGuideSpec) -> list[VerticalRoot]:
     Cosine (even) cores satisfy tan(beta z0) = gamma/beta and sine (odd)
     cores cot(beta z0) = -gamma/beta, with gamma = sqrt(B^2 - beta^2) the
     cladding decay rate; gamma doubles as beta_s through the index-matching
-    condition h^2 = k1^2 - beta_w^2 = k2^2 + beta_s^2.
+    condition h^2 = k1^2 - beta_w^2 = k2^2 + beta_s^2. Both are the slab
+    relation of numerics.slab_roots with extent 2 z0 and index factor 1, whose
+    p is q: odd p are the cosine roots, even p the sine roots.
     """
     cap = spec.contrast_k_per_um
-    z0 = spec.half_height_um
-
-    def f_even(beta):
-        # beta sin(b z0) - gamma cos(b z0): continuous form of the tan branch
-        return beta * np.sin(beta * z0) - np.sqrt(cap**2 - beta**2) * np.cos(beta * z0)
-
-    def f_odd(beta):
-        return beta * np.cos(beta * z0) + np.sqrt(cap**2 - beta**2) * np.sin(beta * z0)
-
-    n_scan = max(400, int(800 * (cap * z0 / math.pi + 1)))
-    grid = np.linspace(cap * 1e-9, cap * (1 - 1e-12), n_scan)
-    roots = []
-    for parity, f in (("even", f_even), ("odd", f_odd)):
-        vals = f(grid)
-        sign = np.sign(vals)
-        i = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        beta = numerics.find_root(
-            f, numerics.RootBracket(grid[i], grid[i + 1], vals[i], vals[i + 1]),
-            tol=1e-14)
-        roots += [(parity, b, math.sqrt(cap**2 - b**2)) for b in beta.tolist()]
-    roots.sort(key=lambda t: t[1])
-    return [VerticalRoot(parity, q, beta, gamma)
-            for q, (parity, beta, gamma) in enumerate(roots, start=1)]
+    return [VerticalRoot("even" if q % 2 else "odd", q, beta,
+                         math.sqrt(cap**2 - beta**2))
+            for q, beta in numerics.slab_roots(cap, 2.0 * spec.half_height_um, 1.0)]
 
 
 def count_vertical_modes(spec: BentGuideSpec) -> tuple[int, int]:

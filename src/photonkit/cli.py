@@ -18,7 +18,6 @@ numpy loads, the BLAS thread count defaults to the CLI's worker count (see
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -104,10 +103,6 @@ def _crystal(ref, base: str = ".") -> dispersion.CrystalSpec:
         raise _invalid("/crystal", str(exc)) from None
 
 
-def _pol(name: str) -> dispersion.Polarization:
-    return dispersion.Polarization(name.lower())
-
-
 # ---------------------------------------------------------------- scenarios
 
 _KIND_NAMES = {float: "number", int: "integer", str: "string",
@@ -126,7 +121,7 @@ def _json_ok(kind, value) -> bool:
 
 
 def _spec(cls, block, pointer: str, diags: list, **defaults):
-    """Build the spec dataclass `cls` from the JSON object `block`.
+    """Build the spec dataclass `cls` from `block`: a JSON object, or flag values.
 
     Keys are the field names; a field missing from `block` takes `defaults`,
     then the dataclass default. Every unknown key and ill-typed value is
@@ -291,7 +286,7 @@ def _cmd_dispersion(args) -> dict:
     crystal = _crystal(args.crystal)
     if args.wavelength_um <= 0:
         raise _invalid("/wavelength_um", "must be positive")
-    sell = crystal.axis_set(_pol(args.axis))
+    sell = crystal.axis_set(dispersion.Polarization(args.axis))
     n = dispersion.refractive_index(sell, args.wavelength_um)
     payload = {
         "crystal": crystal.name,
@@ -306,35 +301,46 @@ def _cmd_dispersion(args) -> dict:
     return payload
 
 
-def _cmd_phasematch_sweep(args) -> dict:
+def _flag_query(args, **fields):
+    """The flags' PhaseMatchQuery, built by `_spec` from `fields` plus the
+    temperature and QPM sign, and the --window-nm pair, which must increase.
+    Raises ScenarioError listing every defect."""
     from . import phasematch
+
+    diags: list = []
+    lo, hi = args.window_nm
+    if not lo < hi:
+        diags.append({"path": "/window_nm", "message": "lo must be below hi"})
+    query = _spec(phasematch.PhaseMatchQuery, dict(
+        fields, temperature_k=args.temperature_k, qpm_sign=args.qpm_sign), "", diags)
+    if diags:
+        raise ScenarioError(diags)
+    return query, (lo, hi)
+
+
+def _cmd_phasematch_sweep(args) -> dict:
+    from . import phasematch, sellmeier_fit
 
     crystal = _crystal(args.crystal)
     if args.points < 2 or args.stop_nm <= args.start_nm:
         raise _invalid("/sweep", "need points >= 2 and stop > start")
-    lo, hi = args.window_nm
+    query, window = _flag_query(args, pump_wavelength_nm=args.start_nm,
+                                pol_pump=args.pol_pump, pol_signal=args.pol_signal,
+                                pol_idler=args.pol_idler)
     pumps = np.linspace(args.start_nm, args.stop_nm, args.points)
-    query = phasematch.PhaseMatchQuery(
-        pump_wavelength_nm=args.start_nm, temperature_k=args.temperature_k,
-        pol_pump=_pol(args.pol_pump), pol_signal=_pol(args.pol_signal),
-        pol_idler=_pol(args.pol_idler), qpm_sign=args.qpm_sign)
-    roots = phasematch.solve_signal_sweep(query, crystal, pumps, (lo, hi))
+    roots = phasematch.solve_signal_sweep(query, crystal, pumps, window)
     rows = [{"pump_nm": float(p), "signal_nm": (None if math.isnan(s) else float(s))}
             for p, s in zip(pumps, roots)]
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda_pump_nm", "lambda_vis_nm", "sigma_nm"])
-            for row in rows:
-                if row["signal_nm"] is not None:
-                    writer.writerow([repr(row["pump_nm"]),
-                                     repr(row["signal_nm"]), "1.0"])
+        sellmeier_fit.save_dataset_csv(
+            [sellmeier_fit.MeasurementPoint(row["pump_nm"], row["signal_nm"])
+             for row in rows if row["signal_nm"] is not None], args.out)
     return {"crystal": crystal.name, "points": rows,
             "solved": int(np.isfinite(roots).sum())}
 
 
 def _cmd_fit_sellmeier(args) -> dict:
-    from . import phasematch, sellmeier_fit
+    from . import sellmeier_fit
 
     crystal = _crystal(args.crystal)
     if not Path(args.data).exists():
@@ -343,12 +349,9 @@ def _cmd_fit_sellmeier(args) -> dict:
         points = sellmeier_fit.load_dataset_csv(args.data)
     except (DomainError, UnicodeDecodeError) as exc:
         raise _invalid("/data", str(exc)) from None
-    lo, hi = args.window_nm
-    query = phasematch.PhaseMatchQuery(
-        pump_wavelength_nm=min(pt.pump_nm for pt in points),
-        temperature_k=args.temperature_k, qpm_sign=args.qpm_sign)
-    setup = sellmeier_fit.FitSetup(crystal=crystal, query=query,
-                                   search_window_nm=(lo, hi))
+    query, window = _flag_query(args,
+                                pump_wavelength_nm=min(pt.pump_nm for pt in points))
+    setup = sellmeier_fit.FitSetup(crystal=crystal, query=query, search_window_nm=window)
     start = (tuple(args.start) if args.start
              else crystal.sellmeier_z.as_tuple()[:3])
     return dataclasses.asdict(
@@ -447,19 +450,21 @@ def _cmd_stats_g2(args) -> dict:
     from . import photon_stats
 
     kind, _, param = args.state.partition(":")
+    states = {"fock": (int, photon_stats.fock_moments),
+              "thermal": (float, photon_stats.thermal_moments),
+              "coherent": (float, photon_stats.coherent_moments),
+              "tmsv": (float, lambda r: photon_stats.tmsv_moments(r).per_mode)}
+    if kind not in states:
+        raise _invalid("/state", f"unknown state kind {kind!r}")
+    parse, moments_of = states[kind]
     try:
-        if kind == "fock":
-            moments = photon_stats.fock_moments(int(param))
-        elif kind == "thermal":
-            moments = photon_stats.thermal_moments(float(param))
-        elif kind == "coherent":
-            moments = photon_stats.coherent_moments(float(param) if param else 1.0)
-        elif kind == "tmsv":
-            moments = photon_stats.tmsv_moments(float(param)).per_mode
-        else:
-            raise _invalid("/state", f"unknown state kind {kind!r}")
+        value = 1.0 if kind == "coherent" and not param else parse(param)
     except ValueError:
         raise _invalid("/state", f"bad parameter {param!r}") from None
+    try:
+        moments = moments_of(value)
+    except DomainError as exc:
+        raise _invalid("/state", str(exc)) from None
     g2 = photon_stats.g2_from_moments(moments)
     return {"state": args.state, **dataclasses.asdict(moments),
             "g2": g2, "classification": photon_stats.classify_g2(g2)}

@@ -19,6 +19,7 @@ __all__ = [
     "Polarization",
     "refractive_index",
     "index_and_derivative",
+    "index_coefficient_gradient",
     "poling_period",
     "wavevector_magnitude",
     "load_crystal",
@@ -132,6 +133,17 @@ def index_and_derivative(sellmeier: SellmeierSet, wavelength_um):
     if n.ndim == 0:
         return float(n), float(dn)
     return n, dn
+
+
+def index_coefficient_gradient(sellmeier: SellmeierSet, wavelength_um) -> np.ndarray:
+    """dn/d(a0..a4) at wavelength(s) in um, shape (..., 5), with the domain
+    checks of refractive_index. With d1 = lam^2 - a2 and d2 = lam^2 - a4,
+    d(n^2)/da = (1, 1/d1, a1/d1^2, 1/d2, a3/d2^2), and dn = d(n^2) / 2n."""
+    lam2 = np.asarray(wavelength_um, dtype=float) ** 2
+    radicand, d1, d2 = _index_squared(sellmeier, lam2)
+    dn2 = np.stack([np.ones_like(lam2), 1.0 / d1, sellmeier.a1 / d1**2,
+                    1.0 / d2, sellmeier.a3 / d2**2], axis=-1)
+    return dn2 / (2.0 * np.sqrt(radicand)[..., None])
 
 
 def poling_period(crystal: CrystalSpec, temperature_k: float) -> float:

@@ -1,8 +1,9 @@
 """Shared numerical kernel: the one bracketed root solver, quadrature, damped
 least squares, real-order Bessel functions of both kinds, and the pieces every
 solver shares: the speed of light, the worker-thread count (defined in the
-package `__init__`, which loads no numpy), the slab mode profile, the moments
-of a weighted grid and the grid CSV writer.
+package `__init__`, which loads no numpy), the symmetric-slab dispersion
+relation's roots and mode profile, the moments of a weighted grid and the
+grid CSV writer.
 
 Only the Bessel functions need scipy; they import scipy.special when called,
 and `gauss_legendre` imports numpy.polynomial on its first call, so importing
@@ -32,6 +33,7 @@ __all__ = [
     "bessel_jy",
     "bessel_jy_derivatives",
     "worker_count",
+    "slab_roots",
     "slab_profile",
     "grid_moments",
     "write_grid_csv",
@@ -376,6 +378,36 @@ def bessel_jy_derivatives(order, x):
     if jp.ndim == 0:
         return float(jp), float(yp)
     return jp, yp
+
+
+def slab_roots(k_lim: float, extent: float,
+               index_factor: float) -> list[tuple[int, float]]:
+    """Roots (p, k), p = 1, 2, ... in ascending k, of the symmetric-slab relation
+    k extent = p pi - 2 arctan(F k / gamma), with F = index_factor and the
+    cladding decay rate gamma = sqrt(k_lim^2 - k^2); this arctan branch keeps
+    the arithmetic real. Odd p are the cosine-core modes, even p the sine-core
+    ones. One find_root call takes Newton steps for every p at once, on the
+    closed-form slope extent + 2 F k_lim^2 / (gamma (gamma^2 + F^2 k^2)).
+    """
+    if k_lim <= 0:
+        return []
+    lo, hi = 1e-12 * k_lim, k_lim - 1e-12 * k_lim
+
+    def residual(k, p):
+        gamma = np.sqrt(k_lim**2 - k**2)
+        fk = index_factor * k
+        return (k * extent - p * math.pi + 2.0 * np.arctan(fk / gamma),
+                extent + 2.0 * index_factor * k_lim**2 / (gamma * (gamma**2 + fk**2)))
+
+    # 2 arctan < pi, so no root has p * pi beyond hi * extent + pi.
+    p = np.arange(1, int(hi * extent / math.pi) + 2)
+    f_lo, f_hi = residual(lo, p)[0], residual(hi, p)[0]
+    keep = (f_lo < 0) & (f_hi > 0)
+    p = p[keep]
+    bracket = RootBracket(np.full(p.shape, lo), np.full(p.shape, hi),
+                          f_lo[keep], f_hi[keep])
+    k = find_root(partial(residual, p=p), bracket, tol=1e-14)
+    return list(zip(p.tolist(), k.tolist()))
 
 
 def slab_profile(coord, k_t, extent, gamma, parity_odd):

@@ -9,7 +9,7 @@ takes bracket-safeguarded Newton steps on the closed-form slope until
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -32,8 +32,6 @@ __all__ = [
     "idler_wavelength",
     "grating_vector",
     "mismatch",
-    "scalar_mismatch",
-    "collinear_mismatch",
     "idler_angle",
     "solve_signal_wavelength",
     "solve_signal_sweep",
@@ -111,21 +109,6 @@ def grating_vector(query: PhaseMatchQuery, crystal: CrystalSpec) -> float:
     return query.qpm_sign * query.qpm_order * 2.0 * math.pi / lam_t
 
 
-def _wave_ks(query: PhaseMatchQuery, signal_nm, crystal: CrystalSpec):
-    """Wavevector magnitudes (k_p, k_s, k_i) in 1/um, vectorized over signal_nm."""
-    signal_nm = np.asarray(signal_nm, dtype=float)
-    pump_um = query.pump_wavelength_nm * 1e-3
-    signal_um = signal_nm * 1e-3
-    idler_um = 1.0 / (1.0 / pump_um - 1.0 / signal_um)
-    k_p = wavevector_magnitude(
-        refractive_index(crystal.axis_set(query.pol_pump), pump_um), pump_um)
-    k_s = wavevector_magnitude(
-        refractive_index(crystal.axis_set(query.pol_signal), signal_um), signal_um)
-    k_i = wavevector_magnitude(
-        refractive_index(crystal.axis_set(query.pol_idler), idler_um), idler_um)
-    return k_p, k_s, k_i
-
-
 def _wavevector(sellmeier: SellmeierSet, wavelength_um, slope: bool):
     """k = 2 pi n / lam in 1/um and, when slope is set, dk/dlam in 1/um^2."""
     if not slope:
@@ -136,11 +119,12 @@ def _wavevector(sellmeier: SellmeierSet, wavelength_um, slope: bool):
     return k, (2.0 * math.pi * dn - k) / wavelength_um
 
 
-def _mismatch(query: PhaseMatchQuery, crystal: CrystalSpec, pump_nm, signal_nm,
-              slope: bool = True):
-    """Longitudinal mismatch dk (1/um) and, when slope is set, its slope with
-    respect to the signal wavelength at fixed pump (1/um per nm), over
-    broadcasting pump and signal wavelengths at the query's signal angle.
+def mismatch(query: PhaseMatchQuery, crystal: CrystalSpec, pump_nm, signal_nm,
+             slope: bool = False):
+    """Longitudinal mismatch dk (1/um) over broadcasting pump and signal
+    wavelengths (nm) at the query's signal angle; the query's own pump
+    wavelength is not used. With slope set, returns (dk, d(dk)/dlam_s), the
+    slope at fixed pump in 1/um per nm.
 
     The idler polar angle absorbs the signal's transverse wavevector
     t = k_s sin(th), so dk = k_p - k_s cos(th) - k_iz + q K with
@@ -167,32 +151,10 @@ def _mismatch(query: PhaseMatchQuery, crystal: CrystalSpec, pump_nm, signal_nm,
         k_iz = k_i * np.sqrt(1.0 - sin_i**2)
     dk = k_p - k_s * cos_s - k_iz + grating_vector(query, crystal)
     if not slope:
-        return dk, None
+        return dk
     ddk = (-cos_s * dks + (i_um / s_um) ** 2 * dki * (k_i / k_iz)
            + k_s * sin_s**2 * dks / k_iz)
     return dk, ddk * 1e-3
-
-
-def scalar_mismatch(query: PhaseMatchQuery, signal_nm, crystal: CrystalSpec):
-    """Longitudinal mismatch k_p - k_s cos(th_s) - k_i cos(th_i) - q K, 1/um.
-
-    The idler polar angle absorbs the transverse components exactly (the
-    idler azimuth is opposite the signal azimuth), so the residual mismatch is
-    purely along the propagation axis. Vectorized over signal_nm.
-    """
-    dk, _ = _mismatch(query, crystal, query.pump_wavelength_nm, signal_nm, slope=False)
-    return float(dk) if np.ndim(dk) == 0 else dk
-
-
-def mismatch(query: PhaseMatchQuery, signal_nm: float, crystal: CrystalSpec):
-    """Mismatch vector (longitudinal, transverse) in 1/um and its magnitude.
-
-    The transverse component is zero by construction of the idler direction;
-    it is returned explicitly so callers see the vector contract.
-    """
-    dk_long = scalar_mismatch(query, signal_nm, crystal)
-    vec = np.array([dk_long, 0.0, 0.0])
-    return vec, abs(dk_long)
 
 
 def idler_angle(query: PhaseMatchQuery, signal_nm: float, crystal: CrystalSpec) -> float:
@@ -201,7 +163,9 @@ def idler_angle(query: PhaseMatchQuery, signal_nm: float, crystal: CrystalSpec) 
     theta_i = arcsin(t / sqrt(t^2 + l^2)) with t the signal transverse
     wavevector and l the grating-corrected longitudinal remainder.
     """
-    k_p, k_s, k_i = _wave_ks(query, signal_nm, crystal)
+    k_p, _ = _wavevector(crystal.axis_set(query.pol_pump),
+                         query.pump_wavelength_nm * 1e-3, False)
+    k_s, _ = _wavevector(crystal.axis_set(query.pol_signal), signal_nm * 1e-3, False)
     t = k_s * math.sin(query.signal_theta_rad)
     ell = k_p - k_s * math.cos(query.signal_theta_rad) + grating_vector(query, crystal)
     hyp = math.hypot(t, ell)
@@ -211,16 +175,6 @@ def idler_angle(query: PhaseMatchQuery, signal_nm: float, crystal: CrystalSpec) 
     if abs(arg) > 1:
         raise ArcsineDomain("arcsin argument outside [-1, 1]")
     return math.asin(arg)
-
-
-def collinear_mismatch(query: PhaseMatchQuery, crystal: CrystalSpec, pump_nm, signal_nm):
-    """Collinear mismatch (1/um) and its signal-wavelength slope at fixed pump
-    (1/um per nm), element-wise over paired pump and signal wavelengths.
-
-    The query supplies polarizations, temperature and QPM order; its pump
-    wavelength and signal angle are ignored.
-    """
-    return _mismatch(replace(query, signal_theta_rad=0.0), crystal, pump_nm, signal_nm)
 
 
 def _scan(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
@@ -233,7 +187,7 @@ def _scan(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
     """
     lo, hi = window_nm
     grid = np.linspace(lo, hi, max(math.ceil((hi - lo) / COARSE_STEP_NM) + 1, 2))
-    dk, _ = _mismatch(query, crystal, pumps_nm[:, None], grid, slope=False)
+    dk = mismatch(query, crystal, pumps_nm[:, None], grid)
     sign = np.sign(dk)
     return grid, dk, sign[:, :-1] * sign[:, 1:] < 0
 
@@ -245,8 +199,8 @@ def _refine(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
     MISMATCH_TOL_PER_UM; find_root raises MaxIterations when a root misses
     that within SWEEP_MAX_STEPS steps."""
     bracket = RootBracket(grid[cols], grid[cols + 1], dk[rows, cols], dk[rows, cols + 1])
-    return find_root(partial(_mismatch, query, crystal, pumps_nm[rows]), bracket,
-                     tol=SWEEP_STEP_TOL_NM, max_iter=SWEEP_MAX_STEPS,
+    return find_root(partial(mismatch, query, crystal, pumps_nm[rows], slope=True),
+                     bracket, tol=SWEEP_STEP_TOL_NM, max_iter=SWEEP_MAX_STEPS,
                      ftol=MISMATCH_TOL_PER_UM)
 
 
@@ -309,7 +263,7 @@ def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
         root, residual = float(grid[exact[0]]), 0.0
     else:
         x = _refine(query, crystal, pump, grid, dk, [0], flips)
-        root, residual = float(x[0]), abs(float(_mismatch(query, crystal, pump, x)[0][0]))
+        root, residual = float(x[0]), abs(float(mismatch(query, crystal, pump, x)[0]))
     return PhaseMatchSolution(
         signal_wavelength_nm=root,
         idler_wavelength_nm=idler_wavelength(query.pump_wavelength_nm, root),

@@ -2,7 +2,8 @@
 
 Two solvers: exact TE/TM modes of a hollow perfectly conducting guide with
 cutoff frequencies, and the Marcatili approximation for dielectric guides
-(dominant-polarization E^y / E^x modes from two decoupled slab equations).
+(dominant-polarization E^y / E^x modes from two decoupled slab equations,
+each solved by the shared numerics.slab_roots).
 Lengths in um, frequencies in THz.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -109,41 +109,10 @@ def hollow_modes(spec: RectGuideSpec, frequency_thz: float) -> list[RectMode]:
     return modes
 
 
-def _slab_roots(k0: float, n1: float, n2: float, extent: float,
-                index_factor: float) -> list[tuple[int, float]]:
-    """Roots of k x extent = p pi - 2 arctan(index_factor * k / gamma(k)).
-
-    gamma(k) = sqrt(k0^2 (n1^2 - n2^2) - k^2) is the cladding decay rate; the
-    arctan branch keeps all arithmetic real. Every p is solved in one
-    find_root call, by Newton steps on the closed-form slope
-    extent + 2 F k_lim^2 / (gamma (gamma^2 + F^2 k^2)), F = index_factor.
-    Returns (p, k) pairs, p >= 1.
-    """
-    k_lim = k0 * math.sqrt(n1**2 - n2**2)
-    if k_lim <= 0:
-        return []
-    lo, hi = 1e-12 * k_lim, k_lim - 1e-12 * k_lim
-
-    def residual(k, p):
-        gamma = np.sqrt(k_lim**2 - k**2)
-        fk = index_factor * k
-        return (k * extent - p * math.pi + 2.0 * np.arctan(fk / gamma),
-                extent + 2.0 * index_factor * k_lim**2 / (gamma * (gamma**2 + fk**2)))
-
-    # 2 arctan < pi, so no root has p * pi beyond hi * extent + pi.
-    p = np.arange(1, int(hi * extent / math.pi) + 2)
-    f_lo, f_hi = residual(lo, p)[0], residual(hi, p)[0]
-    keep = (f_lo < 0) & (f_hi > 0)
-    p = p[keep]
-    bracket = numerics.RootBracket(np.full(p.shape, lo), np.full(p.shape, hi),
-                                   f_lo[keep], f_hi[keep])
-    k = numerics.find_root(partial(residual, p=p), bracket, tol=1e-14)
-    return list(zip(p.tolist(), k.tolist()))
-
-
 def marcatili_slab_roots(spec: RectGuideSpec, wavelength_um: float,
                          polarization: str) -> tuple[list, list]:
-    """The two decoupled slab spectra (k_x roots, k_y roots) for one family.
+    """The two decoupled slab spectra (k_x roots, k_y roots) for one family,
+    each a list of (p, k) pairs from numerics.slab_roots.
 
     For E^y modes the electric field crosses the horizontal boundaries, so the
     y equation carries the (n2/n1)^2 index factor; E^x swaps the roles.
@@ -159,9 +128,9 @@ def marcatili_slab_roots(spec: RectGuideSpec, wavelength_um: float,
     factor = (n2 / n1) ** 2
     fx = factor if polarization == "Ex" else 1.0
     fy = factor if polarization == "Ey" else 1.0
-    kx_roots = _slab_roots(k0, n1, n2, spec.width_a_um, fx)
-    ky_roots = _slab_roots(k0, n1, n2, spec.height_b_um, fy)
-    return kx_roots, ky_roots
+    k_lim = k0 * math.sqrt(n1**2 - n2**2)
+    return (numerics.slab_roots(k_lim, spec.width_a_um, fx),
+            numerics.slab_roots(k_lim, spec.height_b_um, fy))
 
 
 def marcatili_solve(spec: RectGuideSpec, wavelength_um: float,
@@ -213,10 +182,9 @@ def mode_field(mode: RectMode, spec: RectGuideSpec, x_um, y_um) -> np.ndarray:
 
     k0 = math.sqrt(mode.k_z_per_um**2 + mode.k_x_per_um**2
                    + mode.k_y_per_um**2) / spec.core_index
-    gx = math.sqrt(max(k0**2 * (spec.core_index**2 - spec.clad_index**2)
-                       - mode.k_x_per_um**2, 1e-30))
-    gy = math.sqrt(max(k0**2 * (spec.core_index**2 - spec.clad_index**2)
-                       - mode.k_y_per_um**2, 1e-30))
+    k_lim2 = k0**2 * (spec.core_index**2 - spec.clad_index**2)
+    gx = math.sqrt(max(k_lim2 - mode.k_x_per_um**2, 1e-30))
+    gy = math.sqrt(max(k_lim2 - mode.k_y_per_um**2, 1e-30))
     u = numerics.slab_profile(x, mode.k_x_per_um, a, gx, parity_odd=(mode.m % 2 == 0))
     v = numerics.slab_profile(y, mode.k_y_per_um, b, gy, parity_odd=(mode.n % 2 == 0))
     field = np.abs(u[:, None] * v[None, :])

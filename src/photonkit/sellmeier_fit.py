@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics, phasematch
-from .dispersion import CrystalSpec, SellmeierSet, refractive_index
+from .dispersion import CrystalSpec, SellmeierSet, index_coefficient_gradient
 from .errors import DivergedFit, DomainError, InsufficientData, NoRootInWindow
 
 __all__ = [
@@ -83,21 +83,6 @@ def model_signal_wavelength(pump_nm, coeffs: Sequence[float], setup: FitSetup):
     return float(roots[0]) if np.ndim(pump_nm) == 0 else roots
 
 
-def _index_coefficient_gradient(sellmeier: SellmeierSet, wavelength_um) -> np.ndarray:
-    """dn/d(a0..a4) at each wavelength in um, shape (N, 5).
-
-    From n^2 = a0 + a1/d1 + a3/d2 with d1 = lam^2 - a2, d2 = lam^2 - a4:
-    d(n^2)/da = (1, 1/d1, a1/d1^2, 1/d2, a3/d2^2), and dn = d(n^2) / 2n.
-    """
-    n = refractive_index(sellmeier, wavelength_um)
-    lam2 = wavelength_um**2
-    d1 = lam2 - sellmeier.a2
-    d2 = lam2 - sellmeier.a4
-    dn2 = np.stack([np.ones_like(lam2), 1.0 / d1, sellmeier.a1 / d1**2,
-                    1.0 / d2, sellmeier.a3 / d2**2], axis=-1)
-    return dn2 / (2.0 * n[:, None])
-
-
 def model_jacobian(pumps_nm, signals_nm, coeffs: Sequence[float],
                    setup: FitSetup) -> np.ndarray:
     """Exact derivatives of the collinear signal roots with respect to the
@@ -122,10 +107,10 @@ def model_jacobian(pumps_nm, signals_nm, coeffs: Sequence[float],
                               (query.pol_signal, s_um, -1.0),
                               (query.pol_idler, i_um, -1.0)):
         if crystal.axis_set(pol) is sell_z:
-            grad = _index_coefficient_gradient(sell_z, lam_um)[:, :3]
+            grad = index_coefficient_gradient(sell_z, lam_um)[:, :3]
             ddk_da += sign * 2.0 * math.pi / lam_um[:, None] * grad
-    _, ddk_dlam = phasematch.collinear_mismatch(query, crystal, pumps_nm[ok],
-                                                signals_nm[ok])
+    _, ddk_dlam = phasematch.mismatch(query, crystal, pumps_nm[ok], signals_nm[ok],
+                                      slope=True)
     jac[ok] = -ddk_da / ddk_dlam[:, None]
     return jac
 

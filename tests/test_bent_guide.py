@@ -43,6 +43,21 @@ class TestSpec:
             s.k0_per_um * math.sqrt(s.core_index**2 - s.clad_index**2))
 
 
+# Slabs beyond the golden spec for the shared slab solver: a thick multimode
+# slab (11 roots), a weak-contrast one (n1 - n2 = 0.005) and one whose fourth
+# root lies 4.8e-5 k_lim below cutoff.
+SLAB_SPECS = {
+    "thick": BentGuideSpec(0.5, 1.5, 1.0, 2.3, 1.0, 0.8),
+    "weak": BentGuideSpec(0.5, 1.5, 4.0, 1.455, 1.45, 1.55),
+    "near_cutoff": BentGuideSpec(0.5, 1.5, 0.2903, 2.3, 1.0, 0.8),
+}
+
+
+@pytest.fixture(params=["golden", *SLAB_SPECS])
+def slab_spec(request, bent_reference_spec):
+    return SLAB_SPECS.get(request.param, bent_reference_spec)
+
+
 class TestVerticalRoots:
     def test_matching_condition(self, bent_reference_spec):
         # h^2 = k1^2 - beta_w^2 = k2^2 + beta_s^2 to 1e-12 relative
@@ -54,10 +69,11 @@ class TestVerticalRoots:
             rhs = k2**2 + root.beta_s_per_um**2
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_closed_form_residuals(self, bent_reference_spec):
-        s = bent_reference_spec
+    def test_closed_form_residuals(self, slab_spec):
+        s = slab_spec
         z0 = s.half_height_um
         for root in vertical_roots(s):
+            assert root.parity == ("even" if root.q % 2 else "odd")
             b, g = root.beta_w_per_um, root.beta_s_per_um
             if root.parity == "even":
                 assert math.tan(b * z0) == pytest.approx(g / b, rel=1e-9)
@@ -80,14 +96,23 @@ class TestVerticalRoots:
         assert count_vertical_modes(bent_reference_spec) == (2, 1)
 
 
-    def test_roots_agree_with_brentq(self, bent_reference_spec):
-        # scipy is the reference only, on a scan 4x finer than the solver's.
-        # Both stop within 1e-14 of the root (brentq within 1e-14 + 4 eps
-        # beta), so they agree to twice that.
+    def test_spec_cases(self):
+        # The cases the parametrized slab tests promise.
+        assert len(vertical_roots(SLAB_SPECS["thick"])) >= 8
+        weak = SLAB_SPECS["weak"]
+        assert weak.core_index - weak.clad_index <= 0.01
+        near = SLAB_SPECS["near_cutoff"]
+        top = vertical_roots(near)[-1].beta_w_per_um
+        assert 0 < 1 - top / near.contrast_k_per_um <= 1e-3
+
+    def test_roots_agree_with_brentq(self, slab_spec):
+        # scipy is the reference only, bracketing the tan/cot forms on a
+        # 3200-point scan. Both stop within 1e-14 of the root (brentq within
+        # 1e-14 + 4 eps beta), so they agree to twice that.
         from scipy import optimize
 
         eps = np.finfo(float).eps
-        s = bent_reference_spec
+        s = slab_spec
         cap, z0 = s.contrast_k_per_um, s.half_height_um
         gamma = lambda b: math.sqrt(cap**2 - b**2)
         families = {

@@ -102,7 +102,7 @@ class TestLongitudinalMismatch:
         w_i = 4.7375 - w_s
         got = phase_mismatch_longitudinal(w_s, w_i, 0.0, 0.0, crystal, q)
         lam_s_nm = float(wavelength_um_from_omega_phz(w_s)) * 1e3
-        want = phasematch.scalar_mismatch(q, lam_s_nm, crystal)
+        want = phasematch.mismatch(q, crystal, q.pump_wavelength_nm, lam_s_nm)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
     def test_paraxial_accuracy(self, vis_ir_setup):

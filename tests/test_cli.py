@@ -92,6 +92,24 @@ class TestPhasematchSweepAndFit:
             "--start-nm", "400", "--stop-nm", "395"])
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command,flags,path", [
+        ("sweep", ["--pol-pump", "w"], "/pol_pump"),
+        ("sweep", ["--qpm-sign", "2"], "/qpm_sign"),
+        ("fit", ["--qpm-sign", "0"], "/qpm_sign"),
+        ("sweep", ["--window-nm", "600", "500"], "/window_nm"),
+        ("fit", ["--window-nm", "600", "500"], "/window_nm"),
+    ], ids=["sweep-pol", "sweep-sign", "fit-sign", "sweep-window", "fit-window"])
+    def test_bad_flag_is_validation_error(self, capsys, tmp_path, command, flags, path):
+        data = tmp_path / "data.csv"
+        data.write_text("lambda_pump_nm,lambda_vis_nm\n395.0,533.0\n")
+        argv = {"sweep": ["phasematch", "sweep", "--start-nm", "395", "--stop-nm", "400"],
+                "fit": ["fit-sellmeier", "--data", str(data)]}[command]
+        code = cli.run([*argv, "--crystal", "ppktp_kato2002", *flags])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == cli.EXIT_VALIDATION
+        assert [d["path"] for d in json.loads(captured.out)["diagnostics"]] == [path]
+
     def test_fit_missing_dataset(self, capsys):
         code, _ = run_json(capsys, [
             "fit-sellmeier", "--crystal", "ppktp_kato2002",
@@ -273,6 +291,17 @@ class TestStats:
     def test_bad_parameter(self, capsys):
         code, _ = run_json(capsys, ["stats", "g2", "--state", "fock:abc"])
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("state,message", [
+        ("fock:0", "fock_moments requires n >= 1"),
+        ("thermal:-1", "beta * hbar * omega must be positive"),
+        ("tmsv:-1", "squeezing parameter must be nonnegative"),
+        ("fock:x", "bad parameter 'x'"),
+    ])
+    def test_out_of_domain_state_keeps_its_message(self, capsys, state, message):
+        code, out = run_json(capsys, ["stats", "g2", "--state", state])
+        assert code == cli.EXIT_VALIDATION
+        assert out["diagnostics"] == [{"path": "/state", "message": message}]
 
 
 class TestValidate:

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from photonkit import phasematch
-from photonkit.dispersion import Polarization
+from photonkit.dispersion import Polarization, refractive_index, wavevector_magnitude
 from photonkit.errors import (
     DomainError,
     MaxIterations,
@@ -14,16 +15,23 @@ from photonkit.errors import (
 from photonkit.phasematch import (
     MISMATCH_TOL_PER_UM,
     PhaseMatchQuery,
-    collinear_mismatch,
     grating_vector,
     idler_angle,
     idler_wavelength,
     mismatch,
-    scalar_mismatch,
     snell_external_angle,
     solve_signal_sweep,
     solve_signal_wavelength,
 )
+
+
+def _wave_ks(query, signal_nm, crystal):
+    """Wavevector magnitudes (k_p, k_s, k_i) in 1/um, straight from dispersion."""
+    lams = [query.pump_wavelength_nm * 1e-3, signal_nm * 1e-3]
+    lams.append(1.0 / (1.0 / lams[0] - 1.0 / lams[1]))
+    pols = (query.pol_pump, query.pol_signal, query.pol_idler)
+    return [wavevector_magnitude(refractive_index(crystal.axis_set(pol), lam), lam)
+            for pol, lam in zip(pols, lams)]
 
 
 class TestQueryValidation:
@@ -97,21 +105,15 @@ class TestScalarMismatch:
     def test_collinear_definition(self, kato_crystal):
         q = PhaseMatchQuery(pump_wavelength_nm=397.6)
         lam_s = 533.0
-        dk = scalar_mismatch(q, lam_s, kato_crystal)
-        k_p, k_s, k_i = phasematch._wave_ks(q, lam_s, kato_crystal)
+        dk = mismatch(q, kato_crystal, 397.6, lam_s)
+        k_p, k_s, k_i = _wave_ks(q, lam_s, kato_crystal)
         expected = k_p - k_s - k_i + grating_vector(q, kato_crystal)
         assert dk == pytest.approx(expected, rel=1e-15)
 
     def test_vectorized(self, kato_crystal):
         q = PhaseMatchQuery(pump_wavelength_nm=397.6)
-        dk = scalar_mismatch(q, np.array([520.0, 533.0, 550.0]), kato_crystal)
+        dk = mismatch(q, kato_crystal, 397.6, np.array([520.0, 533.0, 550.0]))
         assert dk.shape == (3,)
-
-    def test_mismatch_vector_contract(self, kato_crystal):
-        q = PhaseMatchQuery(pump_wavelength_nm=397.6)
-        vec, mag = mismatch(q, 533.0, kato_crystal)
-        assert vec[1] == 0.0 and vec[2] == 0.0
-        assert mag == pytest.approx(abs(vec[0]))
 
 
 class TestSolvers:
@@ -160,8 +162,7 @@ class TestSolvers:
         assert sol.mismatch_per_um < 1e-10
         assert sol.idler_angle_rad != 0.0
         # idler transverse momentum balances the signal's
-        k_p, k_s, k_i = phasematch._wave_ks(q, sol.signal_wavelength_nm,
-                                            kato_crystal)
+        k_p, k_s, k_i = _wave_ks(q, sol.signal_wavelength_nm, kato_crystal)
         assert k_i * math.sin(sol.idler_angle_rad) == pytest.approx(
             k_s * math.sin(q.signal_theta_rad), rel=1e-9)
 
@@ -191,7 +192,7 @@ class TestSweepRefinement:
         assert np.isfinite(roots).all()
         for pump, root in zip(pumps, roots):
             qi = self._single(query, pump)
-            assert abs(scalar_mismatch(qi, root, crystal)) <= MISMATCH_TOL_PER_UM
+            assert abs(mismatch(qi, crystal, pump, root)) <= MISMATCH_TOL_PER_UM
             single = solve_signal_wavelength(qi, crystal, window)
             assert abs(root - single.signal_wavelength_nm) < 1e-9
 
@@ -217,13 +218,13 @@ class TestSweepRefinement:
                 (kato_crystal, PhaseMatchQuery(pump_wavelength_nm=397.6),
                  397.6, 533.0),
                 (telecom_setup["crystal"], telecom_setup["query"], 780.1, 1540.0)):
-            dk, slope = collinear_mismatch(query, crystal, pump, signal)
+            dk, slope = mismatch(query, crystal, pump, signal, slope=True)
             qi = self._single(query, pump)
-            assert dk == pytest.approx(scalar_mismatch(qi, signal, crystal),
+            assert dk == pytest.approx(mismatch(qi, crystal, pump, signal),
                                        rel=1e-12)
             h = 1e-4
-            numeric = (scalar_mismatch(qi, signal + h, crystal)
-                       - scalar_mismatch(qi, signal - h, crystal)) / (2.0 * h)
+            numeric = (mismatch(qi, crystal, pump, signal + h)
+                       - mismatch(qi, crystal, pump, signal - h)) / (2.0 * h)
             assert slope == pytest.approx(numeric, rel=1e-5)
 
     @staticmethod
@@ -254,15 +255,16 @@ class TestSweepRefinement:
     def test_noncollinear_slope_matches_central_difference(self, kato_crystal):
         q = PhaseMatchQuery(pump_wavelength_nm=397.6, signal_theta_rad=0.02)
         signal = np.array([520.0, 533.0, 550.0])
-        dk, slope = phasematch._mismatch(q, kato_crystal, 397.6, signal)
-        assert dk == pytest.approx(scalar_mismatch(q, signal, kato_crystal),
+        dk, slope = mismatch(q, kato_crystal, 397.6, signal, slope=True)
+        assert dk == pytest.approx(mismatch(q, kato_crystal, 397.6, signal),
                                    rel=1e-12)
         h = 1e-4
-        numeric = (scalar_mismatch(q, signal + h, kato_crystal)
-                   - scalar_mismatch(q, signal - h, kato_crystal)) / (2.0 * h)
+        numeric = (mismatch(q, kato_crystal, 397.6, signal + h)
+                   - mismatch(q, kato_crystal, 397.6, signal - h)) / (2.0 * h)
         assert slope == pytest.approx(numeric, rel=1e-5)
         # the noncollinear terms matter at this angle
-        _, collinear = collinear_mismatch(q, kato_crystal, 397.6, signal)
+        _, collinear = mismatch(replace(q, signal_theta_rad=0.0), kato_crystal, 397.6,
+                                signal, slope=True)
         assert not collinear == pytest.approx(slope, rel=1e-5)
 
 
