@@ -12,7 +12,7 @@ dimension-dependent inverse-square potential behind it. Lengths in um.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -89,9 +89,10 @@ class VerticalRoot:
     beta_s_per_um: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class BentModeSolution:
-    """One assembled E_r mode and its derived characteristics."""
+    """One assembled E_r mode and its derived characteristics, which only
+    assemble_mode fills in (NaN/False until then)."""
 
     p: int
     q: int
@@ -214,10 +215,10 @@ def approximate_azimuthal(spec: BentGuideSpec, h_per_um: float, p: int) -> float
 
 def assemble_mode(spec: BentGuideSpec, vert: VerticalRoot,
                   azim: tuple[int, float, float]) -> BentModeSolution:
-    """Combine a vertical root and an azimuthal root into a full mode.
+    """Combine a vertical root and an azimuthal root into a complete mode.
 
     Checks that the radial profile vanishes at both walls relative to its
-    peak before accepting the combination.
+    peak, then sets the mean radius, n_eff and physical (n_eff > n2).
     """
     p, m, gamma = azim
     k1 = spec.k0_per_um * spec.core_index
@@ -233,14 +234,14 @@ def assemble_mode(spec: BentGuideSpec, vert: VerticalRoot,
     if peak == 0 or worst / peak > WALL_TOLERANCE:
         raise BoundaryResidual(
             f"radial profile leaks at the walls: {worst / peak:.2e}")
-    mode.mean_radius_um = mean_radius(mode)
-    mode.n_eff = effective_index(mode)
-    return mode
+    mode = replace(mode, mean_radius_um=mean_radius(mode))
+    n_eff = effective_index(mode)
+    return replace(mode, n_eff=n_eff, physical=bool(n_eff > spec.clad_index))
 
 
 def solve_modes(spec: BentGuideSpec) -> list[BentModeSolution]:
-    """Full mode table ordered by (q ascending, p ascending)."""
-    verts = vertical_roots(spec)
+    """Full mode table ordered by (q ascending, p ascending); the vertical
+    roots run on numerics.worker_map's threads."""
     k1 = spec.k0_per_um * spec.core_index
 
     def modes_for(vert: VerticalRoot) -> list[BentModeSolution]:
@@ -248,40 +249,26 @@ def solve_modes(spec: BentGuideSpec) -> list[BentModeSolution]:
         return [assemble_mode(spec, vert, azim)
                 for azim in azimuthal_numbers(spec, h)]
 
-    workers = numerics.worker_count()
-    if workers > 1 and len(verts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(modes_for, verts))
-    else:
-        groups = [modes_for(v) for v in verts]
+    groups = numerics.worker_map(modes_for, vertical_roots(spec))
     return [mode for group in groups for mode in group]
 
 
 def mean_radius(mode: BentModeSolution) -> float:
     """Intensity-weighted radial position <r> of the assembled field, um.
 
-    The field separates as R(r) Z(z), so the vertical integral cancels and
-    only |R|^2 is integrated over the annulus.
+    The field separates as R(r) Z(z), so the vertical integral cancels; the
+    integrals of |R|^2 r and |R|^2 share R at 96 Gauss-Legendre nodes.
     """
-    spec = mode.spec
-    r_num = numerics.integrate(
-        lambda r: mode.radial_profile(r)**2 * r,
-        spec.inner_radius_um, spec.outer_radius_um, order=96)
-    r_den = numerics.integrate(
-        lambda r: mode.radial_profile(r)**2,
-        spec.inner_radius_um, spec.outer_radius_um, order=96)
-    return r_num / r_den
+    lo, hi = mode.spec.inner_radius_um, mode.spec.outer_radius_um
+    nodes, weights = numerics.gauss_legendre(96)
+    r = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+    w = weights * mode.radial_profile(r)**2
+    return float(np.dot(w, r) / w.sum())
 
 
 def effective_index(mode: BentModeSolution) -> float:
-    """n_eff = m / (k0 <r>); also refreshes the physical flag."""
-    if math.isnan(mode.mean_radius_um):
-        mode.mean_radius_um = mean_radius(mode)
-    n_eff = mode.m / (mode.spec.k0_per_um * mode.mean_radius_um)
-    mode.physical = bool(n_eff > mode.spec.clad_index)
-    return n_eff
+    """n_eff = m / (k0 <r>), from the mode's mean_radius_um."""
+    return mode.m / (mode.spec.k0_per_um * mode.mean_radius_um)
 
 
 def robustly_guided(mode: BentModeSolution, margin: float = 0.05) -> bool:

@@ -135,8 +135,8 @@ class JsaGrid:
 
     def normalize(self) -> "JsaGrid":
         total = float(self.probability.sum())
-        if total <= 0:
-            raise DegenerateGrid("grid probabilities sum to zero")
+        if not total > 0:
+            raise DegenerateGrid(f"grid probabilities sum to {total}")
         return JsaGrid(self.omega_s_phz, self.omega_i_phz,
                        self.probability / total, normalized=True)
 
@@ -260,7 +260,7 @@ def phase_mismatch_longitudinal(omega_s_phz: float, omega_i_phz: float,
 
 def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
              grid: JsaGridSpec, query: PhaseMatchQuery,
-             z_order: int = Z_QUAD_ORDER, threads: int | None = None) -> JsaGrid:
+             z_order: int = Z_QUAD_ORDER) -> JsaGrid:
     """Joint spectral probability |A_p^t(w_s + w_i) * theta(w_s, w_i)|^2.
 
     theta is the phase-matching overlap: per crystal slice the four transverse
@@ -270,8 +270,8 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     sum is folded onto the nodes z >= 0, with the weights of the nodes z > 0
     doubled, and only its real part is computed. theta can change sign (the
     sinc lobes), and that sign is the amplitude's only phase. The returned
-    grid is normalized to unit sum; threads sets the worker count (default
-    WORKBENCH_THREADS), with the same result for any count.
+    grid is normalized to unit sum. Row blocks of the grid run on
+    numerics.worker_map's threads, with the same result for any worker count.
     """
     w_s = grid.signal_axis()
     w_i = grid.idler_axis()
@@ -335,22 +335,12 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     n = w_s.size
     rows = max(1, JSA_BLOCK_CELLS // w_i.size)
     blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
-    workers = threads if threads is not None else numerics.worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            theta = np.vstack(list(pool.map(accumulate, blocks)))
-    else:
-        theta = np.vstack([accumulate(sl) for sl in blocks])
+    theta = np.vstack(numerics.worker_map(accumulate, blocks))
 
     prefactor = (coupling.signal_width_um * coupling.idler_width_um
                  * pump.spatial_width_um / math.pi**1.5) * (2.0 * math.pi)**2
     psi = pump_temporal_amplitude(w_sum, pump) * prefactor * const_offset * theta
-    prob = psi**2
-    if not np.any(prob > 0):
-        raise DegenerateGrid("all probabilities underflowed to zero")
-    return JsaGrid(w_s, w_i, prob).normalize()
+    return JsaGrid(w_s, w_i, psi**2).normalize()
 
 
 def marginal(grid: JsaGrid, axis: str = "signal"):

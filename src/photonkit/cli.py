@@ -42,7 +42,7 @@ import numpy as np  # noqa: E402
 from . import dispersion  # noqa: E402
 from .errors import DomainError, PhotonkitError, ScenarioError  # noqa: E402
 
-__all__ = ["main", "run", "validate_scenario"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -257,15 +257,6 @@ def _build(scenario: dict) -> dict:
     return inputs
 
 
-def validate_scenario(scenario: dict) -> list:
-    """Diagnostics with JSON-pointer paths; empty iff the scenario's inputs build."""
-    try:
-        _build(scenario)
-    except ScenarioError as exc:
-        return exc.diagnostics
-    return []
-
-
 def _scenario_inputs(path: str, command: str) -> dict:
     """Load the scenario file and build its inputs for `command`."""
     scenario = _load_scenario(path)
@@ -301,16 +292,19 @@ def _cmd_dispersion(args) -> dict:
     return payload
 
 
-def _flag_query(args, **fields):
+def _flag_query(args, top_pump_nm: float, **fields):
     """The flags' PhaseMatchQuery, built by `_spec` from `fields` plus the
-    temperature and QPM sign, and the --window-nm pair, which must increase.
-    Raises ScenarioError listing every defect."""
+    temperature and QPM sign, and the --window-nm pair, which must increase and
+    lie above `top_pump_nm`. Raises ScenarioError listing every defect."""
     from . import phasematch
 
     diags: list = []
     lo, hi = args.window_nm
     if not lo < hi:
         diags.append({"path": "/window_nm", "message": "lo must be below hi"})
+    elif not top_pump_nm < lo:
+        diags.append({"path": "/window_nm", "message":
+                      f"window must lie above the pump wavelength {top_pump_nm} nm"})
     query = _spec(phasematch.PhaseMatchQuery, dict(
         fields, temperature_k=args.temperature_k, qpm_sign=args.qpm_sign), "", diags)
     if diags:
@@ -324,7 +318,7 @@ def _cmd_phasematch_sweep(args) -> dict:
     crystal = _crystal(args.crystal)
     if args.points < 2 or args.stop_nm <= args.start_nm:
         raise _invalid("/sweep", "need points >= 2 and stop > start")
-    query, window = _flag_query(args, pump_wavelength_nm=args.start_nm,
+    query, window = _flag_query(args, args.stop_nm, pump_wavelength_nm=args.start_nm,
                                 pol_pump=args.pol_pump, pol_signal=args.pol_signal,
                                 pol_idler=args.pol_idler)
     pumps = np.linspace(args.start_nm, args.stop_nm, args.points)
@@ -349,8 +343,8 @@ def _cmd_fit_sellmeier(args) -> dict:
         points = sellmeier_fit.load_dataset_csv(args.data)
     except (DomainError, UnicodeDecodeError) as exc:
         raise _invalid("/data", str(exc)) from None
-    query, window = _flag_query(args,
-                                pump_wavelength_nm=min(pt.pump_nm for pt in points))
+    pumps = [pt.pump_nm for pt in points]
+    query, window = _flag_query(args, max(pumps), pump_wavelength_nm=min(pumps))
     setup = sellmeier_fit.FitSetup(crystal=crystal, query=query, search_window_nm=window)
     start = (tuple(args.start) if args.start
              else crystal.sellmeier_z.as_tuple()[:3])

@@ -173,7 +173,7 @@ def load_crystal(path) -> CrystalSpec:
     """Load a crystal description from its JSON data file.
 
     Expected keys: name, axes.{x,y,z}.{a0..a4}, poling_period_um, length_um,
-    t0_kelvin, alpha_per_kelvin.
+    t0_kelvin, alpha_per_kelvin; DomainError for a missing key or wrong type.
     """
     raw = json.loads(Path(path).read_text())
     try:
@@ -189,6 +189,8 @@ def load_crystal(path) -> CrystalSpec:
         )
     except KeyError as exc:
         raise DomainError(f"crystal file {path} missing key {exc}") from exc
+    except TypeError as exc:
+        raise DomainError(f"crystal file {path} has the wrong layout: {exc}") from exc
 
 
 def crystal_to_dict(crystal: CrystalSpec) -> dict:

@@ -93,7 +93,7 @@ class EvanescentTransverse(DomainError):
 
 
 class DegenerateGrid(PhotonkitError):
-    """All grid probabilities underflowed to zero."""
+    """Grid probabilities whose sum is not positive: zero, or NaN."""
 
 
 class DegenerateFit(PhotonkitError):

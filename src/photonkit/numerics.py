@@ -1,9 +1,9 @@
 """Shared numerical kernel: the one bracketed root solver, quadrature, damped
 least squares, real-order Bessel functions of both kinds, and the pieces every
 solver shares: the speed of light, the worker-thread count (defined in the
-package `__init__`, which loads no numpy), the symmetric-slab dispersion
-relation's roots and mode profile, the moments of a weighted grid and the
-grid CSV writer.
+package `__init__`, which loads no numpy), the one thread pool `worker_map`,
+the symmetric-slab dispersion relation's roots and mode profile, the moments
+of a weighted grid and the grid CSV writer.
 
 Only the Bessel functions need scipy; they import scipy.special when called,
 and `gauss_legendre` imports numpy.polynomial on its first call, so importing
@@ -33,6 +33,7 @@ __all__ = [
     "bessel_jy",
     "bessel_jy_derivatives",
     "worker_count",
+    "worker_map",
     "slab_roots",
     "slab_profile",
     "grid_moments",
@@ -378,6 +379,18 @@ def bessel_jy_derivatives(order, x):
     if jp.ndim == 0:
         return float(jp), float(yp)
     return jp, yp
+
+
+def worker_map(fn: Callable, items: Sequence) -> list:
+    """[fn(x) for x in items], in order, on worker_count() threads; serial for
+    one worker or one item. No other photonkit code starts threads."""
+    workers = worker_count()
+    if workers == 1 or len(items) < 2:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def slab_roots(k_lim: float, extent: float,

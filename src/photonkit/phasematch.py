@@ -183,9 +183,12 @@ def _scan(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
     between neighbouring grid points.
 
     The grid spans the window at COARSE_STEP_NM spacing or just below:
-    ceil((hi - lo) / COARSE_STEP_NM) + 1 points, both ends included.
+    ceil((hi - lo) / COARSE_STEP_NM) + 1 points, both ends included. Raises
+    DomainError unless the window lies above every pump wavelength.
     """
     lo, hi = window_nm
+    if not (lo < hi and np.all(pumps_nm < lo)):
+        raise DomainError("search window must lie above the pump wavelength")
     grid = np.linspace(lo, hi, max(math.ceil((hi - lo) / COARSE_STEP_NM) + 1, 2))
     dk = mismatch(query, crystal, pumps_nm[:, None], grid)
     sign = np.sign(dk)
@@ -208,10 +211,11 @@ def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec, pump_sweep_
                        search_window_nm: tuple[float, float]) -> np.ndarray:
     """Collinear signal-wavelength roots for many pump wavelengths at once.
 
-    Shares the window scan and the find_root refinement of
-    solve_signal_wavelength. Pumps whose mismatch keeps its sign over the
-    window come back NaN; where several sign changes exist for one pump, the
-    bracket closest to the window centre is refined. Collinear geometry only.
+    Shares the window scan, which requires the window above every pump, and
+    the find_root refinement of solve_signal_wavelength. Pumps whose mismatch
+    keeps its sign over the window come back NaN; where several sign changes
+    exist for one pump, the bracket closest to the window centre is refined.
+    Collinear geometry only.
     """
     if query.signal_theta_rad != 0.0:
         raise DomainError("sweep solver supports collinear geometry only")
@@ -242,12 +246,10 @@ def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
     Scans the window on the same grid as solve_signal_sweep and refines the
     one bracketed sign change through the same find_root call, so the root
     meets |dk| <= MISMATCH_TOL_PER_UM. A grid point where dk is exactly zero is a
-    root as it stands. Raises NoRootInWindow without a root and
-    MultipleRoots, listing every bracket, with more than one.
+    root as it stands. Raises DomainError for a window not above the pump,
+    NoRootInWindow without a root and MultipleRoots with more than one.
     """
     lo, hi = search_window_nm
-    if not query.pump_wavelength_nm < lo < hi:
-        raise DomainError("search window must lie above the pump wavelength")
     pump = np.array([query.pump_wavelength_nm])
     grid, dk, flips = _scan(query, crystal, pump, search_window_nm)
     flips = np.nonzero(flips[0])[0]

@@ -31,7 +31,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NumberMoments:
-    """First two moments of the photon-number distribution."""
+    """First two moments of the photon-number distribution: nonnegative and
+    finite, with a mean of 0 or whose square is a positive float (g2 divides
+    by it)."""
 
     mean: float
     variance: float
@@ -39,6 +41,10 @@ class NumberMoments:
     def __post_init__(self):
         if self.mean < 0 or self.variance < 0:
             raise DomainError("moments must be nonnegative")
+        if not (math.isfinite(self.variance)
+                and (self.mean == 0 or 0 < self.mean * self.mean < math.inf)):
+            raise DomainError(f"moments ({self.mean!r}, {self.variance!r}) are out "
+                              "of floating-point range")
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,11 @@ def thermal_moments(beta_hbar_omega: float) -> NumberMoments:
     """Single thermal mode at reduced energy beta * hbar * omega."""
     if beta_hbar_omega <= 0:
         raise DomainError("beta * hbar * omega must be positive")
-    mean = 1.0 / math.expm1(beta_hbar_omega)
-    return NumberMoments(mean=mean, variance=mean**2 + mean)
+    try:
+        mean = 1.0 / math.expm1(beta_hbar_omega)
+        return NumberMoments(mean=mean, variance=mean**2 + mean)
+    except OverflowError:
+        raise DomainError("thermal moments out of floating-point range") from None
 
 
 def tmsv_moments(squeeze_r: float) -> TmsvStats:
@@ -113,8 +122,11 @@ def tmsv_moments(squeeze_r: float) -> TmsvStats:
     """
     if squeeze_r < 0:
         raise DomainError("squeezing parameter must be nonnegative")
-    mean = math.sinh(squeeze_r) ** 2
-    variance = 0.25 * math.sinh(2.0 * squeeze_r) ** 2
+    try:
+        mean = math.sinh(squeeze_r) ** 2
+        variance = 0.25 * math.sinh(2.0 * squeeze_r) ** 2
+    except OverflowError:
+        raise DomainError("tmsv moments out of floating-point range") from None
     cross = 1.0 if squeeze_r > 0 else 0.0
     return TmsvStats(per_mode=NumberMoments(mean=mean, variance=variance),
                      difference_variance=0.0, cross_pearson=cross)

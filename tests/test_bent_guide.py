@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from photonkit import numerics
 from photonkit.bent_guide import (
     BentGuideSpec,
+    BentModeSolution,
     approximate_azimuthal,
     assemble_mode,
     azimuthal_numbers,
@@ -224,6 +226,38 @@ class TestModes:
         for mode in modes:
             assert mode.physical == (mode.n_eff >
                                      bent_reference_spec.clad_index)
+
+    def test_modes_are_complete_and_frozen(self, modes):
+        for mode in modes:
+            assert mode.mean_radius_um == mean_radius(mode)
+            assert mode.n_eff == effective_index(mode)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            modes[0].n_eff = 0.0
+
+    def test_mean_radius_evaluates_profile_once(self, modes, monkeypatch):
+        calls = []
+        profile = BentModeSolution.radial_profile
+        monkeypatch.setattr(BentModeSolution, "radial_profile",
+                            lambda mode, r: calls.append(r) or profile(mode, r))
+        assert mean_radius(modes[0]) == modes[0].mean_radius_um
+        assert len(calls) == 1
+
+    # The golden spec, and a spec with four vertical roots, on which two
+    # workers take less time than one; the pool takes one root per task.
+    @pytest.mark.parametrize("dims,roots", [((0.5, 1.5, 0.25, 2.3, 1.0, 0.8), 3),
+                                            ((2.0, 4.0, 0.6, 1.8, 1.4, 0.8), 4)],
+                             ids=["golden", "four_roots"])
+    def test_worker_count_invariance(self, dims, roots, monkeypatch):
+        spec = BentGuideSpec(*dims)
+        assert len(vertical_roots(spec)) == roots
+        monkeypatch.setenv("WORKBENCH_THREADS", "1")
+        one = solve_modes(spec)
+        monkeypatch.setenv("WORKBENCH_THREADS", "2")
+        two = solve_modes(spec)
+        assert len(two) == len(one) > 0
+        for a, b in zip(two, one):
+            for f in dataclasses.fields(BentModeSolution):
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
 
     def test_robust_guidance_band(self, modes, bent_reference_spec):
         flagged = {(m.p, m.q) for m in modes if not robustly_guided(m)}

@@ -23,6 +23,7 @@ from photonkit.biphoton import (
 )
 from photonkit.errors import (
     DegenerateFit,
+    DegenerateGrid,
     DomainError,
     EvanescentTransverse,
 )
@@ -179,20 +180,39 @@ class TestJsaGrid:
         dev = np.abs(wsum - pump.central_frequency_phz)
         assert np.all(dev[mask] <= 4.0 / pump.pulse_duration_fs)
 
+    @pytest.mark.parametrize("fill", [0.0, math.nan])
+    def test_normalize_rejects_sum_not_positive(self, fill):
+        # a NaN sum passed the former `total <= 0` test
+        grid = JsaGrid(np.arange(16.0), np.arange(16.0), np.full((16, 16), fill))
+        with pytest.raises(DegenerateGrid):
+            grid.normalize()
+
+    def test_pump_off_the_grid_is_degenerate(self, vis_ir_setup):
+        # the pump envelope underflows to zero on every cell
+        s = vis_ir_setup
+        pump = PumpSpec(central_frequency_phz=2.0 * s["pump"].central_frequency_phz,
+                        pulse_duration_fs=s["pump"].pulse_duration_fs,
+                        spatial_width_um=s["pump"].spatial_width_um)
+        g = JsaGridSpec(n=16, range_fraction=0.02,
+                        signal_center_phz=s["signal_center"],
+                        idler_center_phz=s["idler_center"])
+        with pytest.raises(DegenerateGrid):
+            jsa_grid(pump, s["coupling"], s["crystal"], g, s["query"])
+
     def test_transpose_exchange(self, small_grid):
         t = small_grid.transpose()
         assert np.array_equal(t.probability, small_grid.probability.T)
         assert np.array_equal(t.omega_s_phz, small_grid.omega_i_phz)
 
-    def test_thread_count_invariance(self, vis_ir_setup):
+    def test_thread_count_invariance(self, vis_ir_setup, monkeypatch):
         s = vis_ir_setup
         g = JsaGridSpec(n=24, range_fraction=0.02,
                         signal_center_phz=s["signal_center"],
                         idler_center_phz=s["idler_center"])
-        one = jsa_grid(s["pump"], s["coupling"], s["crystal"], g, s["query"],
-                       threads=1)
-        four = jsa_grid(s["pump"], s["coupling"], s["crystal"], g, s["query"],
-                        threads=4)
+        monkeypatch.setenv("WORKBENCH_THREADS", "1")
+        one = jsa_grid(s["pump"], s["coupling"], s["crystal"], g, s["query"])
+        monkeypatch.setenv("WORKBENCH_THREADS", "4")
+        four = jsa_grid(s["pump"], s["coupling"], s["crystal"], g, s["query"])
         assert np.allclose(one.probability, four.probability, rtol=1e-12)
 
     def test_rectangular_grid_shape(self, vis_ir_setup):
@@ -268,7 +288,7 @@ def _kernel_case(case, telecom_setup, vis_ir_setup):
                                 idler_width_um=coupling.idler_width_um,
                                 signal_offset_per_um=0.02 * sign,
                                 idler_offset_per_um=-0.015 * sign)
-    kwargs = {"odd_order": {"z_order": 33}, "two_threads": {"threads": 2}}
+    kwargs = {"odd_order": {"z_order": 33}}
     return pump, coupling, s["crystal"], grid, s["query"], kwargs.get(case, {})
 
 
@@ -287,6 +307,8 @@ class TestJsaKernel:
         if case in ("rectangular", "two_threads"):
             # several row blocks, the last one partial
             monkeypatch.setattr(biphoton, "JSA_BLOCK_CELLS", 700)
+        if case == "two_threads":
+            monkeypatch.setenv("WORKBENCH_THREADS", "2")
         got = jsa_grid(pump, coupling, crystal, grid, query, **kwargs)
         ref, theta = _reference_jsa(pump, coupling, crystal, grid, query,
                                     kwargs.get("z_order", biphoton.Z_QUAD_ORDER))
@@ -295,7 +317,8 @@ class TestJsaKernel:
         # theta is real: the unfolded sum's imaginary part is roundoff
         assert np.abs(theta.imag).max() <= 1e-12 * np.abs(theta).max()
         if case == "two_threads":
-            one = jsa_grid(pump, coupling, crystal, grid, query, threads=1)
+            monkeypatch.setenv("WORKBENCH_THREADS", "1")
+            one = jsa_grid(pump, coupling, crystal, grid, query)
             assert np.array_equal(got.probability, one.probability)
 
     def test_offsets_move_the_grid(self, telecom_setup, vis_ir_setup):

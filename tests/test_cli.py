@@ -60,6 +60,17 @@ class TestDispersion:
         assert out["status"] == "validation-error"
         assert out["diagnostics"][0]["path"] == "/crystal"
 
+    @pytest.mark.parametrize("layout", ["list", "axes_list"])
+    def test_crystal_file_with_wrong_layout(self, capsys, tmp_path, layout):
+        raw = {"name": "k", "axes": [1, 2], "length_um": 1000.0}
+        path = tmp_path / "crystal.json"
+        path.write_text(json.dumps([1, 2] if layout == "list" else raw))
+        code = cli.run(["dispersion", "--crystal", str(path), "--wavelength-um", "0.8"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == cli.EXIT_VALIDATION
+        assert [d["path"] for d in json.loads(captured.out)["diagnostics"]] == ["/crystal"]
+
     def test_bad_wavelength(self, capsys):
         code, _ = run_json(capsys, [
             "dispersion", "--crystal", "ppktp_kato2002",
@@ -109,6 +120,23 @@ class TestPhasematchSweepAndFit:
         assert captured.err == ""
         assert code == cli.EXIT_VALIDATION
         assert [d["path"] for d in json.loads(captured.out)["diagnostics"]] == [path]
+
+    @pytest.mark.parametrize("command,window", [
+        ("sweep", ["300", "350"]), ("sweep", ["398", "600"]),
+        ("fit", ["300", "350"]), ("fit", ["396", "600"]),
+    ], ids=["sweep-below-pumps", "sweep-below-stop", "fit-below-pumps",
+            "fit-below-top-pump"])
+    def test_window_not_above_every_pump(self, capsys, tmp_path, command, window):
+        # the sweep's pumps span 395-400 nm, the dataset's 395-397 nm
+        data = tmp_path / "data.csv"
+        data.write_text("lambda_pump_nm,lambda_vis_nm\n395.0,533.0\n397.0,536.0\n")
+        argv = {"sweep": ["phasematch", "sweep", "--start-nm", "395", "--stop-nm", "400"],
+                "fit": ["fit-sellmeier", "--data", str(data)]}[command]
+        code = cli.run([*argv, "--crystal", "ppktp_kato2002", "--window-nm", *window])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == cli.EXIT_VALIDATION
+        assert [d["path"] for d in json.loads(captured.out)["diagnostics"]] == ["/window_nm"]
 
     def test_fit_missing_dataset(self, capsys):
         code, _ = run_json(capsys, [
@@ -302,6 +330,20 @@ class TestStats:
         code, out = run_json(capsys, ["stats", "g2", "--state", state])
         assert code == cli.EXIT_VALIDATION
         assert out["diagnostics"] == [{"path": "/state", "message": message}]
+
+    # Non-finite parameters, and parameters whose moments leave the float
+    # range, are reported at /state rather than printed as NaN or Infinity
+    # or ended in an OverflowError.
+    @pytest.mark.parametrize("state", [
+        "coherent:nan", "coherent:inf", "thermal:nan", "tmsv:nan",
+        "thermal:1e6", "tmsv:1e3"])
+    def test_unrepresentable_state_is_validation_error(self, capsys, state):
+        code = cli.run(["stats", "g2", "--state", state])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == cli.EXIT_VALIDATION
+        out = json.loads(captured.out, parse_constant=pytest.fail)
+        assert [d["path"] for d in out["diagnostics"]] == ["/state"]
 
 
 class TestValidate:

@@ -151,6 +151,12 @@ class TestSolvers:
         roots = solve_signal_sweep(q, kato_crystal, [397.6], (590.0, 600.0))
         assert np.isnan(roots).all()
 
+    @pytest.mark.parametrize("window", [(300.0, 350.0), (398.0, 600.0)])
+    def test_sweep_window_below_a_pump_rejected(self, kato_crystal, window):
+        q = PhaseMatchQuery(pump_wavelength_nm=397.6)
+        with pytest.raises(DomainError, match="above the pump"):
+            solve_signal_sweep(q, kato_crystal, [395.0, 400.0], window)
+
     def test_sweep_collinear_only(self, kato_crystal):
         q = PhaseMatchQuery(pump_wavelength_nm=397.6, signal_theta_rad=0.01)
         with pytest.raises(DomainError):

@@ -49,6 +49,21 @@ class TestClosedFormG2:
         with pytest.raises(DomainError):
             fock_moments(0)
 
+    # NaN or infinite parameters, and moments or a squared mean beyond the
+    # float range, which g2 cannot divide by.
+    @pytest.mark.parametrize("moments_of,param", [
+        (coherent_moments, math.nan), (coherent_moments, math.inf),
+        (coherent_moments, 1e200), (coherent_moments, 1e-320),
+        (thermal_moments, math.nan), (thermal_moments, 1e6),
+        (thermal_moments, 700.0), (thermal_moments, 1e-200),
+        (tmsv_moments, math.nan), (tmsv_moments, math.inf), (tmsv_moments, 1e3),
+        (tmsv_moments, 200.0),
+        pytest.param(fock_moments, 10**160, id="fock_moments-10**160"),
+    ])
+    def test_unrepresentable_moments_rejected(self, moments_of, param):
+        with pytest.raises(DomainError):
+            moments_of(param)
+
 
 class TestThermal:
     def test_bose_einstein_mean(self):
