@@ -126,23 +126,27 @@ class JsaGridSpec:
                            self.idler_center_phz * (1 + z), count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class JsaGrid:
+    """Joint spectral probability, normalized to unit sum when built and
+    stored read-only; DegenerateGrid unless the given values sum to a positive
+    number."""
+
     omega_s_phz: np.ndarray
     omega_i_phz: np.ndarray
     probability: np.ndarray  # [j, k] = p(omega_s[j], omega_i[k])
-    normalized: bool = False
 
-    def normalize(self) -> "JsaGrid":
+    def __post_init__(self):
         total = float(self.probability.sum())
         if not total > 0:
             raise DegenerateGrid(f"grid probabilities sum to {total}")
-        return JsaGrid(self.omega_s_phz, self.omega_i_phz,
-                       self.probability / total, normalized=True)
+        probability = self.probability / total
+        probability.flags.writeable = False
+        object.__setattr__(self, "probability", probability)
 
     def transpose(self) -> "JsaGrid":
         return JsaGrid(self.omega_i_phz.copy(), self.omega_s_phz.copy(),
-                       self.probability.T.copy(), self.normalized)
+                       self.probability.T.copy())
 
 
 @dataclass(frozen=True)
@@ -272,7 +276,11 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     sinc lobes), and that sign is the amplitude's only phase. The returned
     grid is normalized to unit sum. Row blocks of the grid run on
     numerics.worker_map's threads, with the same result for any worker count.
+    Collinear geometry only: DomainError for a nonzero query.signal_theta_rad.
     """
+    if query.signal_theta_rad != 0.0:
+        raise DomainError("the joint spectrum is collinear only",
+                          field="signal_theta_rad")
     w_s = grid.signal_axis()
     w_i = grid.idler_axis()
     k_s = _axis_k(crystal, query.pol_signal, w_s)          # (n,)
@@ -340,13 +348,11 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     prefactor = (coupling.signal_width_um * coupling.idler_width_um
                  * pump.spatial_width_um / math.pi**1.5) * (2.0 * math.pi)**2
     psi = pump_temporal_amplitude(w_sum, pump) * prefactor * const_offset * theta
-    return JsaGrid(w_s, w_i, psi**2).normalize()
+    return JsaGrid(w_s, w_i, psi**2)
 
 
 def marginal(grid: JsaGrid, axis: str = "signal"):
     """Marginal distribution over one photon's frequency axis."""
-    if not grid.normalized:
-        raise DomainError("marginal requires a normalized grid")
     if axis == "signal":
         return grid.omega_s_phz, grid.probability.sum(axis=1)
     if axis == "idler":
@@ -432,7 +438,7 @@ def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
     ws = grid.omega_s_phz
     wi = grid.omega_i_phz
     p = grid.probability
-    if p.sum() <= 0 or np.ptp(p) == 0:
+    if np.ptp(p) == 0:
         raise DegenerateFit("degenerate grid support")
 
     mu_s, mu_i, var_s, var_i, cov = numerics.grid_moments(ws, wi, p)

@@ -73,14 +73,23 @@ def _invalid(path: str, message: str) -> ScenarioError:
     return ScenarioError([{"path": path, "message": message}])
 
 
+def _read_input(pointer: str, path: Path, load):
+    """load(path) for an input file: the scenario (pointer ""), a crystal file
+    ("/crystal") or a dataset ("/data"). A file that is missing, unreadable,
+    not UTF-8 or malformed is reported at `pointer`."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise _invalid(pointer, f"not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise _invalid(pointer, f"line {exc.lineno}: {exc.msg}") from None
+    except (OSError, ValueError) as exc:
+        raise _invalid(pointer, str(exc)) from None
+
+
 def _load_scenario(path: str) -> dict:
     p = Path(path)
-    if not p.exists():
-        raise _invalid("", f"scenario file not found: {path}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise _invalid("", f"line {exc.lineno}: {exc.msg}") from None
+    raw = _read_input("", p, lambda f: json.loads(f.read_text()))
     if not isinstance(raw, dict):
         raise _invalid("", "scenario must be a JSON object")
     raw["__dir__"] = str(p.parent)
@@ -97,10 +106,7 @@ def _crystal(ref, base: str = ".") -> dispersion.CrystalSpec:
             candidate = dispersion.builtin_crystal_path(ref)
         except PhotonkitError:
             raise _invalid("/crystal", f"not found: {ref}") from None
-    try:
-        return dispersion.load_crystal(candidate)
-    except (PhotonkitError, ValueError) as exc:
-        raise _invalid("/crystal", str(exc)) from None
+    return _read_input("/crystal", candidate, dispersion.load_crystal)
 
 
 # ---------------------------------------------------------------- scenarios
@@ -171,9 +177,16 @@ def _string(scenario: dict, key: str, diags: list, default: str | None = None):
 
 
 def _out_dir(scenario: dict, diags: list) -> Path | None:
-    """The scenario's `output_dir` (default "."), relative to the scenario file."""
+    """The scenario's `output_dir` (default "."), relative to the scenario
+    file; its nearest existing ancestor, itself included, must be a directory."""
     name = _string(scenario, "output_dir", diags, ".")
-    return Path(scenario.get("__dir__", ".")) / name if isinstance(name, str) else None
+    if not isinstance(name, str):
+        return None
+    out_dir = Path(scenario.get("__dir__", ".")) / name
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), out_dir)
+    if not existing.is_dir():
+        diags.append({"path": "/output_dir", "message": f"{existing} is not a directory"})
+    return out_dir
 
 
 def _names_directory(name: str, out_dir: Path) -> bool:
@@ -207,8 +220,12 @@ def _build(scenario: dict) -> dict:
                          ("coupling", biphoton.CouplingSpec),
                          ("grid", biphoton.JsaGridSpec)):
             inputs[key] = _spec(cls, scenario.get(key), f"/{key}", diags)
-        inputs["query"] = _spec(phasematch.PhaseMatchQuery, scenario.get("query", {}),
-                                "/query", diags, pump_wavelength_nm=1.0)
+        query = inputs["query"] = _spec(phasematch.PhaseMatchQuery,
+                                        scenario.get("query", {}), "/query", diags,
+                                        pump_wavelength_nm=1.0)
+        if query is not None and query.signal_theta_rad != 0.0:
+            diags.append({"path": "/query/signal_theta_rad",
+                          "message": "the joint spectrum is collinear only"})
         inputs["out_dir"] = _out_dir(scenario, diags)
     if command == "fiber":
         from . import fiber_prop
@@ -326,9 +343,14 @@ def _cmd_phasematch_sweep(args) -> dict:
     rows = [{"pump_nm": float(p), "signal_nm": (None if math.isnan(s) else float(s))}
             for p, s in zip(pumps, roots)]
     if args.out:
-        sellmeier_fit.save_dataset_csv(
-            [sellmeier_fit.MeasurementPoint(row["pump_nm"], row["signal_nm"])
-             for row in rows if row["signal_nm"] is not None], args.out)
+        # The run creates the CSV's parent directory, as bentguide solve does.
+        try:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            sellmeier_fit.save_dataset_csv(
+                [sellmeier_fit.MeasurementPoint(row["pump_nm"], row["signal_nm"])
+                 for row in rows if row["signal_nm"] is not None], args.out)
+        except OSError as exc:
+            raise _invalid("/out", str(exc)) from None
     return {"crystal": crystal.name, "points": rows,
             "solved": int(np.isfinite(roots).sum())}
 
@@ -337,12 +359,9 @@ def _cmd_fit_sellmeier(args) -> dict:
     from . import sellmeier_fit
 
     crystal = _crystal(args.crystal)
-    if not Path(args.data).exists():
-        raise _invalid("/data", f"dataset not found: {args.data}")
-    try:
-        points = sellmeier_fit.load_dataset_csv(args.data)
-    except (DomainError, UnicodeDecodeError) as exc:
-        raise _invalid("/data", str(exc)) from None
+    points = _read_input("/data", Path(args.data), sellmeier_fit.load_dataset_csv)
+    if not points:
+        raise _invalid("/data", "no data rows")
     pumps = [pt.pump_nm for pt in points]
     query, window = _flag_query(args, max(pumps), pump_wavelength_nm=min(pumps))
     setup = sellmeier_fit.FitSetup(crystal=crystal, query=query, search_window_nm=window)

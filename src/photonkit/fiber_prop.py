@@ -69,7 +69,6 @@ class TimeGrid:
     t_s_ns: np.ndarray
     t_i_ns: np.ndarray
     probability: np.ndarray  # [j, k] = p(t_s[j], t_i[k])
-    normalized: bool = False
 
 
 def group_delay_dispersion_fs2(fiber: FiberSpec) -> float:
@@ -118,8 +117,6 @@ def propagate_exact(grid: JsaGrid, fiber: FiberSpec) -> TimeGrid:
     by more than pi between adjacent samples on either axis the conjugate time
     grid cannot hold the result (aliasing) and GridTooCoarse is raised.
     """
-    if not grid.normalized:
-        raise DomainError("propagation requires a normalized grid")
     ws = np.asarray(grid.omega_s_phz, dtype=float)
     wi = np.asarray(grid.omega_i_phz, dtype=float)
     d_s = _uniform_step(ws, "signal")
@@ -138,37 +135,30 @@ def propagate_exact(grid: JsaGrid, fiber: FiberSpec) -> TimeGrid:
     spectrum = amp * phase
     field_t = np.fft.fftshift(np.fft.fft2(spectrum))
     prob = np.abs(field_t) ** 2
-    total = prob.sum()
-    if total <= 0:
-        raise DomainError("transform produced an empty distribution")
 
     n_s, n_i = prob.shape
     t_s = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n_s, d=d_s))
     t_i = 2.0 * math.pi * np.fft.fftshift(np.fft.fftfreq(n_i, d=d_i))
-    return TimeGrid(t_s * FS_TO_NS, t_i * FS_TO_NS, prob / total, normalized=True)
+    return TimeGrid(t_s * FS_TO_NS, t_i * FS_TO_NS, prob / prob.sum())
 
 
 def propagate_stationary(grid: JsaGrid, fiber: FiberSpec) -> TimeGrid:
     """Stationary-phase propagation: the coordinate remap t = -2 beta D w.
 
     Probability mass moves with the map, so the grid values are unchanged up
-    to axis orientation and the total is preserved exactly.
+    to axis orientation and the total is preserved exactly: the returned
+    probability is a read-only view of the grid's, flipped on both axes where
+    the map reverses them (2 beta D > 0 on increasing frequency axes) so that
+    the time axes increase.
     """
-    if not grid.normalized:
-        raise DomainError("propagation requires a normalized grid")
     gdd = group_delay_dispersion_fs2(fiber)
     if gdd == 0.0:
         raise ZeroDispersion("stationary-phase map undefined at 2 beta D = 0")
     t_s = -gdd * np.asarray(grid.omega_s_phz, dtype=float) * FS_TO_NS
     t_i = -gdd * np.asarray(grid.omega_i_phz, dtype=float) * FS_TO_NS
-    prob = np.asarray(grid.probability)
     if t_s[0] > t_s[-1]:
-        t_s = t_s[::-1].copy()
-        t_i = t_i[::-1].copy()
-        prob = prob[::-1, ::-1].copy()
-    else:
-        prob = prob.copy()
-    return TimeGrid(t_s, t_i, prob, normalized=grid.normalized)
+        return TimeGrid(t_s[::-1], t_i[::-1], grid.probability[::-1, ::-1])
+    return TimeGrid(t_s, t_i, grid.probability)
 
 
 def time_grid_stats(tg: TimeGrid) -> TimeStats:

@@ -19,7 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import worker_count
-from .errors import DomainError, MaxIterations, NoSignChange, SingularJacobian
+from .errors import (
+    DomainError,
+    MaxIterations,
+    NoSignChange,
+    PhotonkitError,
+    SingularJacobian,
+)
 
 __all__ = [
     "C_UM_PER_FS",
@@ -53,6 +59,8 @@ LM_RSS_TOL = 1e-12
 # 2|D a| to |D v|.
 LM_GEODESIC_H = 0.1
 LM_ACCEL_RATIO = 0.75
+# The errors that mean a model has no value at the trial parameters.
+_NO_VALUE = (PhotonkitError, ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -217,20 +225,22 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     the current mask, and the same damped system against -J^T W m'' gives the
     acceleration a. The trial steps to p + v + a/2 when
     2 |D a| <= alpha |D v|, and to p + v when the acceleration is larger or
-    the probe raises or is not finite (h = LM_GEODESIC_H,
+    the probe has no value (see below) or is not finite (h = LM_GEODESIC_H,
     alpha = LM_ACCEL_RATIO).
 
     model(params, x) takes all of x in one call and returns one value per
     point. It may return NaN for individual points; those points are masked for
     the current step rather than aborting the fit. A trial the model cannot
-    evaluate at all (it raises, or every point is NaN) has left the model's
-    domain and counts as an infinitely bad step. Damping starts at 1e-3 and is
-    divided/multiplied by 10 on accepted/rejected steps. The fit stops on an
-    accepted step whose relative step or RSS drop is tiny; that stop counts as
-    converged unless a trial of the same iteration left the domain, as a fit
-    pressed against a domain wall stops on tiny steps too. Standard errors
-    come from the covariance estimate scaled by residual variance, with the
-    Jacobian and mask taken at the returned parameters.
+    evaluate at all (it raises a PhotonkitError, a ValueError such as
+    DomainError, or an ArithmeticError, or every point is NaN) has left the
+    model's domain and counts as an infinitely bad step; any other exception,
+    a NameError or TypeError from a bug in the model say, propagates. Damping
+    starts at 1e-3 and is divided/multiplied by 10 on accepted/rejected steps.
+    The fit stops on an accepted step whose relative step or RSS drop is tiny;
+    that stop counts as converged unless a trial of the same iteration left
+    the domain, as a fit pressed against a domain wall stops on tiny steps
+    too. Standard errors come from the covariance estimate scaled by residual
+    variance, with the Jacobian and mask taken at the returned parameters.
 
     jacobian(params, x, values), given the model values at params, returns the
     (len(x), len(params)) derivative matrix; forward differences by default.
@@ -270,7 +280,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         # treat that as an infinitely bad step rather than a failure.
         try:
             return masked_rss(params)
-        except Exception:
+        except _NO_VALUE:
             return np.inf, None, None
 
     def accelerated(dp, damp, jac, jw, sel, d2):
@@ -278,7 +288,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         # fails or an acceleration too large to trust leaves the plain step.
         try:
             probe = _eval_model(model, p + LM_GEODESIC_H * dp, x)[sel]
-        except Exception:
+        except _NO_VALUE:
             return dp
         if not np.isfinite(probe).all():
             return dp

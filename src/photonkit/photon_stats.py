@@ -93,7 +93,10 @@ def fock_moments(n: int) -> NumberMoments:
     """Photon-number state |n>: mean n, zero variance."""
     if n < 1:
         raise DomainError("fock_moments requires n >= 1")
-    return NumberMoments(mean=float(n), variance=0.0)
+    try:
+        return NumberMoments(mean=float(n), variance=0.0)
+    except OverflowError:
+        raise DomainError("fock moments out of floating-point range") from None
 
 
 def coherent_moments(mean: float) -> NumberMoments:

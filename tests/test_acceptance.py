@@ -159,12 +159,11 @@ def test_criterion_4_fiber_scale_and_statistics():
         us = ws[:, None] / sigma_s
         ui = wi[None, :] / sigma_i
         q = (us**2 - 2 * rho * us * ui + ui**2) / (2 * (1 - rho**2))
-        return JsaGrid(ws, wi, np.exp(-q)).normalize()
+        return JsaGrid(ws, wi, np.exp(-q))
 
     grid = gaussian(0.01, 0.015, 0.6, 128)
     freq = time_grid_stats(fiber_prop.TimeGrid(
-        grid.omega_s_phz, grid.omega_i_phz, grid.probability,
-        normalized=True))
+        grid.omega_s_phz, grid.omega_i_phz, grid.probability))
     stat = time_grid_stats(propagate_stationary(grid, fiber))
     scale = dispersion_scale(fiber)
     ok &= abs(stat.tau_s_ns / (scale * freq.tau_s_ns) - 1.0) < 1e-12

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,7 +166,6 @@ def small_grid(vis_ir_setup):
 
 class TestJsaGrid:
     def test_normalized(self, small_grid):
-        assert small_grid.normalized
         assert small_grid.probability.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(small_grid.probability >= 0)
 
@@ -182,10 +182,19 @@ class TestJsaGrid:
 
     @pytest.mark.parametrize("fill", [0.0, math.nan])
     def test_normalize_rejects_sum_not_positive(self, fill):
-        # a NaN sum passed the former `total <= 0` test
-        grid = JsaGrid(np.arange(16.0), np.arange(16.0), np.full((16, 16), fill))
+        # the grid is normalized when built; a NaN sum fails `not total > 0`
         with pytest.raises(DegenerateGrid):
-            grid.normalize()
+            JsaGrid(np.arange(16.0), np.arange(16.0), np.full((16, 16), fill))
+
+    def test_built_normalized_and_read_only(self):
+        values = np.arange(1.0, 17.0).reshape(4, 4)
+        grid = JsaGrid(np.arange(4.0), np.arange(4.0), values)
+        assert grid.probability.sum() == pytest.approx(1.0, abs=1e-15)
+        assert values[0, 0] == 1.0  # the input array is left as it was
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.probability = values
+        with pytest.raises(ValueError):
+            grid.probability[0, 0] = 0.0
 
     def test_pump_off_the_grid_is_degenerate(self, vis_ir_setup):
         # the pump envelope underflows to zero on every cell
@@ -198,6 +207,18 @@ class TestJsaGrid:
                         idler_center_phz=s["idler_center"])
         with pytest.raises(DegenerateGrid):
             jsa_grid(pump, s["coupling"], s["crystal"], g, s["query"])
+
+    def test_noncollinear_query_rejected(self, vis_ir_setup):
+        s = vis_ir_setup
+        query = phasematch.PhaseMatchQuery(
+            pump_wavelength_nm=s["query"].pump_wavelength_nm, qpm_sign=-1,
+            signal_theta_rad=0.3)
+        g = JsaGridSpec(n=16, range_fraction=0.02,
+                        signal_center_phz=s["signal_center"],
+                        idler_center_phz=s["idler_center"])
+        with pytest.raises(DomainError) as info:
+            jsa_grid(s["pump"], s["coupling"], s["crystal"], g, query)
+        assert info.value.field == "signal_theta_rad"
 
     def test_transpose_exchange(self, small_grid):
         t = small_grid.transpose()
@@ -354,15 +375,9 @@ class TestJsaKernel:
 
 
 class TestMarginal:
-    def test_requires_normalized(self):
-        grid = JsaGrid(np.linspace(1, 2, 16), np.linspace(1, 2, 16),
-                       np.ones((16, 16)))
-        with pytest.raises(DomainError):
-            marginal(grid, "signal")
-
     def test_uniform(self):
         grid = JsaGrid(np.linspace(1, 2, 16), np.linspace(1, 2, 16),
-                       np.ones((16, 16))).normalize()
+                       np.ones((16, 16)))
         _, p = marginal(grid, "signal")
         assert np.allclose(p, 1.0 / 16.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -372,7 +387,7 @@ class TestMarginal:
         wi = np.linspace(3, 4, 21)
         fs = np.exp(-(ws - 1.5) ** 2 / 0.02)
         fi = np.exp(-(wi - 3.4) ** 2 / 0.05)
-        grid = JsaGrid(ws, wi, np.outer(fs, fi)).normalize()
+        grid = JsaGrid(ws, wi, np.outer(fs, fi))
         _, ps = marginal(grid, "signal")
         _, pi = marginal(grid, "idler")
         assert np.allclose(ps, fs / fs.sum(), atol=1e-14)
@@ -380,7 +395,7 @@ class TestMarginal:
 
     def test_axis_validation(self):
         grid = JsaGrid(np.linspace(1, 2, 16), np.linspace(1, 2, 16),
-                       np.ones((16, 16))).normalize()
+                       np.ones((16, 16)))
         with pytest.raises(DomainError):
             marginal(grid, "pump")
 
@@ -447,7 +462,7 @@ class TestFit2D:
         ws = np.linspace(0.8, 1.2, 41)
         wi = np.linspace(1.8, 2.2, 41)
         p = self._bivariate(ws, wi, 1.0, 2.0, 0.05, 0.08, 0.5)
-        fit = fit_gaussian_2d(JsaGrid(ws, wi, p).normalize())
+        fit = fit_gaussian_2d(JsaGrid(ws, wi, p))
         assert fit.signal_center_phz == pytest.approx(1.0, abs=1e-8)
         assert fit.idler_center_phz == pytest.approx(2.0, abs=1e-8)
         assert fit.signal_sigma_phz == pytest.approx(0.05, rel=1e-6)
@@ -459,14 +474,14 @@ class TestFit2D:
         ws = np.linspace(0.8, 1.2, 31)
         wi = np.linspace(1.8, 2.2, 31)
         p = self._bivariate(ws, wi, 1.0, 2.0, 0.06, 0.06, 0.0)
-        fit = fit_gaussian_2d(JsaGrid(ws, wi, p).normalize())
+        fit = fit_gaussian_2d(JsaGrid(ws, wi, p))
         assert abs(fit.pearson) < 1e-8
 
     def test_near_singular_flag(self):
         ws = np.linspace(0.95, 1.05, 81)
         wi = np.linspace(0.95, 1.05, 81)
         p = self._bivariate(ws, wi, 1.0, 1.0, 0.05, 0.05, 1.0 - 1e-7)
-        fit = fit_gaussian_2d(JsaGrid(ws, wi, p).normalize())
+        fit = fit_gaussian_2d(JsaGrid(ws, wi, p))
         assert fit.near_singular
 
     def test_degenerate(self):

@@ -97,6 +97,25 @@ class TestPhasematchSweepAndFit:
         assert fit_out["converged"] is True
         assert fit_out["rss_nm2"] <= 1e-12
 
+    def test_sweep_out_in_new_subdirectory(self, capsys, tmp_path):
+        # The run creates the CSV's parent directory, as bentguide solve does.
+        out_csv = tmp_path / "missing" / "dir" / "x.csv"
+        code, out = run_json(capsys, [
+            "phasematch", "sweep", "--crystal", "ppktp_kato2002",
+            "--start-nm", "395", "--stop-nm", "400", "--points", "3",
+            "--out", str(out_csv)])
+        assert code == cli.EXIT_OK
+        assert len(load_dataset_csv(out_csv)) == out["solved"] == 3
+
+    def test_sweep_out_naming_a_directory(self, capsys, tmp_path):
+        code = cli.run(["phasematch", "sweep", "--crystal", "ppktp_kato2002",
+                        "--start-nm", "395", "--stop-nm", "400", "--points", "3",
+                        "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == cli.EXIT_VALIDATION
+        assert [d["path"] for d in json.loads(captured.out)["diagnostics"]] == ["/out"]
+
     def test_sweep_argument_validation(self, capsys):
         code, _ = run_json(capsys, [
             "phasematch", "sweep", "--crystal", "ppktp_kato2002",
@@ -152,6 +171,7 @@ class TestPhasematchSweepAndFit:
          "line 3: value missing or not a number"),
         ("lambda_pump_nm,lambda_vis_nm\n395.0,-533.0\n",
          "line 2: measurement fields must be positive"),
+        ("lambda_pump_nm,lambda_vis_nm\n", "no data rows"),
     ])
     def test_fit_unreadable_dataset(self, capsys, tmp_path, text, message):
         path = tmp_path / "data.csv"
@@ -173,6 +193,35 @@ class TestPhasematchSweepAndFit:
         assert captured.err == ""
         assert code == cli.EXIT_VALIDATION
         assert [d["path"] for d in json.loads(captured.out)["diagnostics"]] == ["/data"]
+
+
+def _scenario_path(tmp_path, data: bytes):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    return path
+
+
+class TestInputFiles:
+    """Every input file that cannot be read is a validation error at its
+    pointer, never a traceback."""
+
+    @pytest.mark.parametrize("argv,pointer", [
+        (lambda t: ["dispersion", "--crystal", str(t), "--wavelength-um", "0.8"],
+         "/crystal"),
+        (lambda t: ["fit-sellmeier", "--crystal", "ppktp_kato2002", "--data", str(t)],
+         "/data"),
+        (lambda t: ["jsa", "--scenario", str(t)], ""),
+        (lambda t: ["validate", str(t)], ""),
+        (lambda t: ["jsa", "--scenario", str(_scenario_path(t, b'{"a": "\xff"}'))], ""),
+    ], ids=["crystal-directory", "dataset-directory", "scenario-directory",
+            "validate-directory", "scenario-not-utf8"])
+    def test_unreadable_input_is_validation_error(self, capsys, tmp_path, argv,
+                                                  pointer):
+        code = cli.run(argv(tmp_path))
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == cli.EXIT_VALIDATION
+        assert [d["path"] for d in json.loads(captured.out)["diagnostics"]] == [pointer]
 
 
 class TestJsa:
@@ -336,7 +385,7 @@ class TestStats:
     # or ended in an OverflowError.
     @pytest.mark.parametrize("state", [
         "coherent:nan", "coherent:inf", "thermal:nan", "tmsv:nan",
-        "thermal:1e6", "tmsv:1e3"])
+        "thermal:1e6", "tmsv:1e3", "fock:" + "9" * 400])
     def test_unrepresentable_state_is_validation_error(self, capsys, state):
         code = cli.run(["stats", "g2", "--state", state])
         captured = capsys.readouterr()
@@ -374,6 +423,7 @@ def _guide(spec, **extra):
 
 
 RUN_ARGV = {"jsa": ["jsa", "--scenario"],
+            "fiber": ["fiber", "--scenario"],
             "rectguide": ["rectguide", "--scenario"],
             "bentguide solve": ["bentguide", "solve", "--spec"]}
 
@@ -418,6 +468,17 @@ INVALID_SCENARIOS = {
         "/polarization"),
     "output-dir-not-a-string": (
         "jsa", lambda scenario: dict(scenario, output_dir=5), "/output_dir"),
+    # the scenario file itself is a file next to the scenario
+    "output-dir-names-a-file": (
+        "jsa", lambda scenario: dict(scenario, output_dir="jsa.json"), "/output_dir"),
+    "output-dir-under-a-file": (
+        "jsa", lambda scenario: dict(scenario, output_dir="jsa.json/out"),
+        "/output_dir"),
+    "fiber-output-dir-names-a-file": (
+        "fiber", lambda scenario: dict(scenario, output_dir="jsa.json", fiber={
+            "gvd_2beta_s2_per_m": -2.27e-26, "length_m": 1e4}), "/output_dir"),
+    "signal-theta": (
+        "jsa", _jsa_edit("query", "signal_theta_rad", 0.3), "/query/signal_theta_rad"),
     "bent-field-csv-not-a-string": (
         "bentguide solve", _guide(BENT_SPEC, field_csv=5), "/field_csv"),
 }

@@ -335,6 +335,21 @@ class TestLeastSquares:
         assert 0.0 <= res.parameters[1] < 1e-9
         assert not res.converged
 
+    @pytest.mark.parametrize("error", [NameError, TypeError])
+    def test_programming_error_in_model_propagates(self, error):
+        # Only PhotonkitError, ValueError and ArithmeticError mark a domain
+        # wall; a bug in the model past p = 1.8 is not one. The analytic
+        # Jacobian keeps every model call past 1.8 inside a trial.
+        def model(p, xx):
+            if p[0] > 1.8:
+                raise error("bug in the model")
+            return p[0] * np.asarray(xx, dtype=float)
+
+        x = np.linspace(0.5, 2.0, 20)
+        with pytest.raises(error):
+            numerics.least_squares_fit(model, x, 2.0 * x, [1.0],
+                                       jacobian=lambda p, xx, values: xx[:, None])
+
     def test_raising_model_called_once_per_failing_trial(self):
         # A trial that leaves the domain costs one model call: the fit does
         # not retry the raising model point by point.

@@ -59,6 +59,7 @@ class TestClosedFormG2:
         (tmsv_moments, math.nan), (tmsv_moments, math.inf), (tmsv_moments, 1e3),
         (tmsv_moments, 200.0),
         pytest.param(fock_moments, 10**160, id="fock_moments-10**160"),
+        pytest.param(fock_moments, 10**400, id="fock_moments-10**400"),
     ])
     def test_unrepresentable_moments_rejected(self, moments_of, param):
         with pytest.raises(DomainError):
