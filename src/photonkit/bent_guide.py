@@ -18,13 +18,8 @@ from functools import partial
 import numpy as np
 
 from . import numerics
-from .errors import (
-    BesselRange,
-    BoundaryResidual,
-    DomainError,
-    NoRealSolution,
-    require_positive,
-)
+from .errors import BesselRange, BoundaryResidual, DomainError, NoRealSolution
+from .specs import BentGuideSpec
 
 __all__ = [
     "BentGuideSpec",
@@ -46,39 +41,6 @@ __all__ = [
 
 AZIMUTHAL_SCAN_STEP = 0.05
 WALL_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class BentGuideSpec:
-    """Annular cross-section between radii r1 < r2, height 2 z0."""
-
-    inner_radius_um: float
-    outer_radius_um: float
-    half_height_um: float
-    core_index: float
-    clad_index: float
-    vacuum_wavelength_um: float
-
-    def __post_init__(self):
-        require_positive(self, "inner_radius_um")
-        if self.inner_radius_um >= self.outer_radius_um:
-            raise DomainError("inner radius must be below outer radius",
-                              field="inner_radius_um")
-        require_positive(self, "half_height_um")
-        if self.core_index <= self.clad_index:
-            raise DomainError("core index must exceed clad index", field="core_index")
-        if self.clad_index < 1.0:
-            raise DomainError("clad index must be >= 1", field="clad_index")
-        require_positive(self, "vacuum_wavelength_um")
-
-    @property
-    def k0_per_um(self) -> float:
-        return 2.0 * math.pi / self.vacuum_wavelength_um
-
-    @property
-    def contrast_k_per_um(self) -> float:
-        """k0 sqrt(n1^2 - n2^2): the upper limit for beta_w."""
-        return self.k0_per_um * math.sqrt(self.core_index**2 - self.clad_index**2)
 
 
 @dataclass(frozen=True)

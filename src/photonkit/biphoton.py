@@ -17,16 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .dispersion import CrystalSpec, Polarization, refractive_index
-from .errors import (
-    DegenerateFit,
-    DegenerateGrid,
-    DomainError,
-    EvanescentTransverse,
-    require_positive,
-)
+from .dispersion import refractive_index
+from .errors import DegenerateFit, DegenerateGrid, DomainError, EvanescentTransverse
 from .numerics import C_UM_PER_FS
-from .phasematch import PhaseMatchQuery, grating_vector
+from .phasematch import grating_vector
+from .specs import (
+    CouplingSpec,
+    CrystalSpec,
+    JsaGridSpec,
+    PhaseMatchQuery,
+    Polarization,
+    PumpSpec,
+)
 
 __all__ = [
     "C_UM_PER_FS",
@@ -60,70 +62,6 @@ def omega_phz_from_wavelength_um(wavelength_um):
 
 def wavelength_um_from_omega_phz(omega_phz):
     return 2.0 * math.pi * C_UM_PER_FS / np.asarray(omega_phz, dtype=float)
-
-
-@dataclass(frozen=True)
-class PumpSpec:
-    """Pulsed pump: central angular frequency (the *sum* frequency 2 omega_0),
-    duration parameter tau_p, and transverse beam width."""
-
-    central_frequency_phz: float
-    pulse_duration_fs: float
-    spatial_width_um: float
-
-    def __post_init__(self):
-        require_positive(self, "central_frequency_phz", "pulse_duration_fs",
-                         "spatial_width_um")
-
-
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Gaussian fiber-mode widths and optional transverse wavevector offsets."""
-
-    signal_width_um: float
-    idler_width_um: float
-    signal_offset_per_um: float = 0.0
-    idler_offset_per_um: float = 0.0
-
-    def __post_init__(self):
-        require_positive(self, "signal_width_um", "idler_width_um")
-
-
-@dataclass(frozen=True)
-class JsaGridSpec:
-    """n x n frequency grid, each axis spanning omega0 * (1 -+ range_fraction).
-
-    idler_n, when set, decouples the idler sample count from n. Marginal
-    convergence studies vary the signal count against a fixed idler comb;
-    the joint sum changes with the idler sampling, so comparing marginals
-    across signal counts requires the idler axis to stay put.
-    """
-
-    n: int
-    range_fraction: float
-    signal_center_phz: float
-    idler_center_phz: float
-    idler_n: int | None = None
-
-    def __post_init__(self):
-        for name in ("n", "idler_n"):
-            count = getattr(self, name)
-            if count is not None and count < 16:
-                raise DomainError(f"{name} must be >= 16", field=name)
-        if not 0 < self.range_fraction < 0.5:
-            raise DomainError("must lie in (0, 0.5)", field="range_fraction")
-        require_positive(self, "signal_center_phz", "idler_center_phz")
-
-    def signal_axis(self) -> np.ndarray:
-        z = self.range_fraction
-        return np.linspace(self.signal_center_phz * (1 - z),
-                           self.signal_center_phz * (1 + z), self.n)
-
-    def idler_axis(self) -> np.ndarray:
-        z = self.range_fraction
-        count = self.n if self.idler_n is None else self.idler_n
-        return np.linspace(self.idler_center_phz * (1 - z),
-                           self.idler_center_phz * (1 + z), count)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ failure, 3 solver failure. JSON payloads are rounded to 9 significant digits;
 CSV files carry `repr` floats, which round-trip exactly.
 
 Each CLI call is a fresh process, so every command imports the solver modules
-it runs inside its own function, and a process loads only those. Before
-numpy loads, the BLAS thread count defaults to the CLI's worker count (see
-`_BLAS_THREAD_VARS`).
+it runs, and numpy, inside its own function, and a process loads only those.
+Scenarios and flags are checked by building the dataclasses of `specs`, which
+loads no numpy: `validate` and `stats g2` run without it. Before numpy loads,
+wherever that happens, the BLAS thread count defaults to the CLI's worker
+count (see `_BLAS_THREAD_VARS`).
 """
 
 from __future__ import annotations
@@ -30,16 +32,14 @@ from . import worker_count
 
 # OpenBLAS (numpy's, and scipy's when it loads) reads these once, when it
 # loads, and otherwise starts one thread per core. Unless the user set one, a
-# CLI process runs as many BLAS threads as it has workers. This must run
-# before the first numpy import, which the `dispersion` import below makes.
+# CLI process runs as many BLAS threads as it has workers. This runs when the
+# CLI is imported, before any command imports numpy.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
     for _var in _BLAS_THREAD_VARS:
         os.environ.setdefault(_var, str(worker_count()))
 
-import numpy as np  # noqa: E402
-
-from . import dispersion  # noqa: E402
+from . import specs  # noqa: E402
 from .errors import DomainError, PhotonkitError, ScenarioError  # noqa: E402
 
 __all__ = ["main", "run"]
@@ -50,22 +50,18 @@ EXIT_SOLVER = 3
 
 
 def _round_sig(value, digits: int = 9):
-    """Recursively round floats to `digits` significant digits for output."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if not math.isfinite(v):
-            return v
-        return float(f"{v:.{digits}g}")
-    if isinstance(value, (int, np.integer)):
-        return int(value)
+    """Recursively round floats to `digits` significant digits for output; a
+    numpy scalar or array, which has `tolist`, first becomes its Python value."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return value
+        return float(f"{value:.{digits}g}")
     if isinstance(value, dict):
         return {k: _round_sig(v, digits) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round_sig(v, digits) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_round_sig(v, digits) for v in value.tolist()]
     return value
 
 
@@ -96,23 +92,23 @@ def _load_scenario(path: str) -> dict:
     return raw
 
 
-def _crystal(ref, base: str = ".") -> dispersion.CrystalSpec:
+def _crystal(ref, base: str = ".") -> specs.CrystalSpec:
     """Load a crystal file, relative to `base`, or else a builtin by name."""
     if not isinstance(ref, str) or not ref:
         raise _invalid("/crystal", "crystal file or builtin name required")
     candidate = Path(base) / ref
     if not candidate.exists():
         try:
-            candidate = dispersion.builtin_crystal_path(ref)
+            candidate = specs.builtin_crystal_path(ref)
         except PhotonkitError:
             raise _invalid("/crystal", f"not found: {ref}") from None
-    return _read_input("/crystal", candidate, dispersion.load_crystal)
+    return _read_input("/crystal", candidate, specs.load_crystal)
 
 
 # ---------------------------------------------------------------- scenarios
 
 _KIND_NAMES = {float: "number", int: "integer", str: "string",
-               dispersion.Polarization: "string"}
+               specs.Polarization: "string"}
 
 
 def _json_ok(kind, value) -> bool:
@@ -209,18 +205,16 @@ def _build(scenario: dict) -> dict:
     diags: list = []
     inputs: dict = {}
     if command in ("jsa", "fiber"):
-        from . import biphoton, phasematch
-
         try:
             inputs["crystal"] = _crystal(scenario.get("crystal"),
                                          scenario.get("__dir__", "."))
         except ScenarioError as exc:
             diags += exc.diagnostics
-        for key, cls in (("pump", biphoton.PumpSpec),
-                         ("coupling", biphoton.CouplingSpec),
-                         ("grid", biphoton.JsaGridSpec)):
+        for key, cls in (("pump", specs.PumpSpec),
+                         ("coupling", specs.CouplingSpec),
+                         ("grid", specs.JsaGridSpec)):
             inputs[key] = _spec(cls, scenario.get(key), f"/{key}", diags)
-        query = inputs["query"] = _spec(phasematch.PhaseMatchQuery,
+        query = inputs["query"] = _spec(specs.PhaseMatchQuery,
                                         scenario.get("query", {}), "/query", diags,
                                         pump_wavelength_nm=1.0)
         if query is not None and query.signal_theta_rad != 0.0:
@@ -228,18 +222,14 @@ def _build(scenario: dict) -> dict:
                           "message": "the joint spectrum is collinear only"})
         inputs["out_dir"] = _out_dir(scenario, diags)
     if command == "fiber":
-        from . import fiber_prop
-
-        inputs["fiber"] = _spec(fiber_prop.FiberSpec, scenario.get("fiber"),
+        inputs["fiber"] = _spec(specs.FiberSpec, scenario.get("fiber"),
                                 "/fiber", diags)
         inputs["method"] = scenario.get("method", "stationary")
         if inputs["method"] not in ("stationary", "exact"):
             diags.append({"path": "/method",
                           "message": "method must be 'stationary' or 'exact'"})
     if command == "bentguide solve":
-        from . import bent_guide
-
-        inputs["spec"] = _spec(bent_guide.BentGuideSpec, scenario.get("spec"),
+        inputs["spec"] = _spec(specs.BentGuideSpec, scenario.get("spec"),
                                "/spec", diags)
         field_csv = inputs["field_csv"] = _string(scenario, "field_csv", diags)
         if isinstance(field_csv, str):
@@ -248,9 +238,7 @@ def _build(scenario: dict) -> dict:
                 diags.append({"path": "/field_csv",
                               "message": "field_csv must name a file, not a directory"})
     if command == "rectguide":
-        from . import rect_guide
-
-        spec = inputs["spec"] = _spec(rect_guide.RectGuideSpec, scenario.get("spec"),
+        spec = inputs["spec"] = _spec(specs.RectGuideSpec, scenario.get("spec"),
                                       "/spec", diags)
         if spec is not None:
             key = "frequency_thz" if spec.kind == "hollow" else "wavelength_um"
@@ -291,10 +279,16 @@ def _make_out_dir(inputs: dict) -> Path:
 # Each command returns its "ok" payload without `status`, which `run` adds.
 
 def _cmd_dispersion(args) -> dict:
+    from . import dispersion
+
     crystal = _crystal(args.crystal)
+    if not math.isfinite(args.wavelength_um):
+        raise _invalid("/wavelength_um", "must be finite")
     if args.wavelength_um <= 0:
         raise _invalid("/wavelength_um", "must be positive")
-    sell = crystal.axis_set(dispersion.Polarization(args.axis))
+    if not math.isfinite(args.temperature_k):
+        raise _invalid("/temperature_k", "must be finite")
+    sell = crystal.axis_set(specs.Polarization(args.axis))
     n = dispersion.refractive_index(sell, args.wavelength_um)
     payload = {
         "crystal": crystal.name,
@@ -311,33 +305,49 @@ def _cmd_dispersion(args) -> dict:
 
 def _flag_query(args, top_pump_nm: float, **fields):
     """The flags' PhaseMatchQuery, built by `_spec` from `fields` plus the
-    temperature and QPM sign, and the --window-nm pair, which must increase and
-    lie above `top_pump_nm`. Raises ScenarioError listing every defect."""
-    from . import phasematch
-
+    temperature and QPM sign, and the --window-nm pair, which must be finite,
+    increase and lie above `top_pump_nm`. Raises ScenarioError listing every
+    defect."""
     diags: list = []
     lo, hi = args.window_nm
-    if not lo < hi:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        diags.append({"path": "/window_nm", "message": "lo and hi must be finite"})
+    elif not lo < hi:
         diags.append({"path": "/window_nm", "message": "lo must be below hi"})
     elif not top_pump_nm < lo:
         diags.append({"path": "/window_nm", "message":
                       f"window must lie above the pump wavelength {top_pump_nm} nm"})
-    query = _spec(phasematch.PhaseMatchQuery, dict(
+    query = _spec(specs.PhaseMatchQuery, dict(
         fields, temperature_k=args.temperature_k, qpm_sign=args.qpm_sign), "", diags)
     if diags:
         raise ScenarioError(diags)
     return query, (lo, hi)
 
 
+def _check_scan(pointer: str, pump_count: int, window) -> None:
+    """Report at `pointer` a window scan of `pump_count` pumps too large to run."""
+    from . import phasematch
+
+    try:
+        phasematch.scan_points(pump_count, window)
+    except DomainError as exc:
+        raise _invalid(pointer, str(exc)) from None
+
+
 def _cmd_phasematch_sweep(args) -> dict:
+    import numpy as np
+
     from . import phasematch, sellmeier_fit
 
     crystal = _crystal(args.crystal)
+    if not (math.isfinite(args.start_nm) and math.isfinite(args.stop_nm)):
+        raise _invalid("/sweep", "start and stop must be finite")
     if args.points < 2 or args.stop_nm <= args.start_nm:
         raise _invalid("/sweep", "need points >= 2 and stop > start")
     query, window = _flag_query(args, args.stop_nm, pump_wavelength_nm=args.start_nm,
                                 pol_pump=args.pol_pump, pol_signal=args.pol_signal,
                                 pol_idler=args.pol_idler)
+    _check_scan("/sweep", args.points, window)
     pumps = np.linspace(args.start_nm, args.stop_nm, args.points)
     roots = phasematch.solve_signal_sweep(query, crystal, pumps, window)
     rows = [{"pump_nm": float(p), "signal_nm": (None if math.isnan(s) else float(s))}
@@ -364,6 +374,7 @@ def _cmd_fit_sellmeier(args) -> dict:
         raise _invalid("/data", "no data rows")
     pumps = [pt.pump_nm for pt in points]
     query, window = _flag_query(args, max(pumps), pump_wavelength_nm=min(pumps))
+    _check_scan("/window_nm", len(pumps), window)
     setup = sellmeier_fit.FitSetup(crystal=crystal, query=query, search_window_nm=window)
     start = (tuple(args.start) if args.start
              else crystal.sellmeier_z.as_tuple()[:3])
@@ -441,6 +452,8 @@ def _cmd_rectguide(args) -> dict:
 
 
 def _cmd_bentguide_solve(args) -> dict:
+    import numpy as np
+
     from . import bent_guide, numerics
 
     inputs = _scenario_inputs(args.scenario, "bentguide solve")
@@ -527,8 +540,7 @@ def _golden_checks() -> list[tuple[str, bool]]:
     checks.append(("g2 table {0, 0.5, 1, 2}",
                    g2_vals == [0.0, 0.5, 1.0, 2.0]))
 
-    crystal = dispersion.load_crystal(
-        dispersion.builtin_crystal_path("ppktp_kato2002"))
+    crystal = specs.load_crystal(specs.builtin_crystal_path("ppktp_kato2002"))
     f1, f2 = sellmeier_fit.sellmeier_fraction_ranges(crystal.sellmeier_z)
     checks.append(("z-axis pole-fraction ranges (0.533, 0.048)",
                    abs(f1 - 0.533) < 0.005 and abs(f2 - 0.048) < 0.005))

@@ -16,6 +16,7 @@ import numpy as np
 from . import numerics
 from .biphoton import GaussianFit2D, JsaGrid
 from .errors import DomainError, GridTooCoarse, ZeroDispersion
+from .specs import FiberSpec
 
 __all__ = [
     "FiberSpec",
@@ -33,18 +34,6 @@ __all__ = [
 
 S2_TO_FS2 = 1e30
 FS_TO_NS = 1e-6
-
-
-@dataclass(frozen=True)
-class FiberSpec:
-    """Equal-length fiber pair: signed GVD 2*beta in s^2/m and length in m."""
-
-    gvd_2beta_s2_per_m: float
-    length_m: float
-
-    def __post_init__(self):
-        if self.length_m < 0:
-            raise DomainError("must be nonnegative", field="length_m")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,6 @@ from functools import partial
 import numpy as np
 
 from .dispersion import (
-    CrystalSpec,
-    Polarization,
-    SellmeierSet,
     index_and_derivative,
     poling_period,
     refractive_index,
@@ -25,6 +22,7 @@ from .dispersion import (
 )
 from .errors import ArcsineDomain, DomainError, MultipleRoots, NoRootInWindow
 from .numerics import RootBracket, find_root
+from .specs import CrystalSpec, PhaseMatchQuery, SellmeierSet
 
 __all__ = [
     "PhaseMatchQuery",
@@ -36,50 +34,17 @@ __all__ = [
     "solve_signal_wavelength",
     "solve_signal_sweep",
     "snell_external_angle",
+    "scan_points",
 ]
 
 COARSE_STEP_NM = 0.1
+# Most mismatch values one window scan evaluates, pumps x window points; each
+# array of the scan then takes at most 80 MB.
+MAX_SCAN_CELLS = 10**7
 MISMATCH_TOL_PER_UM = 1e-10
 # find_root's step cap and final step size for the roots.
 SWEEP_MAX_STEPS = 64
 SWEEP_STEP_TOL_NM = 1e-12
-
-
-@dataclass(frozen=True)
-class PhaseMatchQuery:
-    """One phase-matching question: pump, geometry, polarizations, QPM order.
-
-    Angles are internal to the crystal, in radians. The pump propagates along
-    the poling axis (x); the signal leaves it at polar angle signal_theta_rad,
-    and the mismatch does not depend on the azimuth.
-    """
-
-    pump_wavelength_nm: float
-    signal_theta_rad: float = 0.0
-    temperature_k: float = 298.0
-    pol_pump: Polarization = Polarization.Z
-    pol_signal: Polarization = Polarization.Z
-    pol_idler: Polarization = Polarization.Z
-    qpm_order: int = 1
-    qpm_sign: int = -1
-
-    def __post_init__(self):
-        if self.pump_wavelength_nm <= 0:
-            raise DomainError("pump wavelength must be positive",
-                              field="pump_wavelength_nm")
-        if abs(self.qpm_sign) != 1:
-            raise DomainError("qpm_sign must be +1 or -1", field="qpm_sign")
-        if self.qpm_order < 0:
-            raise DomainError("qpm_order must be nonnegative", field="qpm_order")
-        for field in ("pol_pump", "pol_signal", "pol_idler"):
-            pol = getattr(self, field)
-            if not isinstance(pol, Polarization):
-                try:
-                    pol = Polarization(str(pol).lower())
-                except ValueError:
-                    raise DomainError(f"unknown polarization {pol!r}",
-                                      field=field) from None
-                object.__setattr__(self, field, pol)
 
 
 @dataclass(frozen=True)
@@ -177,19 +142,31 @@ def idler_angle(query: PhaseMatchQuery, signal_nm: float, crystal: CrystalSpec) 
     return math.asin(arg)
 
 
+def scan_points(pump_count: int, window_nm: tuple[float, float]) -> int:
+    """Points of the grid that spans the finite window at COARSE_STEP_NM spacing
+    or just below: ceil((hi - lo) / COARSE_STEP_NM) + 1, both ends included.
+    DomainError when `pump_count` pumps would make it more than MAX_SCAN_CELLS."""
+    lo, hi = window_nm
+    points = max(math.ceil((hi - lo) / COARSE_STEP_NM) + 1, 2)
+    if pump_count * points > MAX_SCAN_CELLS:
+        raise DomainError(f"the scan grid of {pump_count} pumps x {points} window "
+                          f"points exceeds {MAX_SCAN_CELLS} cells")
+    return points
+
+
 def _scan(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
           window_nm: tuple[float, float]):
     """Mismatch on the window grid, one row per pump, and the sign changes
     between neighbouring grid points.
 
-    The grid spans the window at COARSE_STEP_NM spacing or just below:
-    ceil((hi - lo) / COARSE_STEP_NM) + 1 points, both ends included. Raises
-    DomainError unless the window lies above every pump wavelength.
+    Raises DomainError unless the window is finite and lies above every pump
+    wavelength, and when the grid would exceed MAX_SCAN_CELLS.
     """
     lo, hi = window_nm
-    if not (lo < hi and np.all(pumps_nm < lo)):
-        raise DomainError("search window must lie above the pump wavelength")
-    grid = np.linspace(lo, hi, max(math.ceil((hi - lo) / COARSE_STEP_NM) + 1, 2))
+    if not (lo < hi < math.inf and np.all(pumps_nm < lo)):
+        raise DomainError("search window must be finite and lie above the pump "
+                          "wavelength")
+    grid = np.linspace(lo, hi, scan_points(pumps_nm.size, window_nm))
     dk = mismatch(query, crystal, pumps_nm[:, None], grid)
     sign = np.sign(dk)
     return grid, dk, sign[:, :-1] * sign[:, 1:] < 0

@@ -1,15 +1,14 @@
 """Photon-number statistics: closed-form g2(0) calculators for standard
 states, two-mode squeezed vacuum moments, and a seeded Poisson-process Monte
 Carlo with Bernoulli branching. All randomness comes from the counter-based
-Philox generator so runs are reproducible bit for bit."""
+Philox generator so runs are reproducible bit for bit. Only the Monte Carlo
+functions import numpy, so `photonkit stats g2` never loads it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError, ZeroMean, ZeroVariance
 
@@ -136,11 +135,15 @@ def tmsv_moments(squeeze_r: float) -> TmsvStats:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(seed))
 
 
 def simulate_poisson(rate_per_s: float, horizon_s: float, seed: int) -> CountRecord:
     """Homogeneous Poisson process by exponential inter-arrival sampling."""
+    import numpy as np
+
     if rate_per_s <= 0 or horizon_s <= 0:
         raise DomainError("rate and horizon must be positive")
     rng = _rng(seed)
@@ -162,6 +165,8 @@ def simulate_poisson(rate_per_s: float, horizon_s: float, seed: int) -> CountRec
 def branch(record: CountRecord, keep_probability: float,
            seed: int) -> tuple[CountRecord, CountRecord]:
     """Independent Bernoulli thinning into (kept, dropped) partitions."""
+    import numpy as np
+
     if not 0.0 <= keep_probability <= 1.0:
         raise DomainError("keep probability must lie in [0, 1]")
     times = np.asarray(record.arrival_times_s, dtype=float)
@@ -174,6 +179,8 @@ def branch(record: CountRecord, keep_probability: float,
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length series."""
+    import numpy as np
+
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.size != yv.size or xv.size < 2:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DomainError, NoGuidedModes, require_positive
+from .errors import DomainError, NoGuidedModes
 from .numerics import C_UM_PER_FS
+from .specs import RectGuideSpec
 
 __all__ = [
     "RectGuideSpec",
@@ -29,28 +30,6 @@ __all__ = [
 ]
 
 THZ_TO_INV_FS = 1e-3  # 1 THz = 1e-3 cycles per fs
-
-
-@dataclass(frozen=True)
-class RectGuideSpec:
-    """Cross-section a x b with core index n1; clad_index ignored for hollow."""
-
-    width_a_um: float
-    height_b_um: float
-    core_index: float
-    clad_index: float = 1.0
-    kind: str = "dielectric"
-
-    def __post_init__(self):
-        require_positive(self, "width_a_um", "height_b_um", "core_index")
-        if self.kind not in ("hollow", "dielectric"):
-            raise DomainError("kind must be 'hollow' or 'dielectric'", field="kind")
-        if self.kind == "dielectric":
-            if self.core_index < self.clad_index:
-                raise DomainError("core index must not be below clad index",
-                                  field="core_index")
-            if self.clad_index < 1.0:
-                raise DomainError("clad index must be >= 1", field="clad_index")
 
 
 @dataclass(frozen=True)

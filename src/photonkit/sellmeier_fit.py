@@ -12,8 +12,9 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics, phasematch
-from .dispersion import CrystalSpec, SellmeierSet, index_coefficient_gradient
+from .dispersion import index_coefficient_gradient
 from .errors import DivergedFit, DomainError, InsufficientData, NoRootInWindow
+from .specs import CrystalSpec, SellmeierSet
 
 __all__ = [
     "MeasurementPoint",

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from photonkit import cli
@@ -77,6 +78,28 @@ class TestDispersion:
             "--wavelength-um", "-1"])
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flags,path", [
+        (["--wavelength-um", "nan"], "/wavelength_um"),
+        (["--wavelength-um", "inf"], "/wavelength_um"),
+        (["--wavelength-um", "0.8", "--temperature-k", "nan"], "/temperature_k"),
+        (["--wavelength-um", "0.8", "--temperature-k", "inf"], "/temperature_k"),
+    ], ids=["wavelength-nan", "wavelength-inf", "temperature-nan", "temperature-inf"])
+    def test_non_finite_flag(self, capsys, flags, path):
+        # the payload would print bare NaN/Infinity, which is not JSON
+        code, out = run_json(capsys, ["dispersion", "--crystal", "ppktp_kato2002", *flags])
+        assert code == cli.EXIT_VALIDATION
+        assert out["diagnostics"] == [{"path": path, "message": "must be finite"}]
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_axis_selects_its_sellmeier_set(self, capsys, axis, kato_crystal):
+        from photonkit import dispersion
+
+        _, out = run_json(capsys, ["dispersion", "--crystal", "ppktp_kato2002",
+                                   "--axis", axis, "--wavelength-um", "0.8"])
+        sellmeier = getattr(kato_crystal, f"sellmeier_{axis}")
+        expected = dispersion.refractive_index(sellmeier, 0.8)
+        assert out["refractive_index"] == pytest.approx(expected, rel=1e-8)
+
 
 class TestPhasematchSweepAndFit:
     def test_sweep_to_csv_then_fit(self, capsys, tmp_path):
@@ -128,7 +151,21 @@ class TestPhasematchSweepAndFit:
         ("fit", ["--qpm-sign", "0"], "/qpm_sign"),
         ("sweep", ["--window-nm", "600", "500"], "/window_nm"),
         ("fit", ["--window-nm", "600", "500"], "/window_nm"),
-    ], ids=["sweep-pol", "sweep-sign", "fit-sign", "sweep-window", "fit-window"])
+        ("sweep", ["--window-nm", "500", "inf"], "/window_nm"),
+        ("fit", ["--window-nm", "500", "inf"], "/window_nm"),
+        ("sweep", ["--window-nm", "nan", "600"], "/window_nm"),
+        ("sweep", ["--start-nm", "nan"], "/sweep"),
+        ("sweep", ["--stop-nm", "inf"], "/sweep"),
+        ("sweep", ["--temperature-k", "nan"], "/temperature_k"),
+        ("fit", ["--temperature-k", "inf"], "/temperature_k"),
+        # scan grids above phasematch.MAX_SCAN_CELLS
+        ("sweep", ["--points", "100000000"], "/sweep"),
+        ("sweep", ["--window-nm", "500", "2e6"], "/sweep"),
+        ("fit", ["--window-nm", "500", "1e7"], "/window_nm"),
+    ], ids=["sweep-pol", "sweep-sign", "fit-sign", "sweep-window", "fit-window",
+            "sweep-window-inf", "fit-window-inf", "sweep-window-nan", "sweep-start-nan",
+            "sweep-stop-inf", "sweep-temperature-nan", "fit-temperature-inf",
+            "sweep-points-huge", "sweep-window-huge", "fit-window-huge"])
     def test_bad_flag_is_validation_error(self, capsys, tmp_path, command, flags, path):
         data = tmp_path / "data.csv"
         data.write_text("lambda_pump_nm,lambda_vis_nm\n395.0,533.0\n")
@@ -448,6 +485,10 @@ INVALID_SCENARIOS = {
     "fractional-grid-n": ("jsa", _jsa_edit("grid", "n", 24.7), "/grid/n"),
     "signal-phi": (
         "jsa", _jsa_edit("query", "signal_phi_rad", 0.1), "/query/signal_phi_rad"),
+    # JSON as Python reads and writes it allows NaN
+    "query-temperature-nan": (
+        "jsa", _jsa_edit("query", "temperature_k", float("nan")),
+        "/query/temperature_k"),
     "rect-frequency-not-a-number": (
         "rectguide", _guide({"width_a_um": 1.0, "height_b_um": 0.5,
                              "core_index": 1.0, "kind": "hollow"},
@@ -575,9 +616,9 @@ class TestGolden:
         assert lines and all(ln.startswith("PASS") for ln in lines)
 
 
-# The loaded modules the import tests watch: scipy, the photonkit modules, and
-# the stdlib/numpy parts only some commands need.
-_WATCHED = ("scipy", "photonkit", "numpy.polynomial", "concurrent.futures")
+# The loaded modules the import tests watch: scipy, the photonkit modules,
+# numpy, and the stdlib parts only some commands need.
+_WATCHED = ("scipy", "photonkit", "numpy", "concurrent.futures")
 
 # Runs `photonkit.cli.run(argv)` in a fresh interpreter, then prints its exit
 # code and every loaded module whose name starts with one of _WATCHED.
@@ -647,11 +688,12 @@ class TestImports:
         assert scipy_modules == ""
 
     def test_cli_import_loads_no_solver(self):
+        # nor numpy: the specs the CLI checks its inputs with need none
         out = _fresh_python("-c", "import sys, photonkit.cli; "
                                   f"print(*sorted(m for m in sys.modules "
                                   f"if m.startswith({_WATCHED!r})))")
-        assert out.split() == ["photonkit", "photonkit.cli", "photonkit.dispersion",
-                               "photonkit.errors"]
+        assert out.split() == ["photonkit", "photonkit.cli", "photonkit.errors",
+                               "photonkit.specs"]
 
     def _loaded(self, case, capsys, tmp_path, jsa_scenario):
         """The watched modules loaded by a fresh process that runs `case`."""
@@ -695,8 +737,23 @@ class TestImports:
 
     def test_stats_g2_loads_photon_stats_alone(self, capsys, tmp_path, jsa_scenario):
         loaded = self._loaded("stats g2", capsys, tmp_path, jsa_scenario)
-        assert loaded == ["photonkit", "photonkit.cli", "photonkit.dispersion",
-                          "photonkit.errors", "photonkit.photon_stats"]
+        assert loaded == ["photonkit", "photonkit.cli", "photonkit.errors",
+                          "photonkit.photon_stats", "photonkit.specs"]
+
+    @pytest.mark.parametrize("scenario", [
+        "validate", "fiber", "hollow", "dielectric", "bent"])
+    def test_validate_loads_no_numpy(self, capsys, tmp_path, jsa_scenario, scenario):
+        # `validate` builds the scenario's specs and runs no solver
+        _command_argv("validate", tmp_path, jsa_scenario)  # writes the scenarios
+        path = tmp_path / f"{scenario}.json"
+        command = {"validate": "jsa", "fiber": "fiber", "hollow": "rectguide",
+                   "dielectric": "rectguide", "bent": "bentguide solve"}[scenario]
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), command=command)))
+        out = _fresh_python("-c", _RUN_AND_LIST, "validate", str(path))
+        code, *loaded = out.splitlines()[-1].split()
+        assert code == str(cli.EXIT_OK)
+        assert loaded == ["photonkit", "photonkit.cli", "photonkit.errors",
+                          "photonkit.specs"]
 
     def test_golden_in_fresh_process(self):
         # --golden imports its solver modules when it runs
@@ -789,6 +846,20 @@ OK_KEY_PATHS = {
     "stats g2": "status state mean variance g2 classification",
     "validate": "status diagnostics",
 }
+
+
+@pytest.mark.parametrize("value,expected", [
+    (np.float64(0.1), 0.1), (np.float32(0.5), 0.5), (np.int64(7), 7),
+    (np.bool_(True), True), (np.array(2.5), 2.5), (np.array([1, 2]), [1, 2]),
+    (np.array([0.25, np.nan]), [0.25, float("nan")]),
+], ids=["float64", "float32", "int64", "bool_", "0-d", "1-d", "1-d-nan"])
+def test_round_sig_numpy_values(value, expected):
+    def types(v):
+        return [types(item) for item in v] if isinstance(v, list) else type(v)
+
+    out = cli._round_sig(value)
+    assert types(out) == types(expected)  # Python values, not numpy ones
+    assert json.dumps(out) == json.dumps(expected)
 
 
 class TestPayloads:

@@ -54,6 +54,12 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             PhaseMatchQuery(pump_wavelength_nm=400.0, qpm_order=-1)
 
+    @pytest.mark.parametrize("temperature_k", [math.nan, math.inf, -math.inf])
+    def test_temperature_not_finite(self, temperature_k):
+        with pytest.raises(DomainError) as info:
+            PhaseMatchQuery(pump_wavelength_nm=400.0, temperature_k=temperature_k)
+        assert info.value.field == "temperature_k"
+
 
 class TestIdlerWavelength:
     def test_energy_conservation(self):
@@ -156,6 +162,22 @@ class TestSolvers:
         q = PhaseMatchQuery(pump_wavelength_nm=397.6)
         with pytest.raises(DomainError, match="above the pump"):
             solve_signal_sweep(q, kato_crystal, [395.0, 400.0], window)
+
+    @pytest.mark.parametrize("window", [(500.0, math.inf), (math.nan, 600.0)])
+    def test_sweep_window_not_finite_rejected(self, kato_crystal, window):
+        q = PhaseMatchQuery(pump_wavelength_nm=397.6)
+        with pytest.raises(DomainError, match="finite"):
+            solve_signal_sweep(q, kato_crystal, [395.0, 400.0], window)
+
+    def test_scan_size_bound(self, kato_crystal):
+        # (500, 600) nm scans at 1001 points per pump
+        most = phasematch.MAX_SCAN_CELLS // 1001
+        assert phasematch.scan_points(most, (500.0, 600.0)) == 1001
+        with pytest.raises(DomainError, match="exceeds"):
+            phasematch.scan_points(most + 1, (500.0, 600.0))
+        q = PhaseMatchQuery(pump_wavelength_nm=397.6)
+        with pytest.raises(DomainError, match="exceeds"):
+            solve_signal_sweep(q, kato_crystal, [395.0, 400.0], (500.0, 1e7))
 
     def test_sweep_collinear_only(self, kato_crystal):
         q = PhaseMatchQuery(pump_wavelength_nm=397.6, signal_theta_rad=0.01)
