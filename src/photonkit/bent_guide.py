@@ -126,18 +126,19 @@ def radial_determinant(spec: BentGuideSpec, h_per_um: float, m) -> np.ndarray:
     if np.any(lam > numerics.MAX_BESSEL_ORDER):
         raise BesselRange(
             f"order sqrt(m^2+1) exceeds {numerics.MAX_BESSEL_ORDER}")
-    j1, y1 = numerics.bessel_jy(lam, h_per_um * spec.inner_radius_um)
-    j2, y2 = numerics.bessel_jy(lam, h_per_um * spec.outer_radius_um)
-    return j1 * y2 - j2 * y1
+    # One pass over both walls: the last axis holds r1 and r2.
+    j, y = numerics.bessel_jy(lam[..., None], h_per_um * np.array(
+        [spec.inner_radius_um, spec.outer_radius_um]))
+    return j[..., 0] * y[..., 1] - j[..., 1] * y[..., 0]
 
 
 def azimuthal_numbers(spec: BentGuideSpec, h_per_um: float) -> list[tuple[int, float, float]]:
     """All (p, m, gamma) roots of the radial determinant, m descending.
 
     Scanned with a 0.05 bracketing step over m in (0, h r2]; one
-    numerics.find_root call refines every sign change to 1e-13, by bisection,
-    as the determinant has no closed-form slope in m. The determinant's Bessel
-    functions load scipy.special. gamma solves
+    numerics.find_root call refines every sign change to 1e-13, by
+    false-position steps, as the determinant has no closed-form slope in m.
+    gamma solves
     sin(gamma) J_lam(h r1) + cos(gamma) Y_lam(h r1) = 0, i.e.
     tan(gamma) = -Y_lam(h r1) / J_lam(h r1).
     """

@@ -83,8 +83,17 @@ class JsaGrid:
         object.__setattr__(self, "probability", probability)
 
     def transpose(self) -> "JsaGrid":
-        return JsaGrid(self.omega_i_phz.copy(), self.omega_s_phz.copy(),
-                       self.probability.T.copy())
+        """The grid with signal and idler exchanged, its probability the exact
+        transpose: it is not divided by its sum again, which rounding can
+        leave off 1.0."""
+        grid = object.__new__(JsaGrid)
+        probability = self.probability.T.copy()
+        probability.flags.writeable = False
+        for name, value in (("omega_s_phz", self.omega_i_phz.copy()),
+                            ("omega_i_phz", self.omega_s_phz.copy()),
+                            ("probability", probability)):
+            object.__setattr__(grid, name, value)
+        return grid
 
 
 @dataclass(frozen=True)
@@ -106,12 +115,10 @@ class GaussianFit1D:
     @property
     def p_values(self) -> tuple[float, float, float, float]:
         """Two-sided Student-t p-values of (bias, amplitude, centre, FWHM)
-        against zero, NaN where the standard error is not positive and finite;
-        computed on read, as they load scipy.special."""
-        from scipy import special
-
+        against zero (numerics.student_t_two_sided), NaN where the standard
+        error is not positive and finite; computed on read."""
         params = (self.bias, self.amplitude, self.center_phz, self.fwhm_phz)
-        return tuple(float(2.0 * special.stdtr(self.dof, -abs(v) / e))
+        return tuple(numerics.student_t_two_sided(v / e, self.dof)
                      if e > 0 and np.isfinite(e) else math.nan
                      for v, e in zip(params, self.standard_errors))
 

@@ -30,8 +30,8 @@ from pathlib import Path
 
 from . import worker_count
 
-# OpenBLAS (numpy's, and scipy's when it loads) reads these once, when it
-# loads, and otherwise starts one thread per core. Unless the user set one, a
+# numpy's OpenBLAS reads these once, when it loads, and otherwise starts one
+# thread per core. Unless the user set one, a
 # CLI process runs as many BLAS threads as it has workers. This runs when the
 # CLI is imported, before any command imports numpy.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -20,9 +20,10 @@ class DomainError(PhotonkitError, ValueError):
 
 
 def require_positive(spec, *fields: str) -> None:
-    """Raise DomainError at the first of `fields` on `spec` that is not > 0."""
+    """Raise DomainError at the first of `fields` on `spec` that is not > 0,
+    NaN included."""
     for name in fields:
-        if getattr(spec, name) <= 0:
+        if not getattr(spec, name) > 0:
             raise DomainError("must be positive", field=name)
 
 

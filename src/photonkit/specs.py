@@ -54,9 +54,11 @@ class SellmeierSet:
     a4: float
 
     def __post_init__(self):
-        if self.a0 <= 0:
+        if not all(math.isfinite(c) for c in self.as_tuple()):
+            raise DomainError("Sellmeier coefficients must be finite")
+        if not self.a0 > 0:
             raise DomainError("a0 must be positive")
-        if self.a2 < 0 or self.a4 < 0:
+        if not (self.a2 >= 0 and self.a4 >= 0):
             raise DomainError("pole positions a2, a4 must be nonnegative")
         if self.a2 == self.a4 and self.a2 != 0:
             raise DomainError("a2 and a4 must differ unless both zero")
@@ -83,10 +85,12 @@ class CrystalSpec:
     alpha_per_kelvin: float = 0.0
 
     def __post_init__(self):
-        if self.length_um <= 0:
+        if not self.length_um > 0:
             raise DomainError("crystal length must be positive")
-        if self.poling_period_um < 0:
+        if not self.poling_period_um >= 0:
             raise DomainError("poling period must be nonnegative")
+        if not (math.isfinite(self.t0_kelvin) and math.isfinite(self.alpha_per_kelvin)):
+            raise DomainError("t0_kelvin and alpha_per_kelvin must be finite")
 
     def axis_set(self, pol: Polarization) -> SellmeierSet:
         # In the collinear geometry used throughout, propagation is along x;
@@ -241,7 +245,7 @@ class PhaseMatchQuery:
     qpm_sign: int = -1
 
     def __post_init__(self):
-        if self.pump_wavelength_nm <= 0:
+        if not self.pump_wavelength_nm > 0:
             raise DomainError("pump wavelength must be positive",
                               field="pump_wavelength_nm")
         if not math.isfinite(self.temperature_k):
@@ -271,7 +275,9 @@ class FiberSpec:
     length_m: float
 
     def __post_init__(self):
-        if self.length_m < 0:
+        if not math.isfinite(self.gvd_2beta_s2_per_m):
+            raise DomainError("must be finite", field="gvd_2beta_s2_per_m")
+        if not self.length_m >= 0:
             raise DomainError("must be nonnegative", field="length_m")
 
 
@@ -290,11 +296,11 @@ class RectGuideSpec:
         if self.kind not in ("hollow", "dielectric"):
             raise DomainError("kind must be 'hollow' or 'dielectric'", field="kind")
         if self.kind == "dielectric":
-            if self.core_index < self.clad_index:
+            if not self.clad_index >= 1.0:
+                raise DomainError("clad index must be >= 1", field="clad_index")
+            if not self.core_index >= self.clad_index:
                 raise DomainError("core index must not be below clad index",
                                   field="core_index")
-            if self.clad_index < 1.0:
-                raise DomainError("clad index must be >= 1", field="clad_index")
 
 
 @dataclass(frozen=True)
@@ -309,15 +315,15 @@ class BentGuideSpec:
     vacuum_wavelength_um: float
 
     def __post_init__(self):
-        require_positive(self, "inner_radius_um")
-        if self.inner_radius_um >= self.outer_radius_um:
+        require_positive(self, "inner_radius_um", "outer_radius_um")
+        if not self.inner_radius_um < self.outer_radius_um:
             raise DomainError("inner radius must be below outer radius",
                               field="inner_radius_um")
         require_positive(self, "half_height_um")
-        if self.core_index <= self.clad_index:
-            raise DomainError("core index must exceed clad index", field="core_index")
-        if self.clad_index < 1.0:
+        if not self.clad_index >= 1.0:
             raise DomainError("clad index must be >= 1", field="clad_index")
+        if not self.core_index > self.clad_index:
+            raise DomainError("core index must exceed clad index", field="core_index")
         require_positive(self, "vacuum_wavelength_um")
 
     @property

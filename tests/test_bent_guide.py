@@ -6,6 +6,7 @@ import pytest
 
 from photonkit import numerics
 from photonkit.bent_guide import (
+    AZIMUTHAL_SCAN_STEP,
     BentGuideSpec,
     BentModeSolution,
     approximate_azimuthal,
@@ -38,6 +39,12 @@ class TestSpec:
             BentGuideSpec(0.5, 1.5, 0.25, 1.0, 1.0, 0.8)
         with pytest.raises(DomainError):
             BentGuideSpec(0.5, 1.5, -0.25, 2.3, 1.0, 0.8)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(BentGuideSpec)])
+    def test_nan_rejected_at_its_field(self, bent_reference_spec, field):
+        with pytest.raises(DomainError) as info:
+            dataclasses.replace(bent_reference_spec, **{field: math.nan})
+        assert info.value.field == field
 
     def test_contrast_cap(self, bent_reference_spec):
         s = bent_reference_spec
@@ -159,6 +166,50 @@ class TestAzimuthal:
         assert len(ms) == len(ref) > 0
         for m, m_ref in zip(ms, ref):
             assert abs(m - m_ref) <= 2e-13 + 4 * eps * m_ref
+
+    def test_brackets_take_few_evaluations(self, bent_reference_spec, monkeypatch):
+        # The determinant gives no slope, so find_root takes false-position
+        # steps: every scan bracket of the golden annulus, for each vertical
+        # root, is done within 12 evaluations (bisection took 39-41). The
+        # roots agree with a pure-bisection reference to 1e-13.
+        s = bent_reference_spec
+        solve = numerics.find_root
+        evaluations = []
+
+        def counted(f, bracket, **kwargs):
+            calls = []
+            root = solve(lambda m: calls.append(m) or f(m), bracket, **kwargs)
+            evaluations.append(len(calls))
+            return root
+
+        verts = vertical_roots(s)
+        monkeypatch.setattr(numerics, "find_root", counted)
+        k1 = s.k0_per_um * s.core_index
+        for vert in verts:
+            h = math.sqrt(k1**2 - vert.beta_w_per_um**2)
+            ms = [m for _, m, _ in azimuthal_numbers(s, h)]
+            f = lambda m: float(radial_determinant(s, h, m))
+            grid = np.arange(AZIMUTHAL_SCAN_STEP, h * s.outer_radius_um,
+                             AZIMUTHAL_SCAN_STEP)
+            sign = np.sign(radial_determinant(s, h, grid))
+            ref = []
+            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+                lo, hi, f_lo = grid[i], grid[i + 1], f(grid[i])
+                while hi - lo > 2 * np.spacing(hi):
+                    mid = 0.5 * (lo + hi)
+                    f_mid = f(mid)
+                    if f_mid == 0.0:
+                        lo = hi = mid
+                    elif (f_mid > 0) == (f_lo > 0):
+                        lo, f_lo = mid, f_mid
+                    else:
+                        hi = mid
+                ref.append(lo)
+            assert len(ms) == len(ref) > 0
+            for m, m_ref in zip(ms, sorted(ref, reverse=True)):
+                assert abs(m - m_ref) <= 1e-13
+        assert len(evaluations) == len(verts)
+        assert max(evaluations) <= 12
 
     def test_descending_m(self, bent_reference_spec):
         ms = [m for _, m, _ in azimuthal_numbers(bent_reference_spec, 15.0)]

@@ -489,6 +489,17 @@ INVALID_SCENARIOS = {
     "query-temperature-nan": (
         "jsa", _jsa_edit("query", "temperature_k", float("nan")),
         "/query/temperature_k"),
+    # NaN used to pass every "must be positive" check and fail the run
+    "pump-duration-nan": (
+        "jsa", _jsa_edit("pump", "pulse_duration_fs", float("nan")),
+        "/pump/pulse_duration_fs"),
+    "bent-outer-radius-nan": (
+        "bentguide solve", _guide(dict(BENT_SPEC, outer_radius_um=float("nan"))),
+        "/spec/outer_radius_um"),
+    "fiber-gvd-nan": (
+        "fiber", lambda scenario: dict(scenario, fiber={
+            "gvd_2beta_s2_per_m": float("nan"), "length_m": 1e4}),
+        "/fiber/gvd_2beta_s2_per_m"),
     "rect-frequency-not-a-number": (
         "rectguide", _guide({"width_a_um": 1.0, "height_b_um": 0.5,
                              "core_index": 1.0, "kind": "hollow"},
@@ -672,13 +683,14 @@ def _command_argv(case, tmp_path, jsa_scenario):
         "validate": ["validate", str(tmp_path / "validate.json")],
         "bentguide solve": ["bentguide", "solve", "--spec",
                             str(tmp_path / "bent.json")],
+        "--golden": ["--golden"],
     }[case]
 
 
 class TestImports:
     def test_cli_does_not_import_scipy_stats(self):
-        # Importing the CLI loads numpy alone: scipy is imported only by the
-        # functions that need it (Bessel functions, Student-t p-values).
+        # No photonkit module imports scipy; test_command_loads_no_scipy
+        # checks every command.
         out = _fresh_python("-c", "import sys, photonkit.cli; "
                                   "print('scipy.stats' in sys.modules); "
                                   "print(*[m for m in sys.modules "
@@ -708,15 +720,11 @@ class TestImports:
 
     @pytest.mark.parametrize("case", [
         "jsa", "fiber", "phasematch sweep", "fit-sellmeier", "dispersion",
-        "rectguide hollow", "rectguide dielectric", "stats g2", "validate"])
+        "rectguide hollow", "rectguide dielectric", "stats g2", "validate",
+        "bentguide solve", "--golden"])
     def test_command_loads_no_scipy(self, capsys, tmp_path, jsa_scenario, case):
         loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
         assert [m for m in loaded if m.startswith("scipy")] == []
-
-    def test_bent_guide_loads_scipy_special(self, capsys, tmp_path, jsa_scenario):
-        # The check above sees an import: the Bessel functions need scipy.
-        loaded = self._loaded("bentguide solve", capsys, tmp_path, jsa_scenario)
-        assert "scipy.special" in loaded
 
     # Solver modules each command must leave unloaded.
     _UNLOADED = {

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -33,6 +34,12 @@ class TestSellmeierSet:
             SellmeierSet(1.0, 1.0, -0.1, 1.0, 0.2)
         with pytest.raises(DomainError):
             SellmeierSet(1.0, 1.0, 0.1, 1.0, 0.1)
+        for i in range(5):
+            for bad in (math.nan, math.inf):
+                coeffs = [2.0, 1.0, 0.1, 1.0, 0.2]
+                coeffs[i] = bad
+                with pytest.raises(DomainError):
+                    SellmeierSet(*coeffs)
 
     def test_equal_zero_poles_allowed(self):
         SellmeierSet(1.0, 0.0, 0.0, 0.0, 0.0)
@@ -172,3 +179,6 @@ class TestCrystalIO:
             CrystalSpec(name="x", sellmeier_x=kato_crystal.sellmeier_x,
                         sellmeier_y=kato_crystal.sellmeier_y,
                         sellmeier_z=kato_crystal.sellmeier_z, length_um=0.0)
+        for field in ("length_um", "poling_period_um", "t0_kelvin", "alpha_per_kelvin"):
+            with pytest.raises(DomainError):
+                dataclasses.replace(kato_crystal, **{field: math.nan})

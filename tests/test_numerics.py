@@ -566,3 +566,112 @@ class TestBessel:
             numerics.bessel_jy(-0.5, 1.0)
         with pytest.raises(DomainError):
             numerics.bessel_jy(numerics.MAX_BESSEL_ORDER + 1.0, 1.0)
+
+    @pytest.mark.parametrize("order,x", [
+        (math.nan, 1.0), (1.0, math.nan), (1.0, 0.5 * numerics.BESSEL_MIN_X),
+        (1.0, 2.0 * numerics.BESSEL_MAX_X), (np.array([1.0, math.nan]), 1.0)])
+    def test_nan_and_out_of_range_arguments(self, order, x):
+        for fn in (numerics.bessel_jy, numerics.bessel_jy_derivatives):
+            with pytest.raises(DomainError):
+                fn(order, x)
+
+    # Every branch of the scheme: x < 2 (Temme's series) and x >= 2 (Steed's
+    # continued fraction); order 0, fractional, integer, half-integer and the
+    # largest; x at the turning point x ~ order; x << order, where J is tiny
+    # and Y huge; x from 1e-3 to 1e3.
+    _ORDERS = (0.0, 0.3, 0.5, 1.0, 2.0, 7.0, 13.7, 20.5, 33.3, 59.5, 60.0)
+    _XS = (1e-3, 0.01, 0.1, 0.5, 1.0, 1.99, 2.0, 2.01, 5.0, 10.0, 30.0, 100.0,
+           500.0, 1e3)
+
+    @classmethod
+    def _grid(cls):
+        points = [(v, x) for v in cls._ORDERS for x in cls._XS]
+        points += [(v, v * (1.0 + d)) for v in cls._ORDERS if v > 2.0
+                   for d in (-1e-3, 0.0, 1e-3)]
+        return np.array(points).T
+
+    def test_grid_against_mpmath(self):
+        order, x = self._grid()
+        j, y = numerics.bessel_jy(order, x)
+        jp, yp = numerics.bessel_jy_derivatives(order, x)
+        for i, (v, xi) in enumerate(zip(order.tolist(), x.tolist())):
+            expected = (mpmath.besselj(v, xi), mpmath.bessely(v, xi),
+                        mpmath.besselj(v, xi, derivative=1),
+                        mpmath.bessely(v, xi, derivative=1))
+            for got, want in zip((j[i], y[i], jp[i], yp[i]), expected):
+                assert got == pytest.approx(float(want), rel=1e-10, abs=1e-12), (v, xi)
+
+    def test_broadcast_shapes(self):
+        order = np.array([[0.5], [7.0]])
+        x = np.array([0.1, 3.0, 40.0])
+        j, y = numerics.bessel_jy(order, x)
+        assert j.shape == y.shape == (2, 3)
+        for a in range(2):
+            for b in range(3):
+                # numpy's vector exp/log may round a last bit differently
+                # from the one-element call
+                assert (j[a, b], y[a, b]) == pytest.approx(
+                    numerics.bessel_jy(order[a, 0], x[b]), rel=1e-14)
+
+    def test_no_nan_and_overflow_is_infinite(self):
+        rng = np.random.default_rng(5)
+        order = np.concatenate([rng.uniform(0.0, 60.0, 3000), [0.0, 0.5, 60.0, 60.0]])
+        x = np.concatenate([
+            10.0 ** rng.uniform(math.log10(numerics.BESSEL_MIN_X),
+                                math.log10(numerics.BESSEL_MAX_X), 3000),
+            [numerics.BESSEL_MIN_X, numerics.BESSEL_MIN_X, numerics.BESSEL_MIN_X,
+             numerics.BESSEL_MAX_X]])
+        j, y = numerics.bessel_jy(order, x)
+        jp, yp = numerics.bessel_jy_derivatives(order, x)
+        for values in (j, y, jp, yp):
+            assert not np.isnan(values).any()
+        assert np.isfinite(j).all() and np.isfinite(jp).all()
+        assert (y[~np.isfinite(y)] == -np.inf).all()
+        assert (yp[~np.isfinite(yp)] == np.inf).all()
+        # Y_60(1e-5) is about -1e306 times 1e9: past the float range
+        assert numerics.bessel_jy(60.0, 1e-5) == (0.0, -math.inf)
+        assert numerics.bessel_jy_derivatives(60.0, 1e-5) == (0.0, math.inf)
+
+
+class TestStudentT:
+    # Across the switch to the asymptotic gamma ratio at dof = 200 too.
+    _DOFS = (1, 2, 3, 4.5, 10, 76, 199, 200, 201, 1000, 1e4)
+    _TS = (0.0, 1e-8, 0.01, 0.3, 1.0, 2.5, 4.0, 10.0, 20.0, 40.0)
+
+    @pytest.mark.parametrize("dof", _DOFS)
+    def test_against_mpmath_betainc(self, dof):
+        for t in self._TS:
+            with mpmath.workdps(40):  # z = 1 - 1e-18 needs more than 15 digits
+                z = mpmath.mpf(dof) / (dof + mpmath.mpf(t) ** 2)
+                want = float(mpmath.betainc(mpmath.mpf(dof) / 2, 0.5, 0, z,
+                                            regularized=True))
+            if want < 1e-300:
+                continue  # below the normal float range
+            assert numerics.student_t_two_sided(t, dof) == pytest.approx(
+                want, rel=1e-12, abs=0.0), (dof, t)
+            assert numerics.student_t_two_sided(-t, dof) == numerics.student_t_two_sided(t, dof)
+
+    @pytest.mark.parametrize("dof", _DOFS)
+    def test_against_scipy_stdtr(self, dof):
+        # scipy is the reference only. Its stdtr is off by 3e-9 at dof = 1,
+        # t = 1e-8 (against mpmath), so the grid starts at t = 0.01.
+        from scipy import special
+
+        for t in self._TS[2:]:
+            want = float(2.0 * special.stdtr(dof, -t))
+            if want < 1e-300:
+                continue
+            assert numerics.student_t_two_sided(t, dof) == pytest.approx(
+                want, rel=1e-12, abs=0.0), (dof, t)
+
+    def test_edges(self):
+        assert numerics.student_t_two_sided(0.0, 5) == 1.0
+        assert numerics.student_t_two_sided(math.inf, 5) == 0.0
+        assert numerics.student_t_two_sided(-1e200, 5) == 0.0
+        assert math.isnan(numerics.student_t_two_sided(math.nan, 5))
+        # the Cauchy distribution: 1 - (2/pi) atan|t|
+        assert numerics.student_t_two_sided(3.0, 1) == pytest.approx(
+            1.0 - 2.0 / math.pi * math.atan(3.0), rel=1e-14)
+        for dof in (0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                numerics.student_t_two_sided(1.0, dof)

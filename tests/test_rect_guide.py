@@ -43,6 +43,14 @@ class TestSpecValidation:
             RectGuideSpec(width_a_um=1.0, height_b_um=1.0, core_index=1.2,
                           clad_index=1.5)
 
+    @pytest.mark.parametrize("field", ["width_a_um", "height_b_um", "core_index",
+                                       "clad_index"])
+    def test_nan_rejected_at_its_field(self, field):
+        values = dict(width_a_um=1.0, height_b_um=1.0, core_index=1.5, clad_index=1.2)
+        with pytest.raises(DomainError) as info:
+            RectGuideSpec(**dict(values, **{field: math.nan}))
+        assert info.value.field == field
+
 
 class TestHollow:
     def test_te10_cutoff_closed_form(self, hollow):
