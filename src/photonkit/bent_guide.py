@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import numerics
+from . import numerics, special
 from .errors import BesselRange, BoundaryResidual, DomainError, NoRealSolution
 from .specs import BentGuideSpec
 
@@ -77,7 +77,7 @@ class BentModeSolution:
     def radial_profile(self, r_um) -> np.ndarray:
         """R(r) = sin(gamma) J_lam(h r) + cos(gamma) Y_lam(h r)."""
         r = np.asarray(r_um, dtype=float)
-        j, y = numerics.bessel_jy(self.order, self.h_per_um * r)
+        j, y = special.bessel_jy(self.order, self.h_per_um * r)
         return math.sin(self.gamma_rad) * j + math.cos(self.gamma_rad) * y
 
     def vertical_profile(self, z_um) -> np.ndarray:
@@ -123,11 +123,11 @@ def radial_determinant(spec: BentGuideSpec, h_per_um: float, m) -> np.ndarray:
     """J_lam(h r1) Y_lam(h r2) - J_lam(h r2) Y_lam(h r1), lam = sqrt(m^2+1)."""
     m = np.asarray(m, dtype=float)
     lam = np.sqrt(m**2 + 1.0)
-    if np.any(lam > numerics.MAX_BESSEL_ORDER):
+    if np.any(lam > special.MAX_BESSEL_ORDER):
         raise BesselRange(
-            f"order sqrt(m^2+1) exceeds {numerics.MAX_BESSEL_ORDER}")
+            f"order sqrt(m^2+1) exceeds {special.MAX_BESSEL_ORDER}")
     # One pass over both walls: the last axis holds r1 and r2.
-    j, y = numerics.bessel_jy(lam[..., None], h_per_um * np.array(
+    j, y = special.bessel_jy(lam[..., None], h_per_um * np.array(
         [spec.inner_radius_um, spec.outer_radius_um]))
     return j[..., 0] * y[..., 1] - j[..., 1] * y[..., 0]
 
@@ -146,9 +146,9 @@ def azimuthal_numbers(spec: BentGuideSpec, h_per_um: float) -> list[tuple[int, f
         raise DomainError("h must be positive")
     m_hi = h_per_um * spec.outer_radius_um
     lam_hi = math.sqrt(m_hi**2 + 1.0)
-    if lam_hi > numerics.MAX_BESSEL_ORDER:
+    if lam_hi > special.MAX_BESSEL_ORDER:
         raise BesselRange(
-            f"scan upper order {lam_hi:.1f} exceeds {numerics.MAX_BESSEL_ORDER}")
+            f"scan upper order {lam_hi:.1f} exceeds {special.MAX_BESSEL_ORDER}")
     grid = np.arange(AZIMUTHAL_SCAN_STEP, m_hi + AZIMUTHAL_SCAN_STEP,
                      AZIMUTHAL_SCAN_STEP)
     grid = grid[grid <= m_hi]
@@ -159,7 +159,7 @@ def azimuthal_numbers(spec: BentGuideSpec, h_per_um: float) -> list[tuple[int, f
         partial(radial_determinant, spec, h_per_um),
         numerics.RootBracket(grid[i], grid[i + 1], vals[i], vals[i + 1]), tol=1e-13)
     ms = np.sort(ms)[::-1]
-    j1, y1 = numerics.bessel_jy(np.sqrt(ms**2 + 1.0), h_per_um * spec.inner_radius_um)
+    j1, y1 = special.bessel_jy(np.sqrt(ms**2 + 1.0), h_per_um * spec.inner_radius_um)
     gammas = np.arctan2(-y1, j1)
     return list(zip(range(1, ms.size + 1), ms.tolist(), gammas.tolist()))
 

@@ -115,10 +115,13 @@ class GaussianFit1D:
     @property
     def p_values(self) -> tuple[float, float, float, float]:
         """Two-sided Student-t p-values of (bias, amplitude, centre, FWHM)
-        against zero (numerics.student_t_two_sided), NaN where the standard
-        error is not positive and finite; computed on read."""
+        against zero (special.student_t_two_sided), NaN where the standard
+        error is not positive and finite; computed on read, which is when
+        `special` is imported."""
+        from .special import student_t_two_sided
+
         params = (self.bias, self.amplitude, self.center_phz, self.fwhm_phz)
-        return tuple(numerics.student_t_two_sided(v / e, self.dof)
+        return tuple(student_t_two_sided(v / e, self.dof)
                      if e > 0 and np.isfinite(e) else math.nan
                      for v, e in zip(params, self.standard_errors))
 
@@ -262,8 +265,9 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     b_s = ws2 * coupling.signal_offset_per_um
     b_i = wi2 * coupling.idler_offset_per_um
     has_offset = b_s != 0.0 or b_i != 0.0
-    q0 = a_ii * b_s**2 - 2.0 * a_si * b_s * b_i + a_ss * b_i**2
-    q1 = g_ii * b_s**2 - 2.0 * inv_kp * b_s * b_i + g_ss * b_i**2
+    if has_offset:
+        q0 = a_ii * b_s**2 - 2.0 * a_si * b_s * b_i + a_ss * b_i**2
+        q1 = g_ii * b_s**2 - 2.0 * inv_kp * b_s * b_i + g_ss * b_i**2
     const_offset = math.exp(-0.5 * (ws2 * coupling.signal_offset_per_um**2
                                     + wi2 * coupling.idler_offset_per_um**2))
 

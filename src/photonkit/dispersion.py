@@ -25,7 +25,7 @@ __all__ = [
     "Polarization",
     "refractive_index",
     "index_and_derivative",
-    "index_coefficient_gradient",
+    "index_derivatives",
     "poling_period",
     "wavevector_magnitude",
     "load_crystal",
@@ -75,15 +75,44 @@ def index_and_derivative(sellmeier: SellmeierSet, wavelength_um):
     return n, dn
 
 
-def index_coefficient_gradient(sellmeier: SellmeierSet, wavelength_um) -> np.ndarray:
-    """dn/d(a0..a4) at wavelength(s) in um, shape (..., 5), with the domain
-    checks of refractive_index. With d1 = lam^2 - a2 and d2 = lam^2 - a4,
-    d(n^2)/da = (1, 1/d1, a1/d1^2, 1/d2, a3/d2^2), and dn = d(n^2) / 2n."""
-    lam2 = np.asarray(wavelength_um, dtype=float) ** 2
-    radicand, d1, d2 = _index_squared(sellmeier, lam2)
-    dn2 = np.stack([np.ones_like(lam2), 1.0 / d1, sellmeier.a1 / d1**2,
-                    1.0 / d2, sellmeier.a3 / d2**2], axis=-1)
-    return dn2 / (2.0 * np.sqrt(radicand)[..., None])
+def index_derivatives(sellmeier: SellmeierSet, wavelength_um):
+    """n at wavelength(s) lam in um with its first and second derivatives in
+    lam and in the coefficients a = (a0..a4), from one evaluation with the
+    domain checks of refractive_index: (n, dn/dlam, d2n/dlam2, dn/da,
+    d2n/(dlam da), d2n/da2), the last three of shape (..., 5), (..., 5) and
+    (..., 5, 5).
+
+    With R = n^2, d1 = lam^2 - a2 and d2 = lam^2 - a4, dn/dx = R_x / 2n and
+    d2n/dxdy = R_xy / 2n - R_x R_y / 4n^3, where
+    R_lam = -2 lam (a1/d1^2 + a3/d2^2),
+    R_lam,lam = -2 (a1/d1^2 + a3/d2^2) + 8 lam^2 (a1/d1^3 + a3/d2^3),
+    R_a = (1, 1/d1, a1/d1^2, 1/d2, a3/d2^2),
+    R_lam,a = -2 lam (0, 1/d1^2, 2 a1/d1^3, 1/d2^2, 2 a3/d2^3), and the only
+    nonzero R_a,a are R_a1,a2 = 1/d1^2, R_a2,a2 = 2 a1/d1^3 and their a3, a4
+    counterparts.
+    """
+    lam = np.asarray(wavelength_um, dtype=float)
+    radicand, d1, d2 = _index_squared(sellmeier, lam**2)
+    n = np.sqrt(radicand)
+    a1, a3 = sellmeier.a1, sellmeier.a3
+    inv1, inv2 = 1.0 / d1, 1.0 / d2
+    f1, f2 = a1 * inv1**2, a3 * inv2**2  # a1/d1^2, a3/d2^2
+    r_l = -2.0 * lam * (f1 + f2)
+    r_ll = r_l / lam + 8.0 * lam**2 * (f1 * inv1 + f2 * inv2)
+    r_a = np.stack([np.ones_like(lam), inv1, f1, inv2, f2], axis=-1)
+    r_la = -2.0 * lam[..., None] * np.stack(
+        [np.zeros_like(lam), inv1**2, 2.0 * f1 * inv1, inv2**2, 2.0 * f2 * inv2], axis=-1)
+    r_aa = np.zeros(lam.shape + (5, 5))
+    r_aa[..., 1, 2] = r_aa[..., 2, 1] = inv1**2
+    r_aa[..., 2, 2] = 2.0 * f1 * inv1
+    r_aa[..., 3, 4] = r_aa[..., 4, 3] = inv2**2
+    r_aa[..., 4, 4] = 2.0 * f2 * inv2
+    half, quarter = 0.5 / n, 0.25 / n**3  # 1/2n and 1/4n^3
+    dn_a = r_a * half[..., None]
+    d2n_la = r_la * half[..., None] - (r_l * quarter)[..., None] * r_a
+    d2n_aa = (r_aa * half[..., None, None]
+              - (r_a[..., :, None] * r_a[..., None, :]) * quarter[..., None, None])
+    return n, r_l * half, r_ll * half - r_l**2 * quarter, dn_a, d2n_la, d2n_aa
 
 
 def poling_period(crystal: CrystalSpec, temperature_k: float) -> float:

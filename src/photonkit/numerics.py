@@ -1,13 +1,12 @@
 """Shared numerical kernel: the one bracketed root solver, quadrature, damped
-least squares, real-order Bessel functions of both kinds, the two-sided
-Student-t tail, and the pieces every solver shares: the speed of light, the
+least squares, and the pieces every solver shares: the speed of light, the
 worker-thread count (defined in the package `__init__`, which loads no numpy),
 the one thread pool `worker_map`, the symmetric-slab dispersion relation's
 roots and mode profile, the moments of a weighted grid and the grid CSV writer.
 
-The special functions (Bessel J and Y, the Student-t tail) are computed here
-with numpy and `math`; `gauss_legendre` imports numpy.polynomial on its first
-call, so importing this module loads the numpy core alone."""
+The special functions live in `special`. `gauss_legendre` imports
+numpy.polynomial on its first call, so importing this module loads the numpy
+core alone."""
 
 from __future__ import annotations
 
@@ -36,9 +35,6 @@ __all__ = [
     "gauss_legendre",
     "integrate",
     "least_squares_fit",
-    "bessel_jy",
-    "bessel_jy_derivatives",
-    "student_t_two_sided",
     "worker_count",
     "worker_map",
     "slab_roots",
@@ -48,14 +44,6 @@ __all__ = [
 ]
 
 C_UM_PER_FS = 0.299792458
-
-MAX_BESSEL_ORDER = 60.0
-# The argument range of the Bessel functions. Below it a single recurrence
-# step could overflow. Above it the first continued fraction, which takes
-# about x terms, loses accuracy: its error, about 1.5e-17 x^2 of
-# sqrt(J^2 + Y^2), reaches 1.5e-11 at 1e3.
-BESSEL_MIN_X = 1e-100
-BESSEL_MAX_X = 1e3
 
 # Levenberg-Marquardt schedule constants.
 LM_LAMBDA0 = 1e-3
@@ -245,18 +233,20 @@ def _selection(mask):
 
 def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[float],
                       initial: Sequence[float], weights: Sequence[float] | None = None,
-                      max_iter: int = 200, jacobian: Callable | None = None) -> FitResult:
+                      max_iter: int = 200, jacobian: Callable | None = None,
+                      curvature: Callable | None = None) -> FitResult:
     """Geodesic-accelerated Levenberg-Marquardt minimization of
     sum w_i (y_i - model(p, x_i))^2 (Transtrum & Sethna, arXiv:1201.5885).
 
     Each damped trial solves (J^T W J + lam D^2) v = J^T W r for the velocity
-    v, with D^2 = diag(J^T W J). One more model call at p + h v gives the
-    directional second derivative m'' ~ (2/h)((m(p + h v) - m(p))/h - J v) on
-    the current mask, and the same damped system against -J^T W m'' gives the
-    acceleration a. The trial steps to p + v + a/2 when
+    v, with D^2 = diag(J^T W J). The directional second derivative m'' of the
+    model along v on the current mask comes from `curvature` when given, else
+    from one more model call at p + h v, the probe
+    m'' ~ (2/h)((m(p + h v) - m(p))/h - J v). The same damped system against
+    -J^T W m'' gives the acceleration a. The trial steps to p + v + a/2 when
     2 |D a| <= alpha |D v|, and to p + v when the acceleration is larger or
-    the probe has no value (see below) or is not finite (h = LM_GEODESIC_H,
-    alpha = LM_ACCEL_RATIO).
+    m'' has no value (see below) or is not finite (h = LM_GEODESIC_H,
+    alpha = LM_ACCEL_RATIO). With `curvature`, a trial costs one model call.
 
     model(params, x) takes all of x in one call and returns one value per
     point. It may return NaN for individual points; those points are masked for
@@ -274,6 +264,9 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
 
     jacobian(params, x, values), given the model values at params, returns the
     (len(x), len(params)) derivative matrix; forward differences by default.
+    curvature(params, x, values, direction), given the same values, returns
+    the model's second derivative along `direction`, one value per point; the
+    probe by default.
     """
     if jacobian is None:
         jacobian = partial(_jacobian, model)
@@ -313,16 +306,23 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         except _NO_VALUE:
             return np.inf, None, None
 
+    def second_derivative(dp, jac, sel):
+        # m'' along dp on the current mask: the model's own, or the probe's
+        # finite-difference estimate from one more model call.
+        if curvature is not None:
+            return np.asarray(curvature(p, x, m, dp), dtype=float)[sel]
+        probe = _eval_model(model, p + LM_GEODESIC_H * dp, x)[sel]
+        return (2.0 / LM_GEODESIC_H) * ((probe - m[sel]) / LM_GEODESIC_H - jac @ dp)
+
     def accelerated(dp, damp, jac, jw, sel, d2):
-        # The geodesic correction needs one more model call; a probe that
-        # fails or an acceleration too large to trust leaves the plain step.
+        # An m'' that has no value or is not finite, or an acceleration too
+        # large to trust, leaves the plain step.
         try:
-            probe = _eval_model(model, p + LM_GEODESIC_H * dp, x)[sel]
+            m2 = second_derivative(dp, jac, sel)
         except _NO_VALUE:
             return dp
-        if not np.isfinite(probe).all():
+        if not np.isfinite(m2).all():
             return dp
-        m2 = (2.0 / LM_GEODESIC_H) * ((probe - m[sel]) / LM_GEODESIC_H - jac @ dp)
         acc = np.linalg.solve(damp, -(jw.T @ weigh(m2, sel)))
         if 2.0 * math.sqrt(d2 @ acc**2) <= LM_ACCEL_RATIO * math.sqrt(d2 @ dp**2):
             return dp + 0.5 * acc
@@ -385,300 +385,6 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     return FitResult(parameters=p, standard_errors=se,
                      residual_sum_squares=rss, converged=converged,
                      iterations=iterations, initial_residual_sum_squares=initial_rss)
-
-
-# Real-order Bessel functions: the fractional-order scheme of Numerical
-# Recipes' bessjy, vectorised.
-_EPS = float(np.finfo(float).eps)
-_FPMIN = 1e-300  # stands in for a zero denominator in the continued fractions
-# The downward recurrence rescales its values to unit size once they pass
-# this, so that small x with large order cannot overflow them.
-_RESCALE = 1e100
-_SERIES_MAX_ITER = 20000  # terms of any continued fraction or series
-# Taylor coefficients of 1/Gamma(1 + z) about z = 0; the terms left out
-# are below 1e-17 for |z| <= 1/2.
-_RGAMMA_TAYLOR = (
-    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
-    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
-    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
-    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
-    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
-    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
-    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
-)
-
-
-def _check_bessel_domain(order, x):
-    """order and x as float arrays of their broadcast shape; DomainError
-    outside the domain, NaN included."""
-    order, x = np.broadcast_arrays(np.asarray(order, dtype=float),
-                                   np.asarray(x, dtype=float))
-    if not np.all((x >= BESSEL_MIN_X) & (x <= BESSEL_MAX_X)):
-        raise DomainError(f"bessel_jy requires {BESSEL_MIN_X:g} <= x <= {BESSEL_MAX_X:g}")
-    if not np.all((order >= 0) & (order <= MAX_BESSEL_ORDER)):
-        raise DomainError(f"bessel_jy supports 0 <= order <= {MAX_BESSEL_ORDER}")
-    return order, x
-
-
-def _until_converged(step, state):
-    """Iterate step(i, *state) -> (next state, converged mask), i = 1, 2, ...,
-    on the elements of `state` (a tuple of equal-length arrays) not yet
-    converged, and return every element's state at its convergence."""
-    final = tuple(np.empty_like(s) for s in state)
-    where = np.arange(state[0].size)
-    for i in range(1, _SERIES_MAX_ITER + 1):
-        if where.size == 0:
-            return final
-        state, converged = step(i, *state)
-        if converged.any():
-            for out, s in zip(final, state):
-                out[where[converged]] = s[converged]
-            keep = ~converged
-            where = where[keep]
-            state = tuple(s[keep] for s in state)
-    raise MaxIterations("Bessel continued fraction or series did not converge")
-
-
-def _cf1_step(i, h, b, c, d, sign, xi2):
-    # Modified Lentz on J'_nu/J_nu; `sign` counts the sign changes of d,
-    # which fix the sign the downward recurrence starts from.
-    b = b + xi2
-    d = b - d
-    d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-    c = b - 1.0 / c
-    c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-    d = 1.0 / d
-    delta = c * d
-    return ((h * delta, b, c, d, np.where(d < 0.0, -sign, sign), xi2),
-            np.abs(delta - 1.0) < _EPS)
-
-
-def _temme_step(i, ff, c, p, q, s, s1, mu, r, d):
-    # Temme's series for Y_mu and Y_{mu+1}, |mu| <= 1/2, x < 2.
-    ff = (i * ff + p + q) / (i * i - mu * mu)
-    c = c * d / i
-    p = p / (i - mu)
-    q = q / (i + mu)
-    delta = c * (ff + r * q)
-    s = s + delta
-    return ((ff, c, p, q, s, s1 + c * p - i * delta, mu, r, d),
-            np.abs(delta) < (1.0 + np.abs(s)) * _EPS)
-
-
-def _cf2_step(i, pq, a, b, c, d):
-    # Steed's continued fraction for p + iq = (J'_mu + iY'_mu)/(J_mu + iY_mu),
-    # modified Lentz; its first term is taken before the loop, so step i adds
-    # term i + 1.
-    a = a + 2.0 * i
-    b = b + 2j
-    d = a * d + b
-    d = np.where(np.abs(d.real) + np.abs(d.imag) < _FPMIN, _FPMIN, d)
-    c = b + a / c
-    c = np.where(np.abs(c.real) + np.abs(c.imag) < _FPMIN, _FPMIN, c)
-    d = 1.0 / d
-    delta = c * d
-    return ((pq * delta, a, b, c, d),
-            np.abs(delta.real - 1.0) + np.abs(delta.imag) < _EPS)
-
-
-def _temme_y(mu, x):
-    """Y_mu(x) and Y_{mu+1}(x) for |mu| <= 1/2 and x < 2 (Temme, J. Comput.
-    Phys. 21, 343, 1976). The gamma1/gamma2 terms come from the Taylor series
-    of 1/Gamma(1 +- mu), which do not cancel near mu = 0."""
-    mu2 = mu * mu
-    even = odd = np.zeros_like(mu)
-    for k in range(len(_RGAMMA_TAYLOR) - 2, -1, -2):
-        even = even * mu2 + _RGAMMA_TAYLOR[k]
-        odd = odd * mu2 + _RGAMMA_TAYLOR[k + 1]
-    gam1, gam2 = -odd, even  # (1/G(1-mu) -+ 1/G(1+mu)) / (2 mu) and / 2
-    gampl, gammi = gam2 - mu * gam1, gam2 + mu * gam1  # 1/G(1+mu), 1/G(1-mu)
-    x2 = 0.5 * x
-    d = -np.log(x2)
-    e = mu * d
-    sinhc = np.ones_like(e)
-    nonzero = e != 0.0
-    sinhc[nonzero] = np.sinh(e[nonzero]) / e[nonzero]
-    ff = (2.0 / math.pi) / np.sinc(mu) * (gam1 * np.cosh(e) + gam2 * sinhc * d)
-    e = np.exp(e)
-    p = e / (gampl * math.pi)
-    q = 1.0 / (e * math.pi * gammi)
-    r = 0.5 * math.pi**2 * mu * np.sinc(0.5 * mu)**2
-    *_, s, s1, _, _, _ = _until_converged(
-        _temme_step, (ff, np.ones_like(mu), p, q, ff + r * q, p, mu, r, -x2 * x2))
-    return -s, -2.0 * s1 / x
-
-
-def _bessel_jy_pass(nu, x):
-    """J_nu, Y_nu, J'_nu and Y'_nu at 1-D arrays nu and x, by Numerical
-    Recipes' bessjy (Press et al., 3rd ed., section 6.6).
-
-    A continued fraction (CF1) gives J'_nu/J_nu, and downward recurrence takes
-    the unnormalized J to order mu = nu - nl. At x < 2, nl rounds nu so that
-    |mu| <= 1/2 and Temme's series gives Y_mu, Y_{mu+1}; at x >= 2, mu lies
-    just below x and Steed's continued fraction CF2 (Barnett et al., Comput.
-    Phys. Commun. 8, 377, 1974) gives them. The Wronskian then scales J, and
-    upward recurrence takes Y back to nu. Each iteration works on the elements
-    not yet converged, and each recurrence step on those with that many steps
-    to go. Where Y_nu overflows it is -inf, and Y'_nu is +inf.
-    """
-    small = x < 2.0
-    nl = np.where(small, np.floor(nu + 0.5), np.maximum(0.0, np.floor(nu - x + 1.5)))
-    # Elements in descending nl: those taking the k-th recurrence step are a prefix.
-    perm = np.argsort(-nl, kind="stable")
-    nu, x, nl, small = nu[perm], x[perm], nl[perm], small[perm]
-    steps = [np.count_nonzero(nl > k) for k in range(int(nl[0]) if nl.size else 0)]
-    mu = nu - nl
-    xi = 1.0 / x
-    h0 = np.maximum(nu * xi, _FPMIN)
-    h, *_, sign, _ = _until_converged(
-        _cf1_step, (h0, 2.0 * xi * nu, h0, np.zeros_like(x), np.ones_like(x), 2.0 * xi))
-
-    # Downward recurrence of J and J' from nu to mu, from an arbitrary scale;
-    # j_up is J_{mu+1} on the same scale.
-    jl = sign
-    jpl = h * jl
-    j_start, jp_start = jl.copy(), jpl.copy()
-    j_up = (mu * xi - h) * jl
-    fact = nu * xi
-    for k in steps:
-        t = fact[:k] * jl[:k] + jpl[:k]
-        fact[:k] -= xi[:k]
-        jpl[:k] = fact[:k] * t - jl[:k]
-        j_up[:k] = jl[:k]
-        jl[:k] = t
-        big = np.abs(t) > _RESCALE
-        if big.any():
-            shrink = 1.0 / np.abs(t[big])
-            for arr in (jl, jpl, j_up, j_start, jp_start):
-                arr[:k][big] *= shrink
-    jl[jl == 0.0] = _EPS  # a zero J_mu would leave its scale 0/0
-
-    # The Wronskian J_{mu+1} Y_mu - J_mu Y_{mu+1} = w fixes the scale of J.
-    w = 2.0 / (math.pi * x)
-    y_mu, y_mu1, j_mu = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    if small.any():
-        ym, ym1 = _temme_y(mu[small], x[small])
-        y_mu[small], y_mu1[small] = ym, ym1
-        j_mu[small] = w[small] / (j_up[small] / jl[small] * ym - ym1)
-    large = ~small
-    if large.any():
-        xl, ml = x[large], mu[large]
-        a = 0.25 - ml * ml
-        pq = -0.5 / xl + 1j
-        b = 2.0 * xl + 2j
-        c = b + 1j * a / (xl * pq)
-        d = 1.0 / b
-        pq = pq * c * d
-        pq, *_ = _until_converged(_cf2_step, (pq, a, b, c, d))
-        p, q = pq.real, pq.imag
-        fl = jpl[large] / jl[large]  # J'_mu / J_mu
-        gam = (p - fl) / q  # Y_mu / J_mu
-        jm = np.copysign(np.sqrt(w[large] / ((p - fl) * gam + q)), jl[large])
-        ym = jm * gam
-        j_mu[large] = jm
-        y_mu[large] = ym
-        y_mu1[large] = ml * xi[large] * ym - jm * (gam * p + q)
-
-    scale = j_mu / jl
-    j, jp = j_start * scale, jp_start * scale
-    # Upward recurrence of Y from mu to nu; past overflow it gives inf - inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, k in enumerate(steps, start=1):
-            t = (mu[:k] + i) * (2.0 * xi[:k]) * y_mu1[:k] - y_mu[:k]
-            y_mu[:k] = y_mu1[:k]
-            y_mu1[:k] = t
-        yp = nu * xi * y_mu - y_mu1
-    y = np.where(np.isfinite(y_mu), y_mu, -np.inf)
-    yp = np.where(np.isfinite(yp), yp, np.inf)
-    back = np.argsort(perm)
-    return j[back], y[back], jp[back], yp[back]
-
-
-def _bessel(order, x, derivatives):
-    order, x = _check_bessel_domain(order, x)
-    j, y, jp, yp = _bessel_jy_pass(order.ravel(), x.ravel())
-    first, second = (jp, yp) if derivatives else (j, y)
-    if order.ndim == 0:
-        return float(first[0]), float(second[0])
-    return first.reshape(order.shape), second.reshape(order.shape)
-
-
-def bessel_jy(order, x):
-    """Bessel functions J_nu(x) and Y_nu(x) for real order nu in [0, 60] and
-    BESSEL_MIN_X <= x <= BESSEL_MAX_X, broadcast over arrays; Y is -inf where
-    it overflows."""
-    return _bessel(order, x, derivatives=False)
-
-
-def bessel_jy_derivatives(order, x):
-    """First derivatives J'_nu(x), Y'_nu(x) on the same domain, from the same
-    pass as bessel_jy; Y' is +inf where it overflows."""
-    return _bessel(order, x, derivatives=True)
-
-
-# Gamma(a + 1/2) / (Gamma(a) sqrt(a)) = 1 + sum_k c_k / a^k, k = 1, 2, ...;
-# the first term left out is below 1e-17 at a = 100.
-_HALF_GAMMA_RATIO = (-1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144,
-                     869 / 4194304)
-
-
-def _log_beta_half(a: float) -> float:
-    """log B(a, 1/2). From a = 100 on, lgamma(a) and lgamma(a + 1/2) are large
-    enough that their difference would lose digits, so an asymptotic series
-    gives their ratio."""
-    log_sqrt_pi = 0.5 * math.log(math.pi)
-    if a < 100.0:
-        return math.lgamma(a) + log_sqrt_pi - math.lgamma(a + 0.5)
-    series = sum(c / a**k for k, c in enumerate(_HALF_GAMMA_RATIO, start=1))
-    return log_sqrt_pi - 0.5 * math.log(a) - math.log1p(series)
-
-
-def _beta_fraction(a: float, b: float, z: float) -> float:
-    """The continued fraction of the regularized incomplete beta function,
-    I_z(a, b) = z^a (1 - z)^b / (a B(a, b)) times this, by modified Lentz
-    (Press et al., Numerical Recipes, betacf); it converges fast for
-    z < (a + 1) / (a + b + 2)."""
-    c, d = 1.0, 1.0 - (a + b) * z / (a + 1.0)
-    d = 1.0 / (d if abs(d) > _FPMIN else _FPMIN)
-    h = d
-    for m in range(1, _SERIES_MAX_ITER + 1):
-        m2 = 2 * m
-        for coeff in (m * (b - m) * z / ((a - 1.0 + m2) * (a + m2)),
-                      -(a + m) * (a + b + m) * z / ((a + m2) * (a + 1.0 + m2))):
-            d = 1.0 + coeff * d
-            d = 1.0 / (d if abs(d) > _FPMIN else _FPMIN)
-            c = 1.0 + coeff / c
-            c = c if abs(c) > _FPMIN else _FPMIN
-            delta = c * d
-            h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise MaxIterations("incomplete beta continued fraction did not converge")
-
-
-def student_t_two_sided(t: float, dof: float) -> float:
-    """Two-sided tail 2 P(T > |t|) of Student's t with dof > 0 degrees of
-    freedom: the regularized incomplete beta I_z(dof/2, 1/2) at
-    z = dof / (dof + t^2); NaN for a NaN t."""
-    if not dof > 0:
-        raise DomainError("degrees of freedom must be positive")
-    t = float(t)
-    t2 = t * t  # inf past 1e154, where ** would raise OverflowError
-    if math.isnan(t2):
-        return math.nan
-    if t2 == 0.0:
-        return 1.0
-    if math.isinf(t2):
-        return 0.0
-    a = 0.5 * dof
-    # z^a (1 - z)^(1/2) / B(a, 1/2), with log z and log(1 - z) taken
-    # without cancellation
-    front = math.exp(-a * math.log1p(t2 / dof) - 0.5 * math.log1p(dof / t2)
-                     - _log_beta_half(a))
-    z = dof / (dof + t2)
-    if z < (a + 1.0) / (a + 2.5):
-        return front * _beta_fraction(a, 0.5, z) / a
-    return 1.0 - 2.0 * front * _beta_fraction(0.5, a, t2 / (dof + t2))
 
 
 def worker_map(fn: Callable, items: Sequence) -> list:

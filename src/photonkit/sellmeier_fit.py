@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics, phasematch
-from .dispersion import index_coefficient_gradient
+from .dispersion import index_derivatives
 from .errors import DivergedFit, DomainError, InsufficientData, NoRootInWindow
 from .specs import CrystalSpec, SellmeierSet
 
@@ -22,6 +22,7 @@ __all__ = [
     "FitSetup",
     "model_signal_wavelength",
     "model_jacobian",
+    "model_curvature",
     "rss",
     "fit",
     "synthesize_noisy_dataset",
@@ -84,6 +85,57 @@ def model_signal_wavelength(pump_nm, coeffs: Sequence[float], setup: FitSetup):
     return float(roots[0]) if np.ndim(pump_nm) == 0 else roots
 
 
+def _mismatch_derivatives(pumps_nm, signals_nm, coeffs: Sequence[float],
+                          setup: FitSetup):
+    """Derivatives of the collinear mismatch dk(lam_s, a) = k_p - k_s - k_i + K
+    at the finite roots, up to second order in the signal wavelength lam_s (in
+    um) and the fitted a = (a0, a1, a2), the pump held fixed.
+
+    Returns the mask of finite roots and, on those rows, dk_s, dk_ss, dk_a
+    (rows of 3), dk_sa (rows of 3) and dk_aa (rows of 3 x 3). Each wave enters
+    with its sign; the idler follows lam_s through 1/lam_i = 1/lam_p - 1/lam_s,
+    so dlam_i/dlam_s = -(lam_i/lam_s)^2 and d2lam_i/dlam_s^2 =
+    2 lam_i^2 (lam_i + lam_s)/lam_s^4. With k = 2 pi n/lam, k_lam =
+    2 pi (n'/lam - n/lam^2) and k_lam,lam = 2 pi (n''/lam - 2 n'/lam^2 +
+    2 n/lam^3). Only waves whose polarization maps to the z-axis set depend
+    on a.
+    """
+    pumps_nm = np.asarray(pumps_nm, dtype=float)
+    signals_nm = np.asarray(signals_nm, dtype=float)
+    crystal = _crystal_with_z(setup, coeffs)
+    query = setup.query
+    ok = np.isfinite(signals_nm)
+    p_um = pumps_nm[ok] * 1e-3
+    s_um = signals_nm[ok] * 1e-3
+    i_um = 1.0 / (1.0 / p_um - 1.0 / s_um)
+    ratio2 = (i_um / s_um) ** 2
+    zeros, ones = np.zeros(p_um.size), np.ones(p_um.size)
+    dk_s, dk_ss = zeros.copy(), zeros.copy()
+    dk_a, dk_sa = np.zeros((p_um.size, 3)), np.zeros((p_um.size, 3))
+    dk_aa = np.zeros((p_um.size, 3, 3))
+    two_pi = 2.0 * math.pi
+    # (sign, polarization, wavelength, dlam/dlam_s, d2lam/dlam_s^2)
+    for sign, pol, lam, dlam, d2lam in (
+            (1.0, query.pol_pump, p_um, zeros, zeros),
+            (-1.0, query.pol_signal, s_um, ones, zeros),
+            (-1.0, query.pol_idler, i_um, -ratio2, 2.0 * ratio2 * (i_um + s_um) / s_um**2)):
+        sellmeier = crystal.axis_set(pol)
+        n, dn, d2n, dn_a, d2n_la, d2n_aa = index_derivatives(sellmeier, lam)
+        k_l = two_pi * (dn / lam - n / lam**2)
+        k_ll = two_pi * (d2n / lam - 2.0 * dn / lam**2 + 2.0 * n / lam**3)
+        dk_s += sign * k_l * dlam
+        dk_ss += sign * (k_ll * dlam**2 + k_l * d2lam)
+        if sellmeier is crystal.sellmeier_z:
+            # k_a = 2 pi n_a/lam and k_lam,a = 2 pi (n_lam,a/lam - n_a/lam^2)
+            k_per_n = (two_pi / lam)[:, None]
+            grad = dn_a[:, :3]
+            dk_a += sign * k_per_n * grad
+            dk_sa += (sign * k_per_n * (d2n_la[:, :3] - grad / lam[:, None])
+                      * dlam[:, None])
+            dk_aa += sign * k_per_n[:, :, None] * d2n_aa[:, :3, :3]
+    return ok, dk_s, dk_ss, dk_a, dk_sa, dk_aa
+
+
 def model_jacobian(pumps_nm, signals_nm, coeffs: Sequence[float],
                    setup: FitSetup) -> np.ndarray:
     """Exact derivatives of the collinear signal roots with respect to the
@@ -91,29 +143,32 @@ def model_jacobian(pumps_nm, signals_nm, coeffs: Sequence[float],
 
     signals_nm must be the roots at coeffs (NaN rows stay NaN). By the implicit
     function theorem on dk(lam_s, a) = 0, dlam_s/da = -(ddk/da)/(ddk/dlam_s).
-    Only waves whose polarization maps to the z-axis set depend on a.
     """
-    pumps_nm = np.asarray(pumps_nm, dtype=float)
-    signals_nm = np.asarray(signals_nm, dtype=float)
-    crystal = _crystal_with_z(setup, coeffs)
-    sell_z = crystal.sellmeier_z
-    query = setup.query
-    jac = np.full((pumps_nm.size, 3), np.nan)
-    ok = np.isfinite(signals_nm)
-    p_um = pumps_nm[ok] * 1e-3
-    s_um = signals_nm[ok] * 1e-3
-    i_um = 1.0 / (1.0 / p_um - 1.0 / s_um)
-    ddk_da = np.zeros((p_um.size, 3))
-    for pol, lam_um, sign in ((query.pol_pump, p_um, 1.0),
-                              (query.pol_signal, s_um, -1.0),
-                              (query.pol_idler, i_um, -1.0)):
-        if crystal.axis_set(pol) is sell_z:
-            grad = index_coefficient_gradient(sell_z, lam_um)[:, :3]
-            ddk_da += sign * 2.0 * math.pi / lam_um[:, None] * grad
-    _, ddk_dlam = phasematch.mismatch(query, crystal, pumps_nm[ok], signals_nm[ok],
-                                      slope=True)
-    jac[ok] = -ddk_da / ddk_dlam[:, None]
+    ok, dk_s, _, dk_a, _, _ = _mismatch_derivatives(pumps_nm, signals_nm, coeffs, setup)
+    jac = np.full((ok.size, 3), np.nan)
+    jac[ok] = -1e3 * dk_a / dk_s[:, None]  # dk_s is per um of lam_s
     return jac
+
+
+def model_curvature(pumps_nm, signals_nm, coeffs: Sequence[float],
+                    setup: FitSetup, direction: Sequence[float]) -> np.ndarray:
+    """Exact second directional derivatives of the collinear signal roots along
+    `direction` in (a0, a1, a2), one per pump, in nm per unit squared.
+
+    signals_nm must be the roots at coeffs (NaN rows stay NaN). Differentiating
+    dk(lam_s(a + t v), a + t v) = 0 twice in t gives
+    lam' = -dk_a v / dk_s and
+    lam'' = -(dk_ss lam'^2 + 2 (dk_sa v) lam' + v dk_aa v) / dk_s,
+    all taken at the roots, so it costs no root solve.
+    """
+    v = np.asarray(direction, dtype=float)
+    ok, dk_s, dk_ss, dk_a, dk_sa, dk_aa = _mismatch_derivatives(
+        pumps_nm, signals_nm, coeffs, setup)
+    first = -(dk_a @ v) / dk_s
+    second = -(dk_ss * first**2 + 2.0 * (dk_sa @ v) * first + dk_aa @ v @ v) / dk_s
+    out = np.full(ok.size, np.nan)
+    out[ok] = 1e3 * second  # lam_s in um to nm
+    return out
 
 
 def rss(points: Sequence[MeasurementPoint], coeffs: Sequence[float],
@@ -138,9 +193,10 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
         max_iter: int = 400) -> SellmeierFitReport:
     """Levenberg-Marquardt fit of the z-axis coefficients a0, a1, a2.
 
-    The LM model is the sweep solve over all pumps, and the LM Jacobian is the
-    exact one of model_jacobian, taken at the roots the fit already holds, so
-    it costs no root solves. Points whose model root vanishes during a step
+    The LM model is the sweep solve over all pumps. The LM Jacobian and the
+    geodesic acceleration's second directional derivative are the exact ones
+    of model_jacobian and model_curvature, taken at the roots the fit already
+    holds, so they cost no root solves: each LM trial is one sweep. Points whose model root vanishes during a step
     are masked for that step, but every point needs its root at the start
     values (NoRootInWindow otherwise). The report carries both the fitted RSS
     and the RSS at the start values, both from the same sweep solve and both
@@ -168,9 +224,12 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     def jacobian(params, x, values):
         return model_jacobian(x, values, params, setup)
 
+    def curvature(params, x, values, direction):
+        return model_curvature(x, values, params, setup, direction)
+
     result = numerics.least_squares_fit(model, pumps, signals, start,
                                         weights=weights, max_iter=max_iter,
-                                        jacobian=jacobian)
+                                        jacobian=jacobian, curvature=curvature)
     if weighted:
         start_rss = rss(points, start, setup)
         fitted_rss = rss(points, result.parameters, setup)

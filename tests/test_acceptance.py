@@ -19,6 +19,7 @@ from photonkit import (
     photon_stats,
     rect_guide,
     sellmeier_fit,
+    special,
 )
 from photonkit.biphoton import (
     CouplingSpec,
@@ -297,8 +298,8 @@ def test_criterion_9_numerics_kernel(bent_modes):
     for _ in range(100):
         order = rng.uniform(0.0, 59.0)
         x = rng.uniform(0.5, 80.0)
-        j0, y0 = numerics.bessel_jy(order, x)
-        j1, y1 = numerics.bessel_jy(order + 1.0, x)
+        j0, y0 = special.bessel_jy(order, x)
+        j1, y1 = special.bessel_jy(order + 1.0, x)
         wronskian = j1 * y0 - j0 * y1
         ok &= abs(wronskian - 2.0 / (math.pi * x)) * math.pi * x / 2.0 < 1e-9
 

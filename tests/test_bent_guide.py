@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from photonkit import numerics
+from photonkit import numerics, special
 from photonkit.bent_guide import (
     AZIMUTHAL_SCAN_STEP,
     BentGuideSpec,
@@ -362,7 +362,7 @@ class TestAsymptotics:
         p, m, gamma = azimuthal_numbers(s, h)[0]
         lam = math.sqrt(m**2 + 1.0)
         r = np.linspace(s.inner_radius_um, s.outer_radius_um, 256)
-        j, y = numerics.bessel_jy(lam, h * r)
+        j, y = special.bessel_jy(lam, h * r)
         prof = math.sin(gamma) * j + math.cos(gamma) * y
         prof = prof / np.max(np.abs(prof))
         # effective local wavenumber from the quantum-form equation

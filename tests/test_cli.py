@@ -743,6 +743,16 @@ class TestImports:
         assert [m for m in loaded
                 if m.rpartition(".")[2] in self._UNLOADED[case]] == []
 
+    # Only the Bessel solver and the p-values use photonkit.special; the
+    # commands that need neither must not compile it.
+    @pytest.mark.parametrize("case,wanted", [
+        ("fit-sellmeier", False), ("phasematch sweep", False), ("jsa", False),
+        ("fiber", False), ("bentguide solve", True), ("--golden", True)])
+    def test_special_functions_load_only_where_used(self, capsys, tmp_path,
+                                                    jsa_scenario, case, wanted):
+        loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
+        assert ("photonkit.special" in loaded) == wanted
+
     def test_stats_g2_loads_photon_stats_alone(self, capsys, tmp_path, jsa_scenario):
         loaded = self._loaded("stats g2", capsys, tmp_path, jsa_scenario)
         assert loaded == ["photonkit", "photonkit.cli", "photonkit.errors",

@@ -13,6 +13,7 @@ from photonkit.dispersion import (
     builtin_crystal_path,
     crystal_to_dict,
     index_and_derivative,
+    index_derivatives,
     load_crystal,
     poling_period,
     refractive_index,
@@ -105,6 +106,50 @@ class TestIndexAndDerivative:
             index_and_derivative(SellmeierSet(1.0, -5.0, 0.0, 0.0, 0.0), 0.5)
         with pytest.raises(DomainError):
             index_and_derivative(SellmeierSet(2.0, 0.0, 0.0, 0.0, 0.0), 0.0)
+
+
+class TestIndexDerivatives:
+    @staticmethod
+    def _shifted(sell, j, step):
+        coeffs = np.array(sell.as_tuple())
+        return SellmeierSet(*(coeffs + step * np.eye(5)[j]))
+
+    @pytest.mark.parametrize("axis", ["y", "z"])
+    def test_first_order_matches_index_and_derivative(self, kato_crystal, axis):
+        sell = getattr(kato_crystal, f"sellmeier_{axis}")
+        lam = np.linspace(0.4, 1.6, 13)
+        n, dn, _, dn_a, _, _ = index_derivatives(sell, lam)
+        assert np.array_equal(n, refractive_index(sell, lam))
+        assert dn == pytest.approx(index_and_derivative(sell, lam)[1], rel=1e-14)
+        for j in range(5):
+            step = 1e-6 * max(abs(sell.as_tuple()[j]), 1e-2)
+            numeric = (refractive_index(self._shifted(sell, j, step), lam)
+                       - refractive_index(self._shifted(sell, j, -step), lam)) / (2 * step)
+            assert np.abs(dn_a[:, j] - numeric).max() < 1e-7 * np.abs(dn_a).max()
+
+    # central differences of the closed-form first derivatives
+    @pytest.mark.parametrize("axis", ["y", "z"])
+    def test_second_order_matches_central_differences(self, kato_crystal, axis):
+        sell = getattr(kato_crystal, f"sellmeier_{axis}")
+        lam = np.linspace(0.4, 1.6, 13)
+        _, _, d2n, _, d2n_la, d2n_aa = index_derivatives(sell, lam)
+        h = 1e-6
+        first = lambda s, x: index_derivatives(s, x)[1]
+        grad = lambda s, x: index_derivatives(s, x)[3]
+        assert d2n == pytest.approx((first(sell, lam + h) - first(sell, lam - h)) / (2 * h),
+                                    rel=1e-6)
+        numeric = (grad(sell, lam + h) - grad(sell, lam - h)) / (2.0 * h)
+        assert np.abs(d2n_la - numeric).max() < 1e-6 * np.abs(d2n_la).max()
+        for j in range(5):
+            step = 1e-6 * max(abs(sell.as_tuple()[j]), 1e-2)
+            numeric = (grad(self._shifted(sell, j, step), lam)
+                       - grad(self._shifted(sell, j, -step), lam)) / (2.0 * step)
+            assert np.abs(d2n_aa[:, j] - numeric).max() < 1e-6 * np.abs(d2n_aa).max()
+        assert np.array_equal(d2n_aa, np.swapaxes(d2n_aa, -1, -2))
+
+    def test_guards(self):
+        with pytest.raises(PoleProximity):
+            index_derivatives(SellmeierSet(2.0, 1.0, 0.25, 0.0, 0.0), 0.5)
 
 
 class TestWavevector:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonkit import numerics
+from photonkit import numerics, special
 from photonkit.errors import DomainError, MaxIterations, NoSignChange
 
 
@@ -403,6 +403,88 @@ class TestLeastSquares:
         fd_calls = 1 + res.iterations * (1 + len(truth))
         assert 1 + res.iterations <= len(calls) < fd_calls
 
+    @staticmethod
+    def _decay_problem():
+        """a exp(-b x) with noise, its analytic Jacobian and its second
+        derivative along v = (va, vb): exp(-b x) x vb (a x vb - 2 va)."""
+        x = np.linspace(0.0, 4.0, 40)
+        rng = np.random.default_rng(7)
+        y = 2.5 * np.exp(-1.3 * x) + 0.01 * rng.standard_normal(x.size)
+        model = lambda p, xx: p[0] * np.exp(-p[1] * xx)
+
+        def jacobian(p, xx, values):
+            e = np.exp(-p[1] * xx)
+            return np.column_stack([e, -p[0] * xx * e])
+
+        def curvature(p, xx, values, v):
+            return np.exp(-p[1] * xx) * xx * v[1] * (p[0] * xx * v[1] - 2.0 * v[0])
+
+        return x, y, model, jacobian, curvature
+
+    def test_curvature_hook_replaces_the_probe(self):
+        x, y, model, jacobian, curvature = self._decay_problem()
+        model_calls, curvature_calls = [], []
+
+        def counted_model(p, xx):
+            model_calls.append(tuple(p))
+            return model(p, xx)
+
+        def counted_curvature(p, xx, values, v):
+            assert np.array_equal(values, model(p, xx))
+            curvature_calls.append(tuple(v))
+            return curvature(p, xx, values, v)
+
+        hooked = numerics.least_squares_fit(counted_model, x, y, [1.0, 0.5],
+                                            jacobian=jacobian,
+                                            curvature=counted_curvature)
+        probed = numerics.least_squares_fit(model, x, y, [1.0, 0.5],
+                                            jacobian=jacobian)
+        assert hooked.converged and probed.converged
+        # one model call at the start and one per trial, which is also one
+        # curvature call per trial
+        assert len(model_calls) == 1 + len(curvature_calls)
+        assert len(curvature_calls) >= hooked.iterations
+        assert hooked.parameters == pytest.approx(probed.parameters, rel=1e-10)
+
+    @pytest.mark.parametrize("bad", ["nan", "raises"])
+    def test_curvature_without_value_takes_the_plain_step(self, bad):
+        # m'' = 0 gives zero acceleration, so every trial is the plain step;
+        # a non-finite m'' on the mask, or one that has no value, must match it.
+        x, y, model, jacobian, _ = self._decay_problem()
+
+        def no_value(p, xx, values, v):
+            if bad == "raises":
+                raise DomainError("no curvature here")
+            out = np.zeros_like(xx)
+            out[3] = np.nan
+            return out
+
+        plain = numerics.least_squares_fit(
+            model, x, y, [1.0, 0.5], jacobian=jacobian,
+            curvature=lambda p, xx, values, v: np.zeros_like(xx))
+        got = numerics.least_squares_fit(model, x, y, [1.0, 0.5], jacobian=jacobian,
+                                         curvature=no_value)
+        assert np.array_equal(got.parameters, plain.parameters)
+        assert got.iterations == plain.iterations
+
+    def test_non_finite_curvature_off_the_mask_is_ignored(self):
+        # a point the model masks may carry NaN curvature; the step stays
+        # accelerated
+        x, y, model, jacobian, curvature = self._decay_problem()
+        masked = lambda p, xx: np.where(xx > 3.9, np.nan, model(p, xx))
+        want = numerics.least_squares_fit(masked, x, y, [1.0, 0.5],
+                                          jacobian=jacobian, curvature=curvature)
+        plain = numerics.least_squares_fit(
+            masked, x, y, [1.0, 0.5], jacobian=jacobian,
+            curvature=lambda p, xx, values, v: np.zeros_like(xx))
+        got = numerics.least_squares_fit(
+            masked, x, y, [1.0, 0.5], jacobian=jacobian,
+            curvature=lambda p, xx, values, v: np.where(
+                np.isnan(values), np.nan, curvature(p, xx, values, v)))
+        assert not np.array_equal(want.parameters, plain.parameters)
+        assert np.array_equal(got.parameters, want.parameters)
+        assert got.iterations == want.iterations
+
     def test_standard_errors_at_returned_parameters(self):
         # The accepted step crosses p = 2.5 and unmasks the point at x = 2;
         # the covariance must use the Jacobian and mask at the returned p.
@@ -529,8 +611,8 @@ class TestBessel:
         for _ in range(100):
             order = rng.uniform(0.0, 59.0)
             x = rng.uniform(0.5, 80.0)
-            j0, y0 = numerics.bessel_jy(order, x)
-            j1, y1 = numerics.bessel_jy(order + 1.0, x)
+            j0, y0 = special.bessel_jy(order, x)
+            j1, y1 = special.bessel_jy(order + 1.0, x)
             left = j1 * y0 - j0 * y1
             right = 2.0 / (math.pi * x)
             assert abs(left - right) / abs(right) < 1e-9
@@ -538,8 +620,8 @@ class TestBessel:
     def test_derivative_wronskian(self):
         # J_v(x) Y'_v(x) - J'_v(x) Y_v(x) = 2 / (pi x)
         for order, x in [(0.3, 1.7), (5.5, 12.0), (21.0, 27.0)]:
-            j, y = numerics.bessel_jy(order, x)
-            jp, yp = numerics.bessel_jy_derivatives(order, x)
+            j, y = special.bessel_jy(order, x)
+            jp, yp = special.bessel_jy_derivatives(order, x)
             assert j * yp - jp * y == pytest.approx(2.0 / (math.pi * x),
                                                    rel=1e-11)
 
@@ -548,30 +630,30 @@ class TestBessel:
         (35.7, 40.0), (59.9, 61.0),
     ])
     def test_against_mpmath(self, order, x):
-        j, y = numerics.bessel_jy(order, x)
+        j, y = special.bessel_jy(order, x)
         assert j == pytest.approx(float(mpmath.besselj(order, x)), rel=1e-10,
                                   abs=1e-12)
         assert y == pytest.approx(float(mpmath.bessely(order, x)), rel=1e-10,
                                   abs=1e-12)
 
     def test_vectorized(self):
-        j, y = numerics.bessel_jy(2.5, np.array([1.0, 2.0, 3.0]))
+        j, y = special.bessel_jy(2.5, np.array([1.0, 2.0, 3.0]))
         assert j.shape == (3,)
         assert y.shape == (3,)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            numerics.bessel_jy(1.0, 0.0)
+            special.bessel_jy(1.0, 0.0)
         with pytest.raises(DomainError):
-            numerics.bessel_jy(-0.5, 1.0)
+            special.bessel_jy(-0.5, 1.0)
         with pytest.raises(DomainError):
-            numerics.bessel_jy(numerics.MAX_BESSEL_ORDER + 1.0, 1.0)
+            special.bessel_jy(special.MAX_BESSEL_ORDER + 1.0, 1.0)
 
     @pytest.mark.parametrize("order,x", [
-        (math.nan, 1.0), (1.0, math.nan), (1.0, 0.5 * numerics.BESSEL_MIN_X),
-        (1.0, 2.0 * numerics.BESSEL_MAX_X), (np.array([1.0, math.nan]), 1.0)])
+        (math.nan, 1.0), (1.0, math.nan), (1.0, 0.5 * special.BESSEL_MIN_X),
+        (1.0, 2.0 * special.BESSEL_MAX_X), (np.array([1.0, math.nan]), 1.0)])
     def test_nan_and_out_of_range_arguments(self, order, x):
-        for fn in (numerics.bessel_jy, numerics.bessel_jy_derivatives):
+        for fn in (special.bessel_jy, special.bessel_jy_derivatives):
             with pytest.raises(DomainError):
                 fn(order, x)
 
@@ -592,8 +674,8 @@ class TestBessel:
 
     def test_grid_against_mpmath(self):
         order, x = self._grid()
-        j, y = numerics.bessel_jy(order, x)
-        jp, yp = numerics.bessel_jy_derivatives(order, x)
+        j, y = special.bessel_jy(order, x)
+        jp, yp = special.bessel_jy_derivatives(order, x)
         for i, (v, xi) in enumerate(zip(order.tolist(), x.tolist())):
             expected = (mpmath.besselj(v, xi), mpmath.bessely(v, xi),
                         mpmath.besselj(v, xi, derivative=1),
@@ -604,33 +686,33 @@ class TestBessel:
     def test_broadcast_shapes(self):
         order = np.array([[0.5], [7.0]])
         x = np.array([0.1, 3.0, 40.0])
-        j, y = numerics.bessel_jy(order, x)
+        j, y = special.bessel_jy(order, x)
         assert j.shape == y.shape == (2, 3)
         for a in range(2):
             for b in range(3):
                 # numpy's vector exp/log may round a last bit differently
                 # from the one-element call
                 assert (j[a, b], y[a, b]) == pytest.approx(
-                    numerics.bessel_jy(order[a, 0], x[b]), rel=1e-14)
+                    special.bessel_jy(order[a, 0], x[b]), rel=1e-14)
 
     def test_no_nan_and_overflow_is_infinite(self):
         rng = np.random.default_rng(5)
         order = np.concatenate([rng.uniform(0.0, 60.0, 3000), [0.0, 0.5, 60.0, 60.0]])
         x = np.concatenate([
-            10.0 ** rng.uniform(math.log10(numerics.BESSEL_MIN_X),
-                                math.log10(numerics.BESSEL_MAX_X), 3000),
-            [numerics.BESSEL_MIN_X, numerics.BESSEL_MIN_X, numerics.BESSEL_MIN_X,
-             numerics.BESSEL_MAX_X]])
-        j, y = numerics.bessel_jy(order, x)
-        jp, yp = numerics.bessel_jy_derivatives(order, x)
+            10.0 ** rng.uniform(math.log10(special.BESSEL_MIN_X),
+                                math.log10(special.BESSEL_MAX_X), 3000),
+            [special.BESSEL_MIN_X, special.BESSEL_MIN_X, special.BESSEL_MIN_X,
+             special.BESSEL_MAX_X]])
+        j, y = special.bessel_jy(order, x)
+        jp, yp = special.bessel_jy_derivatives(order, x)
         for values in (j, y, jp, yp):
             assert not np.isnan(values).any()
         assert np.isfinite(j).all() and np.isfinite(jp).all()
         assert (y[~np.isfinite(y)] == -np.inf).all()
         assert (yp[~np.isfinite(yp)] == np.inf).all()
         # Y_60(1e-5) is about -1e306 times 1e9: past the float range
-        assert numerics.bessel_jy(60.0, 1e-5) == (0.0, -math.inf)
-        assert numerics.bessel_jy_derivatives(60.0, 1e-5) == (0.0, math.inf)
+        assert special.bessel_jy(60.0, 1e-5) == (0.0, -math.inf)
+        assert special.bessel_jy_derivatives(60.0, 1e-5) == (0.0, math.inf)
 
 
 class TestStudentT:
@@ -647,31 +729,31 @@ class TestStudentT:
                                             regularized=True))
             if want < 1e-300:
                 continue  # below the normal float range
-            assert numerics.student_t_two_sided(t, dof) == pytest.approx(
+            assert special.student_t_two_sided(t, dof) == pytest.approx(
                 want, rel=1e-12, abs=0.0), (dof, t)
-            assert numerics.student_t_two_sided(-t, dof) == numerics.student_t_two_sided(t, dof)
+            assert special.student_t_two_sided(-t, dof) == special.student_t_two_sided(t, dof)
 
     @pytest.mark.parametrize("dof", _DOFS)
     def test_against_scipy_stdtr(self, dof):
         # scipy is the reference only. Its stdtr is off by 3e-9 at dof = 1,
         # t = 1e-8 (against mpmath), so the grid starts at t = 0.01.
-        from scipy import special
+        from scipy.special import stdtr
 
         for t in self._TS[2:]:
-            want = float(2.0 * special.stdtr(dof, -t))
+            want = float(2.0 * stdtr(dof, -t))
             if want < 1e-300:
                 continue
-            assert numerics.student_t_two_sided(t, dof) == pytest.approx(
+            assert special.student_t_two_sided(t, dof) == pytest.approx(
                 want, rel=1e-12, abs=0.0), (dof, t)
 
     def test_edges(self):
-        assert numerics.student_t_two_sided(0.0, 5) == 1.0
-        assert numerics.student_t_two_sided(math.inf, 5) == 0.0
-        assert numerics.student_t_two_sided(-1e200, 5) == 0.0
-        assert math.isnan(numerics.student_t_two_sided(math.nan, 5))
+        assert special.student_t_two_sided(0.0, 5) == 1.0
+        assert special.student_t_two_sided(math.inf, 5) == 0.0
+        assert special.student_t_two_sided(-1e200, 5) == 0.0
+        assert math.isnan(special.student_t_two_sided(math.nan, 5))
         # the Cauchy distribution: 1 - (2/pi) atan|t|
-        assert numerics.student_t_two_sided(3.0, 1) == pytest.approx(
+        assert special.student_t_two_sided(3.0, 1) == pytest.approx(
             1.0 - 2.0 / math.pi * math.atan(3.0), rel=1e-14)
         for dof in (0, -1.0, math.nan):
             with pytest.raises(DomainError):
-                numerics.student_t_two_sided(1.0, dof)
+                special.student_t_two_sided(1.0, dof)

@@ -11,6 +11,7 @@ from photonkit.sellmeier_fit import (
     MeasurementPoint,
     fit,
     load_dataset_csv,
+    model_curvature,
     model_jacobian,
     model_signal_wavelength,
     rss,
@@ -218,13 +219,62 @@ class TestJacobian:
                  true_coeffs[2] * 1.01)
         exact = fit(pts, start, setup)
         lm = numerics.least_squares_fit
+        # the all-finite-difference fit: no analytic Jacobian or curvature
         monkeypatch.setattr(numerics, "least_squares_fit",
-                            lambda *args, jacobian=None, **kw: lm(*args, **kw))
+                            lambda *args, jacobian=None, curvature=None, **kw:
+                            lm(*args, **kw))
         forward = fit(pts, start, setup)
         for got, want in zip(exact.fitted, true_coeffs):
             assert abs(got - want) / abs(want) < 1e-6
         assert exact.converged
         assert exact.iterations <= forward.iterations
+
+
+class TestCurvature:
+    @staticmethod
+    def _case(case, setup, true_coeffs, telecom_setup):
+        if case == "kato_zzz":
+            return setup, np.array(true_coeffs), np.linspace(392.0, 403.0, 12)
+        # only the idler is polarized along z, so only it depends on a
+        crystal = telecom_setup["crystal"]
+        fit_setup = FitSetup(crystal=crystal, query=telecom_setup["query"],
+                             search_window_nm=(1450.0, 1650.0))
+        s = crystal.sellmeier_z
+        return fit_setup, np.array([s.a0, s.a1, s.a2]), np.linspace(776.0, 784.0, 9)
+
+    @pytest.mark.parametrize("case", ["kato_zzz", "telecom_yyz"])
+    def test_matches_central_differences(self, case, setup, true_coeffs,
+                                         telecom_setup):
+        fit_setup, coeffs, pumps = self._case(case, setup, true_coeffs, telecom_setup)
+        # along the criterion-3 start offsets; the difference error is O(h^2)
+        v = coeffs * np.array([0.002, -0.01, 0.01])
+        h = 0.03
+        at = lambda c: model_signal_wavelength(pumps, c, fit_setup)
+        roots = at(coeffs)
+        numeric = (at(coeffs + h * v) - 2.0 * roots + at(coeffs - h * v)) / h**2
+        exact = model_curvature(pumps, roots, coeffs, fit_setup, v)
+        assert np.abs(exact / numeric - 1.0).max() < 1e-5
+
+    def test_nan_roots_stay_nan(self, setup, true_coeffs):
+        got = model_curvature([395.0, 397.6], [math.nan, 533.0], true_coeffs, setup,
+                              [0.01, -0.001, 0.0001])
+        assert np.isnan(got[0])
+        assert np.isfinite(got[1])
+
+    def test_fit_sweeps_once_per_trial(self, setup, true_coeffs, monkeypatch):
+        # the LM's start, then one sweep per trial: no geodesic probe sweeps
+        pts = synthesize_noisy_dataset(true_coeffs, np.linspace(392.0, 403.0, 15),
+                                       0.0, seed=5, setup=setup)
+        sweeps, curvatures = [], []
+        sweep, curvature = phasematch.solve_signal_sweep, sellmeier_fit.model_curvature
+        monkeypatch.setattr(phasematch, "solve_signal_sweep",
+                            lambda *a, **kw: sweeps.append(1) or sweep(*a, **kw))
+        monkeypatch.setattr(sellmeier_fit, "model_curvature",
+                            lambda *a, **kw: curvatures.append(1) or curvature(*a, **kw))
+        start = (true_coeffs[0] * 1.002, true_coeffs[1] * 0.99, true_coeffs[2] * 1.01)
+        report = fit(pts, start, setup)
+        assert report.converged
+        assert len(sweeps) == 1 + len(curvatures)
 
 
 class TestDatasetIO:
