@@ -203,17 +203,14 @@ def assemble_mode(spec: BentGuideSpec, vert: VerticalRoot,
 
 
 def solve_modes(spec: BentGuideSpec) -> list[BentModeSolution]:
-    """Full mode table ordered by (q ascending, p ascending); the vertical
-    roots run on numerics.worker_map's threads."""
+    """Full mode table ordered by (q ascending, p ascending), solved serially:
+    on two threads the golden annulus took longer than on one."""
     k1 = spec.k0_per_um * spec.core_index
-
-    def modes_for(vert: VerticalRoot) -> list[BentModeSolution]:
+    modes = []
+    for vert in vertical_roots(spec):
         h = math.sqrt(k1**2 - vert.beta_w_per_um**2)
-        return [assemble_mode(spec, vert, azim)
-                for azim in azimuthal_numbers(spec, h)]
-
-    groups = numerics.worker_map(modes_for, vertical_roots(spec))
-    return [mode for group in groups for mode in group]
+        modes += [assemble_mode(spec, vert, azim) for azim in azimuthal_numbers(spec, h)]
+    return modes
 
 
 def mean_radius(mode: BentModeSolution) -> float:

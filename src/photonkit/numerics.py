@@ -49,10 +49,7 @@ C_UM_PER_FS = 0.299792458
 LM_LAMBDA0 = 1e-3
 LM_STEP_TOL = 1e-10
 LM_RSS_TOL = 1e-12
-# Geodesic acceleration: finite-difference step along the velocity for the
-# second directional derivative, and the largest accepted ratio of
-# 2|D a| to |D v|.
-LM_GEODESIC_H = 0.1
+# Geodesic acceleration: the largest accepted ratio of 2|D a| to |D v|.
 LM_ACCEL_RATIO = 0.75
 # The errors that mean a model has no value at the trial parameters.
 _NO_VALUE = (PhotonkitError, ValueError, ArithmeticError)
@@ -233,20 +230,19 @@ def _selection(mask):
 
 def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[float],
                       initial: Sequence[float], weights: Sequence[float] | None = None,
-                      max_iter: int = 200, jacobian: Callable | None = None,
-                      curvature: Callable | None = None) -> FitResult:
-    """Geodesic-accelerated Levenberg-Marquardt minimization of
-    sum w_i (y_i - model(p, x_i))^2 (Transtrum & Sethna, arXiv:1201.5885).
+                      max_iter: int = 200, jacobian: Callable | None = None) -> FitResult:
+    """Levenberg-Marquardt minimization of sum w_i (y_i - model(p, x_i))^2,
+    geodesic-accelerated when the jacobian hook gives the model's curvature
+    (Transtrum & Sethna, arXiv:1201.5885).
 
-    Each damped trial solves (J^T W J + lam D^2) v = J^T W r for the velocity
-    v, with D^2 = diag(J^T W J). The directional second derivative m'' of the
-    model along v on the current mask comes from `curvature` when given, else
-    from one more model call at p + h v, the probe
-    m'' ~ (2/h)((m(p + h v) - m(p))/h - J v). The same damped system against
-    -J^T W m'' gives the acceleration a. The trial steps to p + v + a/2 when
-    2 |D a| <= alpha |D v|, and to p + v when the acceleration is larger or
-    m'' has no value (see below) or is not finite (h = LM_GEODESIC_H,
-    alpha = LM_ACCEL_RATIO). With `curvature`, a trial costs one model call.
+    Each damped trial costs one model call. It solves
+    (J^T W J + lam D^2) v = J^T W r for the velocity v, with
+    D^2 = diag(J^T W J). Given the model's second directional derivative m''
+    along v on the current mask, the same damped system against -J^T W m''
+    gives the acceleration a, and the trial steps to p + v + a/2 when
+    2 |D a| <= alpha |D v| (alpha = LM_ACCEL_RATIO). It steps to p + v when
+    the acceleration is larger, and when m'' is not given, has no value (see
+    below) or is not finite.
 
     model(params, x) takes all of x in one call and returns one value per
     point. It may return NaN for individual points; those points are masked for
@@ -263,10 +259,12 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     variance, with the Jacobian and mask taken at the returned parameters.
 
     jacobian(params, x, values), given the model values at params, returns the
-    (len(x), len(params)) derivative matrix; forward differences by default.
-    curvature(params, x, values, direction), given the same values, returns
-    the model's second derivative along `direction`, one value per point; the
-    probe by default.
+    (len(x), len(params)) derivative matrix, or a (matrix, curvature) pair
+    whose curvature(direction) returns the model's second derivative along
+    `direction` at the same params, one value per point. It is called once per
+    iteration, and once more at parameters the last iteration moved to;
+    forward differences, with no curvature, by default. Weights must be finite
+    and positive.
     """
     if jacobian is None:
         jacobian = partial(_jacobian, model)
@@ -276,8 +274,8 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     sw = None
     if weights is not None:
         w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0):
-            raise DomainError("weights must be positive")
+        if not (np.isfinite(w).all() and (w > 0).all()):
+            raise DomainError("weights must be finite and positive")
         sw = np.sqrt(w)
     if y.size < p.size:
         raise DomainError("need at least as many data points as parameters")
@@ -306,19 +304,19 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         except _NO_VALUE:
             return np.inf, None, None
 
-    def second_derivative(dp, jac, sel):
-        # m'' along dp on the current mask: the model's own, or the probe's
-        # finite-difference estimate from one more model call.
-        if curvature is not None:
-            return np.asarray(curvature(p, x, m, dp), dtype=float)[sel]
-        probe = _eval_model(model, p + LM_GEODESIC_H * dp, x)[sel]
-        return (2.0 / LM_GEODESIC_H) * ((probe - m[sel]) / LM_GEODESIC_H - jac @ dp)
+    def derivatives(sel):
+        # The Jacobian at p on the mask, and the curvature hook or None.
+        out = jacobian(p, x, m)
+        jac, curvature = out if isinstance(out, tuple) else (out, None)
+        return jac[sel], curvature
 
-    def accelerated(dp, damp, jac, jw, sel, d2):
-        # An m'' that has no value or is not finite, or an acceleration too
-        # large to trust, leaves the plain step.
+    def accelerated(dp, damp, curvature, jw, sel, d2):
+        # No curvature, an m'' that has no value or is not finite, or an
+        # acceleration too large to trust, leaves the plain step.
+        if curvature is None:
+            return dp
         try:
-            m2 = second_derivative(dp, jac, sel)
+            m2 = np.asarray(curvature(dp), dtype=float)[sel]
         except _NO_VALUE:
             return dp
         if not np.isfinite(m2).all():
@@ -338,7 +336,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     accepted = True
     for iterations in range(1, max_iter + 1):
         sel = _selection(mask)
-        jac = jacobian(p, x, m)[sel]
+        jac, curvature = derivatives(sel)
         jw = weigh(jac, sel)
         r = weigh(y[sel] - m[sel], sel)
         a = jw.T @ jw
@@ -351,7 +349,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
                 dp = np.linalg.solve(damp, g)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
-            step = accelerated(dp, damp, jac, jw, sel, d2)
+            step = accelerated(dp, damp, curvature, jw, sel, d2)
             trial = p + step
             trial_rss, trial_mask, trial_m = guarded_rss(trial)
             left_domain |= not np.isfinite(trial_rss)
@@ -373,7 +371,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     if accepted:
         # The last accepted step moved p and possibly the mask: the standard
         # errors belong to the returned parameters, so linearise there.
-        jac = jacobian(p, x, m)[sel]
+        jac, _ = derivatives(sel)
     n_used = int(np.count_nonzero(mask))
     dof = max(n_used - p.size, 1)
     jw = weigh(jac, sel)

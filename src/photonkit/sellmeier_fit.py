@@ -21,8 +21,7 @@ __all__ = [
     "SellmeierFitReport",
     "FitSetup",
     "model_signal_wavelength",
-    "model_jacobian",
-    "model_curvature",
+    "model_derivatives",
     "rss",
     "fit",
     "synthesize_noisy_dataset",
@@ -41,8 +40,9 @@ class MeasurementPoint:
     sigma_nm: float = 1.0
 
     def __post_init__(self):
-        if self.pump_nm <= 0 or self.signal_nm <= 0 or self.sigma_nm <= 0:
-            raise DomainError("measurement fields must be positive")
+        fields = (self.pump_nm, self.signal_nm, self.sigma_nm)
+        if not all(0 < v < math.inf for v in fields):
+            raise DomainError("measurement fields must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -136,39 +136,33 @@ def _mismatch_derivatives(pumps_nm, signals_nm, coeffs: Sequence[float],
     return ok, dk_s, dk_ss, dk_a, dk_sa, dk_aa
 
 
-def model_jacobian(pumps_nm, signals_nm, coeffs: Sequence[float],
-                   setup: FitSetup) -> np.ndarray:
-    """Exact derivatives of the collinear signal roots with respect to the
-    fitted a0, a1, a2, shape (len(pumps_nm), 3), in nm per unit.
+def model_derivatives(pumps_nm, signals_nm, coeffs: Sequence[float],
+                      setup: FitSetup):
+    """Exact first and second derivatives of the collinear signal roots with
+    respect to the fitted a0, a1, a2, from one pass over the mismatch.
 
-    signals_nm must be the roots at coeffs (NaN rows stay NaN). By the implicit
-    function theorem on dk(lam_s, a) = 0, dlam_s/da = -(ddk/da)/(ddk/dlam_s).
-    """
-    ok, dk_s, _, dk_a, _, _ = _mismatch_derivatives(pumps_nm, signals_nm, coeffs, setup)
-    jac = np.full((ok.size, 3), np.nan)
-    jac[ok] = -1e3 * dk_a / dk_s[:, None]  # dk_s is per um of lam_s
-    return jac
-
-
-def model_curvature(pumps_nm, signals_nm, coeffs: Sequence[float],
-                    setup: FitSetup, direction: Sequence[float]) -> np.ndarray:
-    """Exact second directional derivatives of the collinear signal roots along
-    `direction` in (a0, a1, a2), one per pump, in nm per unit squared.
-
-    signals_nm must be the roots at coeffs (NaN rows stay NaN). Differentiating
-    dk(lam_s(a + t v), a + t v) = 0 twice in t gives
-    lam' = -dk_a v / dk_s and
+    signals_nm must be the roots at coeffs (NaN rows stay NaN). Returns the
+    Jacobian, shape (len(pumps_nm), 3) in nm per unit, and curvature(v), the
+    second directional derivatives along v in (a0, a1, a2), one per pump in nm
+    per unit squared. Differentiating dk(lam_s(a + t v), a + t v) = 0 twice in
+    t gives lam' = -dk_a v / dk_s (the implicit function theorem) and
     lam'' = -(dk_ss lam'^2 + 2 (dk_sa v) lam' + v dk_aa v) / dk_s,
-    all taken at the roots, so it costs no root solve.
+    all taken at the roots, so neither solves a root.
     """
-    v = np.asarray(direction, dtype=float)
     ok, dk_s, dk_ss, dk_a, dk_sa, dk_aa = _mismatch_derivatives(
         pumps_nm, signals_nm, coeffs, setup)
-    first = -(dk_a @ v) / dk_s
-    second = -(dk_ss * first**2 + 2.0 * (dk_sa @ v) * first + dk_aa @ v @ v) / dk_s
-    out = np.full(ok.size, np.nan)
-    out[ok] = 1e3 * second  # lam_s in um to nm
-    return out
+    jac = np.full((ok.size, 3), np.nan)
+    jac[ok] = -1e3 * dk_a / dk_s[:, None]  # dk_s is per um of lam_s
+
+    def curvature(direction: Sequence[float]) -> np.ndarray:
+        v = np.asarray(direction, dtype=float)
+        first = -(dk_a @ v) / dk_s
+        second = -(dk_ss * first**2 + 2.0 * (dk_sa @ v) * first + dk_aa @ v @ v) / dk_s
+        out = np.full(ok.size, np.nan)
+        out[ok] = 1e3 * second  # lam_s in um to nm
+        return out
+
+    return jac, curvature
 
 
 def rss(points: Sequence[MeasurementPoint], coeffs: Sequence[float],
@@ -195,13 +189,14 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
 
     The LM model is the sweep solve over all pumps. The LM Jacobian and the
     geodesic acceleration's second directional derivative are the exact ones
-    of model_jacobian and model_curvature, taken at the roots the fit already
-    holds, so they cost no root solves: each LM trial is one sweep. Points whose model root vanishes during a step
-    are masked for that step, but every point needs its root at the start
-    values (NoRootInWindow otherwise). The report carries both the fitted RSS
-    and the RSS at the start values, both from the same sweep solve and both
-    in nm^2, also when the fit itself minimises the weighted chi^2; an
-    unweighted fit takes the start RSS from the LM's own first sweep.
+    of model_derivatives, built once per LM iteration at the roots the fit
+    already holds, so they cost no root solves: each LM trial is one sweep.
+    Points whose model root vanishes during a step are masked for that step,
+    but every point needs its root at the start values (NoRootInWindow
+    otherwise). The report carries both the fitted RSS and the RSS at the
+    start values, both from the same sweep solve and both in nm^2, also when
+    the fit itself minimises the weighted chi^2; an unweighted fit takes the
+    start RSS from the LM's own first sweep.
     """
     if len(points) < 4:
         raise InsufficientData("need at least 4 points")
@@ -222,14 +217,11 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
         return roots
 
     def jacobian(params, x, values):
-        return model_jacobian(x, values, params, setup)
-
-    def curvature(params, x, values, direction):
-        return model_curvature(x, values, params, setup, direction)
+        return model_derivatives(x, values, params, setup)
 
     result = numerics.least_squares_fit(model, pumps, signals, start,
                                         weights=weights, max_iter=max_iter,
-                                        jacobian=jacobian, curvature=curvature)
+                                        jacobian=jacobian)
     if weighted:
         start_rss = rss(points, start, setup)
         fitted_rss = rss(points, result.parameters, setup)
@@ -274,8 +266,8 @@ def synthesize_noisy_dataset(coeffs: Sequence[float], pump_sweep_nm: Sequence[fl
 def load_dataset_csv(path) -> list[MeasurementPoint]:
     """Read a `lambda_pump_nm,lambda_vis_nm,sigma_nm` dataset file (sigma_nm
     optional, 1 when absent). Raises DomainError for a missing column, and
-    with the line number for a value that is missing, not a number or not
-    positive."""
+    with the line number for a value that is missing, not a number, not finite
+    or not positive."""
     points = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

@@ -293,8 +293,8 @@ class TestModes:
         assert mean_radius(modes[0]) == modes[0].mean_radius_um
         assert len(calls) == 1
 
-    # The golden spec, and a spec with four vertical roots, on which two
-    # workers take less time than one; the pool takes one root per task.
+    # The golden spec, and a spec with four vertical roots: the mode table
+    # is solved serially, so the worker count changes no bit of it.
     @pytest.mark.parametrize("dims,roots", [((0.5, 1.5, 0.25, 2.3, 1.0, 0.8), 3),
                                             ((2.0, 4.0, 0.6, 1.8, 1.4, 0.8), 4)],
                              ids=["golden", "four_roots"])

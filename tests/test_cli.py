@@ -207,8 +207,14 @@ class TestPhasematchSweepAndFit:
         ("lambda_pump_nm,lambda_vis_nm\n395.0,533.0\n396.0\n",
          "line 3: value missing or not a number"),
         ("lambda_pump_nm,lambda_vis_nm\n395.0,-533.0\n",
-         "line 2: measurement fields must be positive"),
+         "line 2: measurement fields must be finite and positive"),
         ("lambda_pump_nm,lambda_vis_nm\n", "no data rows"),
+        # NaN passes a test for <= 0, and an infinite pump reached the window
+        # check; every non-finite field is a dataset error at its line
+        *((f"lambda_pump_nm,lambda_vis_nm,sigma_nm\n396.0,534.0,1.0\n{row}\n",
+           "line 3: measurement fields must be finite and positive")
+          for bad in ("nan", "inf")
+          for row in (f"{bad},533.0,1.0", f"395.0,{bad},1.0", f"395.0,533.0,{bad}")),
     ])
     def test_fit_unreadable_dataset(self, capsys, tmp_path, text, message):
         path = tmp_path / "data.csv"

@@ -11,8 +11,7 @@ from photonkit.sellmeier_fit import (
     MeasurementPoint,
     fit,
     load_dataset_csv,
-    model_curvature,
-    model_jacobian,
+    model_derivatives,
     model_signal_wavelength,
     rss,
     save_dataset_csv,
@@ -201,12 +200,13 @@ class TestJacobian:
             pumps = np.linspace(776.0, 784.0, 9)
         roots = phasematch.solve_signal_sweep(
             fit_setup.query, fit_setup.crystal, pumps, fit_setup.search_window_nm)
-        exact = model_jacobian(pumps, roots, coeffs, fit_setup)
+        exact, _ = model_derivatives(pumps, roots, coeffs, fit_setup)
         numeric = self._central_differences(fit_setup, coeffs, pumps)
         assert np.abs(exact / numeric - 1.0).max() < 1e-5
 
     def test_nan_roots_stay_nan(self, setup, true_coeffs):
-        jac = model_jacobian([395.0, 397.6], [math.nan, 533.0], true_coeffs, setup)
+        jac, _ = model_derivatives([395.0, 397.6], [math.nan, 533.0], true_coeffs,
+                                   setup)
         assert np.isnan(jac[0]).all()
         assert np.isfinite(jac[1]).all()
 
@@ -221,8 +221,7 @@ class TestJacobian:
         lm = numerics.least_squares_fit
         # the all-finite-difference fit: no analytic Jacobian or curvature
         monkeypatch.setattr(numerics, "least_squares_fit",
-                            lambda *args, jacobian=None, curvature=None, **kw:
-                            lm(*args, **kw))
+                            lambda *args, jacobian=None, **kw: lm(*args, **kw))
         forward = fit(pts, start, setup)
         for got, want in zip(exact.fitted, true_coeffs):
             assert abs(got - want) / abs(want) < 1e-6
@@ -252,12 +251,13 @@ class TestCurvature:
         at = lambda c: model_signal_wavelength(pumps, c, fit_setup)
         roots = at(coeffs)
         numeric = (at(coeffs + h * v) - 2.0 * roots + at(coeffs - h * v)) / h**2
-        exact = model_curvature(pumps, roots, coeffs, fit_setup, v)
+        exact = model_derivatives(pumps, roots, coeffs, fit_setup)[1](v)
         assert np.abs(exact / numeric - 1.0).max() < 1e-5
 
     def test_nan_roots_stay_nan(self, setup, true_coeffs):
-        got = model_curvature([395.0, 397.6], [math.nan, 533.0], true_coeffs, setup,
-                              [0.01, -0.001, 0.0001])
+        _, curvature = model_derivatives([395.0, 397.6], [math.nan, 533.0],
+                                         true_coeffs, setup)
+        got = curvature([0.01, -0.001, 0.0001])
         assert np.isnan(got[0])
         assert np.isfinite(got[1])
 
@@ -266,15 +266,33 @@ class TestCurvature:
         pts = synthesize_noisy_dataset(true_coeffs, np.linspace(392.0, 403.0, 15),
                                        0.0, seed=5, setup=setup)
         sweeps, curvatures = [], []
-        sweep, curvature = phasematch.solve_signal_sweep, sellmeier_fit.model_curvature
+        sweep, derivatives = phasematch.solve_signal_sweep, sellmeier_fit.model_derivatives
+
+        def counted_derivatives(*a, **kw):
+            jac, curvature = derivatives(*a, **kw)
+            return jac, lambda v: curvatures.append(1) or curvature(v)
+
         monkeypatch.setattr(phasematch, "solve_signal_sweep",
                             lambda *a, **kw: sweeps.append(1) or sweep(*a, **kw))
-        monkeypatch.setattr(sellmeier_fit, "model_curvature",
-                            lambda *a, **kw: curvatures.append(1) or curvature(*a, **kw))
+        monkeypatch.setattr(sellmeier_fit, "model_derivatives", counted_derivatives)
         start = (true_coeffs[0] * 1.002, true_coeffs[1] * 0.99, true_coeffs[2] * 1.01)
         report = fit(pts, start, setup)
         assert report.converged
         assert len(sweeps) == 1 + len(curvatures)
+
+    def test_derivatives_once_per_iteration(self, setup, true_coeffs, monkeypatch):
+        # criterion 3's clean fit: one mismatch-derivative pass per LM
+        # iteration, shared by its Jacobian and every trial's curvature, and
+        # one at the returned parameters for the standard errors
+        pts = synthesize_noisy_dataset(true_coeffs, np.linspace(392.0, 403.0, 55),
+                                       0.0, seed=1, setup=setup)
+        passes, derivatives = [], sellmeier_fit._mismatch_derivatives
+        monkeypatch.setattr(sellmeier_fit, "_mismatch_derivatives",
+                            lambda *a, **kw: passes.append(1) or derivatives(*a, **kw))
+        start = (true_coeffs[0] * 1.002, true_coeffs[1] * 0.99, true_coeffs[2] * 1.01)
+        report = fit(pts, start, setup)
+        assert report.converged
+        assert len(passes) == report.iterations + 1 == 14
 
 
 class TestDatasetIO:
