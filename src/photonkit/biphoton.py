@@ -5,8 +5,12 @@ four transverse wavevector integrals are evaluated in closed form as complex
 Gaussian quadratic forms, leaving one numerical integral along the crystal.
 The crystal is centred on z = 0 and the integrand at -z is the complex
 conjugate of the one at +z, so that integral is real (Grice & Walmsley,
-Phys. Rev. A 56, 1627, 1997): the Gauss-Legendre sum is folded onto the
-nodes z >= 0 and accumulated in real arithmetic.
+Phys. Rev. A 56, 1627, 1997). It is a Filon-Legendre sum: the smooth part of
+the integrand is expanded in Legendre polynomials from its values at the
+Gauss-Legendre nodes z >= 0, and each term's product with the oscillating
+phase is integrated exactly as a spherical Bessel function, all in real
+arithmetic. The node count doubles until an error estimate meets
+Z_QUAD_TOL.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ import numpy as np
 
 from . import numerics
 from .dispersion import refractive_index
-from .errors import DegenerateFit, DegenerateGrid, DomainError, EvanescentTransverse
+from .errors import (
+    DegenerateFit,
+    DegenerateGrid,
+    DomainError,
+    EvanescentTransverse,
+    QuadratureNotConverged,
+)
 from .numerics import C_UM_PER_FS
 from .phasematch import grating_vector
 from .specs import (
@@ -52,8 +62,10 @@ __all__ = [
 ]
 
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
-Z_QUAD_ORDER = 64
-JSA_BLOCK_CELLS = 16384
+Z_QUAD_ORDER = 16          # starting node count of the crystal quadrature
+Z_QUAD_MAX_ORDER = 1024
+Z_QUAD_TOL = 1e-10         # Legendre-tail estimate over the peak amplitude
+JSA_BLOCK_VALUES = 120_000   # float64 temporaries per block, about 1 MB
 
 
 def omega_phz_from_wavelength_um(wavelength_um):
@@ -68,11 +80,15 @@ def wavelength_um_from_omega_phz(omega_phz):
 class JsaGrid:
     """Joint spectral probability, normalized to unit sum when built and
     stored read-only; DegenerateGrid unless the given values sum to a positive
-    number."""
+    number. A grid from jsa_grid also carries its crystal quadrature: the
+    node count it converged at and its error estimate relative to the peak
+    amplitude (None for a grid built from given values)."""
 
     omega_s_phz: np.ndarray
     omega_i_phz: np.ndarray
     probability: np.ndarray  # [j, k] = p(omega_s[j], omega_i[k])
+    quadrature_order: int | None = None
+    quadrature_error: float | None = None
 
     def __post_init__(self):
         total = float(self.probability.sum())
@@ -91,7 +107,9 @@ class JsaGrid:
         probability.flags.writeable = False
         for name, value in (("omega_s_phz", self.omega_i_phz.copy()),
                             ("omega_i_phz", self.omega_s_phz.copy()),
-                            ("probability", probability)):
+                            ("probability", probability),
+                            ("quadrature_order", self.quadrature_order),
+                            ("quadrature_error", self.quadrature_error)):
             object.__setattr__(grid, name, value)
         return grid
 
@@ -210,21 +228,113 @@ def phase_mismatch_longitudinal(omega_s_phz: float, omega_i_phz: float,
     return float(kz_p - kz_s - kz_i + grating_vector(query, crystal))
 
 
+def _upward_first(count: int, omega) -> np.ndarray:
+    """The order of the points `omega` that _spherical_j(count, .) takes: the
+    points with |omega| > count, where j_k recurs upward, first."""
+    return np.argsort(np.abs(omega) <= count, kind="stable")
+
+
+def _spherical_j(count: int, omega) -> np.ndarray:
+    """Spherical Bessel functions j_0 .. j_{count-1} (count >= 2) at the
+    points `omega`, listed in the order _upward_first(count, omega) gives, as
+    a (count, omega.size) array; one sin/cos pair per point, numpy alone.
+
+    Where |omega| > count the upward recurrence j_{k+1} = (2k+1)/omega j_k -
+    j_{k-1} from j_0 = sin(omega)/omega and j_1 = (j_0 - cos(omega))/omega is
+    stable. Elsewhere Miller's downward recurrence (Gautschi, SIAM Rev. 9, 24,
+    1967) runs in its ratio form rho_k = j_k/j_{k-1} = omega/(2k+1 - omega
+    rho_{k+1}), started at rest far enough above count to have converged; the
+    ratios neither overflow nor lose the tiny values at small |omega|, and 0
+    needs no series. The sequence they give is scaled by the least-squares fit
+    of its first two terms to j_0 and j_1, which holds its accuracy at a zero
+    of either.
+    """
+    w = np.asarray(omega, dtype=float).ravel()
+    n_up = int(np.count_nonzero(np.abs(w) > count))
+    nonzero = w != 0.0
+    j = np.empty((count, w.size))
+    j0 = np.divide(np.sin(w), w, out=j[0], where=nonzero)
+    j0[~nonzero] = 1.0
+    j1 = np.divide(j0 - np.cos(w), w, out=j[1], where=nonzero)
+    j1[~nonzero] = 0.0
+
+    inv = 1.0 / w[:n_up]
+    for k in range(1, count - 1):
+        row = np.multiply(j[k, :n_up], inv, out=j[k + 1, :n_up])
+        row *= 2 * k + 1
+        row -= j[k - 1, :n_up]
+
+    low = w[n_up:]
+    if low.size:
+        f = j[:, n_up:]
+        rho = np.zeros_like(low)
+        den = np.empty_like(low)
+        # the start index converges the ratios to rounding for |omega| <= count
+        for k in range(count + int(6.0 * count ** (1.0 / 3.0)) + 4, 1, -1):
+            np.multiply(low, rho, out=den)
+            np.subtract(2 * k + 1, den, out=den)
+            rho = np.divide(low, den, out=f[k] if k < count else rho)
+        # f_0 = 3 - omega rho_2 and f_1 = omega keep the ratios of j_0, j_1
+        # and j_2 and stay finite at every omega; both take the scale that
+        # fits them to j_0 and j_1 before the products f_k = f_{k-1} rho_k
+        f0 = np.multiply(low, rho, out=den)
+        np.subtract(3.0, f0, out=f0)
+        scale = f[0] * f0
+        scale += f[1] * low
+        scale /= np.square(f0) + np.square(low)
+        np.multiply(f0, scale, out=f[0])
+        np.multiply(low, scale, out=f[1])
+        for k in range(2, count):
+            f[k] *= f[k - 1]
+    return j
+
+
+def _filon_tables(m: int):
+    """(t, even, odd): the m-node Gauss-Legendre nodes t >= 0 on [-1, 1], and
+    the matrices that map g at those nodes onto i^k c_k, c_k the Legendre
+    coefficients of g, for even k from Re g and for odd k from -Im g.
+
+    c_k = (k + 1/2) sum_j w_j g(t_j) P_k(t_j). As g(-t) is the conjugate of
+    g(t), a node pair +-t contributes 2 w P_k(t) Re g(t) for even k and
+    2i w P_k(t) Im g(t) for odd k, and i^k c_k is real: the sign (-1)^(k/2)
+    or (-1)^((k+1)/2), both (-1)^floor((k+1)/2), goes into the matrix row,
+    and the sign of -Im g into `odd`. A node at t = 0 (odd m) counts once."""
+    from numpy.polynomial.legendre import legvander
+
+    nodes, weights = numerics.gauss_legendre(m)
+    t = nodes[m // 2:]
+    w = weights[m // 2:] * np.where(t > 0, 2.0, 1.0)
+    k = np.arange(m)
+    rows = ((-1.0) ** ((k + 1) // 2) * (k + 0.5))[:, None] * legvander(t, m - 1).T * w
+    return t, np.ascontiguousarray(rows[0::2]), -np.ascontiguousarray(rows[1::2])
+
+
 def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
              grid: JsaGridSpec, query: PhaseMatchQuery,
              z_order: int = Z_QUAD_ORDER) -> JsaGrid:
     """Joint spectral probability |A_p^t(w_s + w_i) * theta(w_s, w_i)|^2.
 
-    theta is the phase-matching overlap: per crystal slice the four transverse
-    integrals reduce to (2 pi)^2 / det A(z) for a complex symmetric 2x2 form A,
-    and the slice contributions are summed with z_order Gauss-Legendre nodes
-    along the crystal. A(-z) is the conjugate of A(z), so theta is real; the
-    sum is folded onto the nodes z >= 0, with the weights of the nodes z > 0
-    doubled, and only its real part is computed. theta can change sign (the
-    sinc lobes), and that sign is the amplitude's only phase. The returned
-    grid is normalized to unit sum. Row blocks of the grid run on
-    numerics.worker_map's threads, with the same result for any worker count.
-    Collinear geometry only: DomainError for a nonzero query.signal_theta_rad.
+    theta = int e^{i dk0 z} g(z) dz over the crystal is the phase-matching
+    overlap: per crystal slice the four transverse integrals reduce to
+    g = (2 pi)^2 exp(quad/2) / det A(z) for a complex symmetric 2x2 form A,
+    the exp factor from the fiber offsets. Only e^{i dk0 z} oscillates, so
+    the sum is a Filon-Legendre one (Filon, Proc. R. Soc. Edinburgh 49, 38,
+    1928; Iserles & Norsett, Proc. R. Soc. A 461, 1383, 2005): the smooth g
+    is expanded in Legendre polynomials from m Gauss nodes along the crystal,
+    and each term is integrated exactly, int_{-1}^{1} e^{i w t} P_k(t) dt =
+    2 i^k j_k(w) (Abramowitz & Stegun 10.1.14), so a cell costs the same at
+    any mismatch. A(-z) is the conjugate of A(z), so theta is real and is
+    summed in real arithmetic from the nodes z >= 0; it can change sign (the
+    sinc lobes), and that sign is the amplitude's only phase.
+
+    m starts at z_order and doubles, for the whole grid, until the Legendre
+    tail L (|c_{m-1}| + |c_{m-2}|) |A_p| (|j_k| <= 1 makes it valid at every
+    mismatch) is within Z_QUAD_TOL of the largest |A_p theta|;
+    QuadratureNotConverged if Z_QUAD_MAX_ORDER nodes do not get there. The
+    returned grid is normalized to unit sum and carries m and that relative
+    error estimate. Blocks of grid cells run on numerics.worker_map's
+    threads, with the same result for any worker count. Collinear geometry
+    only: DomainError for a nonzero query.signal_theta_rad.
     """
     if query.signal_theta_rad != 0.0:
         raise DomainError("the joint spectrum is collinear only",
@@ -235,7 +345,8 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     k_i = _axis_k(crystal, query.pol_idler, w_i)           # (n,)
     w_sum = w_s[:, None] + w_i[None, :]                    # (n, n)
     k_p = _axis_k(crystal, query.pol_pump, w_sum)          # (n, n)
-    dk0 = k_p - k_s[:, None] - k_i[None, :] + grating_vector(query, crystal)
+    half_l = 0.5 * crystal.length_um
+    omega = (k_p - k_s[:, None] - k_i[None, :] + grating_vector(query, crystal)) * half_l
 
     # A(z) = A0 + i z A1 with the real matrices A0 = [[a_ss, a_si],
     # [a_si, a_ii]] of squared widths and A1 = [[g_ss, 1/k_p], [1/k_p, g_ii]],
@@ -251,15 +362,6 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     d1 = a_ss * g_ii + a_ii * g_ss - 2.0 * a_si * inv_kp
     d2 = g_ss * g_ii - inv_kp * inv_kp
 
-    # The integrand at -z is the complex conjugate of the one at +z, so theta
-    # is real: sum Re[e^{i dk0 z} / det A(z)] over the nodes z >= 0, the
-    # weight doubled for z > 0 (a centre node of an odd order counts once).
-    half_l = 0.5 * crystal.length_um
-    nodes, weights = numerics.gauss_legendre(z_order)
-    z_nodes = half_l * nodes[z_order // 2:]
-    z_weights = half_l * weights[z_order // 2:]
-    z_weights[z_nodes > 0] *= 2.0
-
     # exp(b^T A^-1 b / 2) factor from the offset fiber centres (x-direction
     # only; offsets are scalars along one axis): b^T adj(A) b = q0 + i z q1.
     b_s = ws2 * coupling.signal_offset_per_um
@@ -270,34 +372,79 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
         q1 = g_ii * b_s**2 - 2.0 * inv_kp * b_s * b_i + g_ss * b_i**2
     const_offset = math.exp(-0.5 * (ws2 * coupling.signal_offset_per_um**2
                                     + wi2 * coupling.idler_offset_per_um**2))
+    pump_amplitude = pump_temporal_amplitude(w_sum, pump).ravel()
+    del w_sum, k_p, inv_kp, g_ss, g_ii
 
-    def accumulate(rows: slice) -> np.ndarray:
-        acc = np.zeros((rows.stop - rows.start, w_i.size))
-        for z, wz in zip(z_nodes, z_weights):
-            det_re = d0 - z * z * d2[rows]
-            det_im = z * d1[rows]
-            det2 = det_re * det_re + det_im * det_im
-            phase = z * dk0[rows]
-            if has_offset:
-                # quad = (q0 + i z q1) / det: Im(quad)/2 joins the phase and
-                # e^{Re(quad)/2} divides det2
-                q1z = z * q1[rows]
-                phase += 0.5 * (q1z * det_re - q0 * det_im) / det2
-                det2 *= np.exp(-0.5 * (q0 * det_re + q1z * det_im) / det2)
-            acc += wz * (np.cos(phase) * det_re + np.sin(phase) * det_im) / det2
-        return acc
+    omega, d1, d2 = omega.ravel(), d1.ravel(), d2.ravel()
+    if has_offset:
+        q1 = q1.ravel()
 
-    # Row blocks of about JSA_BLOCK_CELLS cells keep each node's temporaries
-    # small; threads take whole blocks, so the sums do not depend on them.
-    n = w_s.size
-    rows = max(1, JSA_BLOCK_CELLS // w_i.size)
-    blocks = [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
-    theta = np.vstack(numerics.worker_map(accumulate, blocks))
+    theta = np.empty(omega.size)   # theta / L
+    tail = np.empty(omega.size)    # the Legendre tail |c_{m-1}| + |c_{m-2}|
+
+    def accumulate(cells: slice) -> None:
+        """theta and tail at m nodes on a block of cells, with g at the nodes
+        as rows of (nodes, cells) arrays, the cells in the order _spherical_j
+        takes them."""
+        t, even, odd = tables
+        half = even.shape[0]
+        order = _upward_first(m, omega[cells])
+        index = order + cells.start
+        # g = exp(quad/2) conj(det) / |det|^2 at the nodes
+        z = half_l * t[:, None]
+        det_re = d2[index] * -(z * z)
+        det_re += d0
+        det_im = z * d1[index]
+        det2 = np.square(det_re)
+        det2 += np.square(det_im)
+        if has_offset:
+            # quad = (q0 + i z q1) / det: Im(quad)/2 turns conj(det) and
+            # e^{Re(quad)/2} divides det2
+            q1z = z * q1[index]
+            phase = 0.5 * (q1z * det_re - q0 * det_im) / det2
+            det2 *= np.exp(-0.5 * (q0 * det_re + q1z * det_im) / det2)
+            cos, sin = np.cos(phase), np.sin(phase)
+            det_re, det_im = cos * det_re + sin * det_im, cos * det_im - sin * det_re
+        det_re /= det2                          # Re g
+        det_im /= det2                          # -Im g
+        del det2
+        coef = np.empty((m, index.size))       # i^k c_k: even k, then odd k
+        np.matmul(even, det_re, out=coef[:half])
+        np.matmul(odd, det_im, out=coef[half:])
+        del det_re, det_im
+        j = _spherical_j(m, omega[index])
+        theta[index] = (np.einsum("kc,kc->c", coef[:half], j[0::2])
+                        + np.einsum("kc,kc->c", coef[half:], j[1::2]))
+        tail[index] = np.abs(coef[half - 1]) + np.abs(coef[-1])
+
+    # A block's temporaries take about 2 m + 8 floats a cell, 5 m + 8 with
+    # offsets: blocks of consecutive cells of the row-major grid keep them
+    # within JSA_BLOCK_VALUES floats at every m. Threads take whole blocks, so
+    # the sums do not depend on them.
+    size = omega.size
+    m = z_order
+    while True:
+        step = max(1, JSA_BLOCK_VALUES // ((5 if has_offset else 2) * m + 8))
+        blocks = [slice(i, min(i + step, size)) for i in range(0, size, step)]
+        tables = _filon_tables(m)
+        numerics.worker_map(accumulate, blocks)
+        peak = float(np.abs(pump_amplitude * theta).max())
+        error = float((pump_amplitude * tail).max())
+        if not error > Z_QUAD_TOL * peak:   # a NaN grid fails in JsaGrid
+            break
+        if m >= Z_QUAD_MAX_ORDER:
+            relative = error / peak if peak > 0 else math.inf
+            raise QuadratureNotConverged(
+                f"Filon-Legendre sum along the crystal: error estimate "
+                f"{relative:.3g} of the peak at {m} nodes, above {Z_QUAD_TOL:g}",
+                order=m, error_estimate=relative)
+        m = min(2 * m, Z_QUAD_MAX_ORDER)
 
     prefactor = (coupling.signal_width_um * coupling.idler_width_um
                  * pump.spatial_width_um / math.pi**1.5) * (2.0 * math.pi)**2
-    psi = pump_temporal_amplitude(w_sum, pump) * prefactor * const_offset * theta
-    return JsaGrid(w_s, w_i, psi**2)
+    psi = pump_amplitude * (prefactor * const_offset * crystal.length_um) * theta
+    return JsaGrid(w_s, w_i, (psi**2).reshape(w_s.size, w_i.size), quadrature_order=m,
+                   quadrature_error=error / peak if peak > 0 else 0.0)
 
 
 def marginal(grid: JsaGrid, axis: str = "signal"):

@@ -101,6 +101,16 @@ class DegenerateFit(PhotonkitError):
     """Samples cannot constrain the requested model."""
 
 
+class QuadratureNotConverged(PhotonkitError):
+    """Crystal quadrature error estimate above tolerance at the node cap;
+    carries the last node count and relative error estimate."""
+
+    def __init__(self, message, order=None, error_estimate=None):
+        super().__init__(message)
+        self.order = order
+        self.error_estimate = error_estimate
+
+
 # --- fiber_prop ---
 
 class GridTooCoarse(PhotonkitError):

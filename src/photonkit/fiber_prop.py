@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numerics
-from .biphoton import GaussianFit2D, JsaGrid
 from .errors import DomainError, GridTooCoarse, ZeroDispersion
 from .specs import FiberSpec
+
+if TYPE_CHECKING:
+    from .biphoton import GaussianFit2D, JsaGrid
 
 __all__ = [
     "FiberSpec",

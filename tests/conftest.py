@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from photonkit import bent_guide, biphoton
+from photonkit import bent_guide, biphoton, phasematch
 from photonkit.dispersion import builtin_crystal_path, load_crystal
 from photonkit.phasematch import PhaseMatchQuery
 
@@ -27,7 +27,11 @@ def bent_reference_spec():
 
 @pytest.fixture(scope="session")
 def vis_ir_setup(kato_crystal):
-    """Degenerate-free VIS/IR source: pump sum frequency 4.7375 PHz, all-z."""
+    """Degenerate-free VIS/IR source: pump sum frequency 4.7375 PHz, all-z.
+
+    The grid is centred on the pair the crystal phase-matches collinearly at
+    the pump centre, signal 541.97 nm (3.4756 PHz), so that its window holds
+    the source rather than a far sinc lobe."""
     pump_sum_phz = 4.7375
     query = PhaseMatchQuery(
         pump_wavelength_nm=float(
@@ -37,9 +41,12 @@ def vis_ir_setup(kato_crystal):
     pump = biphoton.PumpSpec(central_frequency_phz=pump_sum_phz,
                              pulse_duration_fs=tau, spatial_width_um=48.0)
     coupling = biphoton.CouplingSpec(signal_width_um=13.7, idler_width_um=48.0)
+    matched = phasematch.solve_signal_wavelength(query, kato_crystal, (450.0, 700.0))
+    signal_center = float(biphoton.omega_phz_from_wavelength_um(
+        matched.signal_wavelength_nm * 1e-3))
     return {"crystal": kato_crystal, "query": query, "pump": pump,
-            "coupling": coupling, "signal_center": 3.534,
-            "idler_center": pump_sum_phz - 3.534}
+            "coupling": coupling, "signal_center": signal_center,
+            "idler_center": pump_sum_phz - signal_center}
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,7 @@ from photonkit.errors import (
     DegenerateGrid,
     DomainError,
     EvanescentTransverse,
+    QuadratureNotConverged,
 )
 
 
@@ -240,6 +241,16 @@ class TestJsaGrid:
         with pytest.raises(dataclasses.FrozenInstanceError):
             t.probability = g.probability
 
+    def test_quadrature_fields(self, small_grid):
+        # a grid built from given values has no quadrature to report
+        plain = JsaGrid(np.arange(4.0), np.arange(4.0), np.ones((4, 4)))
+        assert plain.quadrature_order is None and plain.quadrature_error is None
+        assert small_grid.quadrature_order >= biphoton.Z_QUAD_ORDER
+        assert 0.0 < small_grid.quadrature_error <= biphoton.Z_QUAD_TOL
+        t = small_grid.transpose()
+        assert t.quadrature_order == small_grid.quadrature_order
+        assert t.quadrature_error == small_grid.quadrature_error
+
     def test_thread_count_invariance(self, vis_ir_setup, monkeypatch):
         s = vis_ir_setup
         g = JsaGridSpec(n=24, range_fraction=0.02,
@@ -273,10 +284,10 @@ class TestJsaGrid:
 
 
 
-def _reference_jsa(pump, coupling, crystal, grid, query,
-                   z_order=biphoton.Z_QUAD_ORDER):
-    """The unfolded quadrature: every Gauss-Legendre node along the crystal,
-    in complex arithmetic. Returns the normalized probability and theta."""
+def _reference_jsa(pump, coupling, crystal, grid, query, z_order=1024):
+    """The plain quadrature: every Gauss-Legendre node along the crystal, in
+    complex arithmetic, converged at the default 1024 nodes on the kernel
+    cases. Returns the normalized probability and theta."""
     w_s, w_i = grid.signal_axis(), grid.idler_axis()
     k_s = biphoton._axis_k(crystal, query.pol_signal, w_s)[:, None]
     k_i = biphoton._axis_k(crystal, query.pol_idler, w_i)[None, :]
@@ -303,13 +314,18 @@ def _reference_jsa(pump, coupling, crystal, grid, query,
 
 def _kernel_case(case, telecom_setup, vis_ir_setup):
     """(pump, coupling, crystal, grid, query, jsa_grid keywords) per case."""
-    if case in ("vis_ir", "rectangular"):
+    if case in ("vis_ir", "rectangular", "waists_4um"):
         s = vis_ir_setup
-        grid = JsaGridSpec(n=48 if case == "vis_ir" else 20, range_fraction=0.02,
+        grid = JsaGridSpec(n=20 if case == "rectangular" else 48,
+                           range_fraction=0.02,
                            signal_center_phz=s["signal_center"],
                            idler_center_phz=s["idler_center"],
-                           idler_n=None if case == "vis_ir" else 36)
-        return s["pump"], s["coupling"], s["crystal"], grid, s["query"], {}
+                           idler_n=36 if case == "rectangular" else None)
+        pump, coupling = s["pump"], s["coupling"]
+        if case == "waists_4um":
+            pump = dataclasses.replace(pump, spatial_width_um=4.0)
+            coupling = CouplingSpec(signal_width_um=4.0, idler_width_um=4.0)
+        return pump, coupling, s["crystal"], grid, s["query"], {}
     s = telecom_setup
     pump = PumpSpec(central_frequency_phz=s["pump_sum_phz"],
                     pulse_duration_fs=envelope_tau_from_reciprocal_sigma(94.58),
@@ -317,23 +333,26 @@ def _kernel_case(case, telecom_setup, vis_ir_setup):
     grid = JsaGridSpec(n=64, range_fraction=0.02,
                        signal_center_phz=s["signal_center"],
                        idler_center_phz=s["idler_center"])
-    coupling = s["coupling"]
+    coupling, crystal = s["coupling"], s["crystal"]
     if case.startswith("offsets"):
         sign = 1.0 if case == "offsets_pos_neg" else -1.0
         coupling = CouplingSpec(signal_width_um=coupling.signal_width_um,
                                 idler_width_um=coupling.idler_width_um,
                                 signal_offset_per_um=0.02 * sign,
                                 idler_offset_per_um=-0.015 * sign)
+    if case == "crystal_30mm":
+        crystal = dataclasses.replace(crystal, length_um=30000.0)
     kwargs = {"odd_order": {"z_order": 33}}
-    return pump, coupling, s["crystal"], grid, s["query"], kwargs.get(case, {})
+    return pump, coupling, crystal, grid, s["query"], kwargs.get(case, {})
 
 
 class TestJsaKernel:
-    """jsa_grid folds the crystal quadrature onto z >= 0 in real arithmetic;
-    it must give the unfolded complex sum to roundoff."""
+    """jsa_grid's Filon-Legendre sum must give the converged crystal integral:
+    the plain Gauss-Legendre sum at 1024 nodes, to 1e-12 of the peak."""
 
     CASES = ["telecom", "vis_ir", "offsets_pos_neg", "offsets_neg_pos",
-             "rectangular", "odd_order", "two_threads"]
+             "rectangular", "odd_order", "two_threads", "crystal_30mm",
+             "waists_4um"]
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_unfolded_reference(self, case, telecom_setup, vis_ir_setup,
@@ -341,21 +360,50 @@ class TestJsaKernel:
         pump, coupling, crystal, grid, query, kwargs = _kernel_case(
             case, telecom_setup, vis_ir_setup)
         if case in ("rectangular", "two_threads"):
-            # several row blocks, the last one partial
-            monkeypatch.setattr(biphoton, "JSA_BLOCK_CELLS", 700)
+            # several blocks, of 700 cells at 16 nodes, the last one partial
+            monkeypatch.setattr(biphoton, "JSA_BLOCK_VALUES", 28000)
         if case == "two_threads":
             monkeypatch.setenv("WORKBENCH_THREADS", "2")
         got = jsa_grid(pump, coupling, crystal, grid, query, **kwargs)
-        ref, theta = _reference_jsa(pump, coupling, crystal, grid, query,
-                                    kwargs.get("z_order", biphoton.Z_QUAD_ORDER))
+        ref, theta = _reference_jsa(pump, coupling, crystal, grid, query)
         assert got.probability.shape == ref.shape
-        assert np.abs(got.probability - ref).max() <= 1e-13 * ref.max()
-        # theta is real: the unfolded sum's imaginary part is roundoff
+        assert np.abs(got.probability - ref).max() <= 1e-12 * ref.max()
+        assert got.quadrature_error <= biphoton.Z_QUAD_TOL
+        # theta is real: the complex sum's imaginary part is roundoff
         assert np.abs(theta.imag).max() <= 1e-12 * np.abs(theta).max()
         if case == "two_threads":
             monkeypatch.setenv("WORKBENCH_THREADS", "1")
             one = jsa_grid(pump, coupling, crystal, grid, query)
             assert np.array_equal(got.probability, one.probability)
+
+    @pytest.mark.parametrize("case,order", [
+        ("telecom", 16), ("odd_order", 33), ("offsets_pos_neg", 32),
+        ("crystal_30mm", 32), ("waists_4um", 1024)])
+    def test_node_count_doubles_until_converged(self, case, order, telecom_setup,
+                                                vis_ir_setup):
+        # the 4 um waists make g = exp(quad/2)/det A vary over a Rayleigh range
+        # far shorter than the crystal
+        pump, coupling, crystal, grid, query, kwargs = _kernel_case(
+            case, telecom_setup, vis_ir_setup)
+        got = jsa_grid(pump, coupling, crystal, grid, query, **kwargs)
+        assert got.quadrature_order == order
+        assert 0.0 < got.quadrature_error <= biphoton.Z_QUAD_TOL
+
+    def test_capped_grid_raises(self, telecom_setup):
+        # 4 um waists on the telecom source: the tail estimate is still
+        # 3.6e-9 of the peak at the 1024-node cap
+        s = telecom_setup
+        pump = PumpSpec(central_frequency_phz=s["pump_sum_phz"],
+                        pulse_duration_fs=envelope_tau_from_reciprocal_sigma(94.58),
+                        spatial_width_um=4.0)
+        coupling = CouplingSpec(signal_width_um=4.0, idler_width_um=4.0)
+        grid = JsaGridSpec(n=16, range_fraction=0.02,
+                           signal_center_phz=s["signal_center"],
+                           idler_center_phz=s["idler_center"])
+        with pytest.raises(QuadratureNotConverged) as info:
+            jsa_grid(pump, coupling, s["crystal"], grid, s["query"])
+        assert info.value.order == biphoton.Z_QUAD_MAX_ORDER
+        assert info.value.error_estimate > biphoton.Z_QUAD_TOL
 
     def test_offsets_move_the_grid(self, telecom_setup, vis_ir_setup):
         # the offset cases above would not test the offset factor if it
@@ -369,13 +417,9 @@ class TestJsaKernel:
     def test_theta_changes_sign(self, telecom_setup, vis_ir_setup):
         # the real amplitude carries the sinc lobes as sign changes
         _, theta = _reference_jsa(*_kernel_case("telecom", telecom_setup,
-                                                vis_ir_setup)[:5])
+                                                vis_ir_setup)[:5], z_order=64)
         assert theta.real.min() < -1e-3 * theta.real.max()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "FOUND in CHANGES.md: the default Z_QUAD_ORDER = 64 under-resolves the "
-        "vis-IR crystal integral (max|dk0| L/2 = 761); the signal-marginal "
-        "FWHM converges only from order 256"))
     def test_vis_ir_marginal_converged_at_default_order(self, small_grid,
                                                         vis_ir_setup):
         s = vis_ir_setup
@@ -387,6 +431,32 @@ class TestJsaKernel:
         default = fit_gaussian_1d(*marginal(small_grid, "signal")).fwhm_phz
         converged = fit_gaussian_1d(*marginal(fine, "signal")).fwhm_phz
         assert default == pytest.approx(converged, rel=1e-6)
+
+
+class TestSphericalBessel:
+    @staticmethod
+    def _check(count, omega):
+        from scipy import special
+
+        order = biphoton._upward_first(count, omega)
+        assert sorted(order) == list(range(omega.size))
+        # the points with |omega| > count, which recur upward, come first
+        assert np.all(np.diff(np.abs(omega[order]) <= count) >= 0)
+        j = biphoton._spherical_j(count, omega[order])
+        ref = special.spherical_jn(np.arange(count)[:, None], omega[order][None, :])
+        assert np.abs(j - ref).max() <= 1e-13
+
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(7)
+        self._check(64, np.concatenate([
+            [0.0, 1e-300, -1e-300, 1e-20, 1e-5, 1e-3],
+            math.pi * np.arange(-318, 319),
+            rng.uniform(-1e3, 1e3, 2000), rng.uniform(-70.0, 70.0, 2000),
+            np.logspace(-10, 3, 300)]))
+
+    @pytest.mark.parametrize("count", [2, 3, 16])
+    def test_low_counts(self, count):
+        self._check(count, np.array([0.0, 0.5, -2.0, 3.0 * math.pi, 40.0, -1e3]))
 
 
 class TestMarginal:

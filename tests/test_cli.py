@@ -303,6 +303,18 @@ class TestJsa:
         assert code == cli.EXIT_VALIDATION
         assert any(d["path"] == "/grid/n" for d in out["diagnostics"])
 
+    def test_unconverged_quadrature_is_solver_error(self, capsys, jsa_scenario):
+        # 4 um waists on this source leave the crystal quadrature's error
+        # estimate above tolerance at the node cap
+        path, scenario = jsa_scenario
+        scenario["pump"]["spatial_width_um"] = 4.0
+        scenario["coupling"] = {"signal_width_um": 4.0, "idler_width_um": 4.0}
+        scenario["grid"]["n"] = 16
+        path.write_text(json.dumps(scenario))
+        code, out = run_json(capsys, ["jsa", "--scenario", str(path)])
+        assert code == cli.EXIT_SOLVER
+        assert out["error"] == "QuadratureNotConverged"
+
 
 class TestFiber:
     def test_stationary(self, capsys, jsa_scenario, tmp_path):
@@ -758,6 +770,12 @@ class TestImports:
                                                     jsa_scenario, case, wanted):
         loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
         assert ("photonkit.special" in loaded) == wanted
+
+    def test_golden_loads_no_biphoton(self, capsys, tmp_path, jsa_scenario):
+        # fiber_prop names the biphoton types in annotations only
+        loaded = self._loaded("--golden", capsys, tmp_path, jsa_scenario)
+        assert "photonkit.fiber_prop" in loaded
+        assert "photonkit.biphoton" not in loaded
 
     def test_stats_g2_loads_photon_stats_alone(self, capsys, tmp_path, jsa_scenario):
         loaded = self._loaded("stats g2", capsys, tmp_path, jsa_scenario)
