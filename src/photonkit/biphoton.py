@@ -66,6 +66,9 @@ Z_QUAD_ORDER = 16          # starting node count of the crystal quadrature
 Z_QUAD_MAX_ORDER = 1024
 Z_QUAD_TOL = 1e-10         # Legendre-tail estimate over the peak amplitude
 JSA_BLOCK_VALUES = 120_000   # float64 temporaries per block, about 1 MB
+# Largest |rho| at which the 2D fit builds its normal equations from grid
+# moments; the dense Jacobian above it (see _GaussianMoments).
+MOMENT_RHO_MAX = 0.995
 
 
 def omega_phz_from_wavelength_um(wavelength_um):
@@ -509,6 +512,8 @@ def _gaussian_2d_jacobian(params, ws, wi, values):
 
     With c = 1 - rho^2: df/dms = f (us - rho ui) / (c ss), df/dss = us df/dms,
     the idler pair likewise, and df/drho = f (us ui - 2 rho q) / c.
+    The 2D fit uses it above |rho| = MOMENT_RHO_MAX, where _GaussianMoments
+    loses precision, and the tests take it as the reference.
     """
     amp, ms, mi, ss, si, rho = params
     us = (ws - ms) / ss
@@ -529,8 +534,66 @@ def _gaussian_2d_jacobian(params, ws, wi, values):
     return out.reshape(6, -1).T
 
 
+# The monomials us^a ui^b of degree <= 2 that the Jacobian columns expand in.
+_MONO_A = np.array([0, 1, 0, 2, 1, 0])
+_MONO_B = np.array([0, 0, 1, 0, 1, 2])
+
+
+class _GaussianMoments:
+    """J^T J and J^T v of _gaussian_2d on the tensor grid ws x wi, from
+    moments of the grid instead of the (ws.size * wi.size, 6) Jacobian.
+
+    Column j of the Jacobian is f P_j(us, ui), P_j a polynomial of degree
+    <= 2 with coefficients coef[j] on the monomials us^a ui^b above, us one
+    value per row of the grid and ui one per column. So
+    J^T J = coef H coef^T, H[m, n] the moment sum f^2 us^(a_m + a_n)
+    ui^(b_m + b_n), and J^T v = coef N, N[m] the sum f v us^a_m ui^b_m. Each
+    table of moments is Vs^T (f^2 or f v) Vi, with Vs and Vi the Vandermonde
+    matrices of us and ui. The coefficients grow as 1/(1 - rho^2) and the
+    sums cancel as |rho| -> 1. On 300 x 300 grids spanning +-4 or +-20
+    widths, at parameters up to half a width off the grid's own, J^T J
+    agrees with the dense product to 1.2e-11 of sqrt(A_ii A_ll) at
+    |rho| = 0.99, 5.5e-11 at 0.995 and 2.6e-8 at 0.999, and not at all at
+    0.9999 (an error of 1.8); J^T v agrees to 1e-14 of sqrt(A_ii) |v| up to
+    0.999. So the fit uses the moments only up to |rho| = MOMENT_RHO_MAX.
+    """
+
+    def __init__(self, params, ws, wi, values):
+        amp, ms, mi, ss, si, rho = params
+        c = 1.0 - rho**2
+        self.vs = np.vander((ws - ms) / ss, 5, increasing=True)
+        self.vi = np.vander((wi - mi) / si, 5, increasing=True)
+        self.f = values
+        # One row per parameter, one column per monomial: (us - rho ui)/(c ss)
+        # for ms, us times that for ss, the idler pair likewise, and
+        # (us ui - 2 rho q)/c for rho.
+        coef = np.zeros((6, 6))
+        coef[0, 0] = 1.0 / amp
+        coef[1, [1, 2]] = coef[3, [3, 4]] = np.array([1.0, -rho]) / (c * ss)
+        coef[2, [2, 1]] = coef[4, [5, 4]] = np.array([1.0, -rho]) / (c * si)
+        coef[5, [3, 4, 5]] = np.array([-rho, 1.0 + rho**2, -rho]) / c**2
+        self.coef = coef
+
+    def gram(self):
+        m = self.vs.T @ (self.f * self.f) @ self.vi
+        h = m[_MONO_A[:, None] + _MONO_A, _MONO_B[:, None] + _MONO_B]
+        return self.coef @ h @ self.coef.T
+
+    def rmatvec(self, v):
+        n = self.vs[:, :3].T @ (self.f * v.reshape(self.f.shape)) @ self.vi[:, :3]
+        return self.coef @ n[_MONO_A, _MONO_B]
+
+
 def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
-    """Fit a bivariate normal surface to the joint probability grid."""
+    """Fit a bivariate normal surface to the joint probability grid.
+
+    Each Jacobian call gives the fitter the normal-equation products from grid
+    moments (_GaussianMoments) while the iterate's |rho| <= MOMENT_RHO_MAX
+    (0.995), and the dense Jacobian above it, where the moments lose
+    precision: J^T J agrees with the dense product to 5.5e-11 of its diagonal
+    scale at |rho| = 0.995 and 2.6e-8 at 0.999. The fit is unweighted and its
+    model is finite at the start, so it keeps every grid point, as the moment
+    form requires."""
     ws = grid.omega_s_phz
     wi = grid.omega_i_phz
     p = grid.probability
@@ -552,7 +615,10 @@ def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
         return _gaussian_2d(params, ws_col, wi_row).ravel()
 
     def jacobian(params, _, values):
-        return _gaussian_2d_jacobian(params, ws_col, wi_row, values.reshape(p.shape))
+        values = values.reshape(p.shape)
+        if abs(params[5]) > MOMENT_RHO_MAX:
+            return _gaussian_2d_jacobian(params, ws_col, wi_row, values)
+        return _GaussianMoments(params, ws, wi, values)
 
     start = [amp0, mu_s, mu_i, math.sqrt(var_s), math.sqrt(var_i), rho0]
     res = numerics.least_squares_fit(model, x, p.ravel(), start, jacobian=jacobian)

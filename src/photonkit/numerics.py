@@ -169,12 +169,15 @@ def find_root(f: Callable, bracket: RootBracket, tol: float = 1e-12,
 
 @lru_cache(maxsize=64)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached per order."""
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per order. Every
+    caller shares the arrays, so they are read-only."""
     if order < 2:
         raise DomainError("quadrature order must be >= 2")
     from numpy.polynomial.legendre import leggauss
 
     nodes, weights = leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
 
 
@@ -228,6 +231,20 @@ def _selection(mask):
     return slice(None) if mask.all() else mask
 
 
+class _DenseProducts:
+    """J^T J and J^T v of a dense Jacobian, given its sqrt(w)-weighted rows on
+    the mask."""
+
+    def __init__(self, jw):
+        self.jw = jw
+
+    def gram(self):
+        return self.jw.T @ self.jw
+
+    def rmatvec(self, v):
+        return self.jw.T @ v
+
+
 def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[float],
                       initial: Sequence[float], weights: Sequence[float] | None = None,
                       max_iter: int = 200, jacobian: Callable | None = None) -> FitResult:
@@ -258,13 +275,22 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     too. Standard errors come from the covariance estimate scaled by residual
     variance, with the Jacobian and mask taken at the returned parameters.
 
-    jacobian(params, x, values), given the model values at params, returns the
-    (len(x), len(params)) derivative matrix, or a (matrix, curvature) pair
-    whose curvature(direction) returns the model's second derivative along
-    `direction` at the same params, one value per point. It is called once per
-    iteration, and once more at parameters the last iteration moved to;
-    forward differences, with no curvature, by default. Weights must be finite
-    and positive.
+    The fitter touches the Jacobian J only through J^T W J and J^T W v.
+    jacobian(params, x, values), given the model values at params, returns
+    either the (len(x), len(params)) derivative matrix or an object whose
+    gram() gives J^T J and whose rmatvec(v) gives J^T v, v one value per
+    point; either may come in a (jacobian, curvature) pair whose
+    curvature(direction) returns the model's second derivative along
+    `direction` at the same params, one value per point. The object's
+    products run over all points, so it serves unweighted fits that keep
+    every point, and the fit raises DomainError with weights or a masked
+    point. A fit whose model is finite everywhere at the start keeps every
+    point, as an accepted step never drops one. biphoton.fit_gaussian_2d
+    gives the object, built from grid moments, while |rho| <= 0.995 (they
+    agree with the dense products to 5.5e-11 of the diagonal scale there),
+    and the matrix above. The hook is called once per iteration, and once
+    more at parameters the last iteration moved to; forward differences,
+    with no curvature, by default. Weights must be finite and positive.
     """
     if jacobian is None:
         jacobian = partial(_jacobian, model)
@@ -305,12 +331,17 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
             return np.inf, None, None
 
     def derivatives(sel):
-        # The Jacobian at p on the mask, and the curvature hook or None.
+        # The Jacobian products at p on the mask, and the curvature hook or None.
         out = jacobian(p, x, m)
         jac, curvature = out if isinstance(out, tuple) else (out, None)
-        return jac[sel], curvature
+        if not hasattr(jac, "gram"):
+            return _DenseProducts(weigh(jac[sel], sel)), curvature
+        if sw is not None or not isinstance(sel, slice):
+            raise DomainError("a Jacobian given as products needs an unweighted "
+                              "fit that keeps every point")
+        return jac, curvature
 
-    def accelerated(dp, damp, curvature, jw, sel, d2):
+    def accelerated(dp, damp, curvature, jac, sel, d2):
         # No curvature, an m'' that has no value or is not finite, or an
         # acceleration too large to trust, leaves the plain step.
         if curvature is None:
@@ -321,7 +352,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
             return dp
         if not np.isfinite(m2).all():
             return dp
-        acc = np.linalg.solve(damp, -(jw.T @ weigh(m2, sel)))
+        acc = np.linalg.solve(damp, -jac.rmatvec(weigh(m2, sel)))
         if 2.0 * math.sqrt(d2 @ acc**2) <= LM_ACCEL_RATIO * math.sqrt(d2 @ dp**2):
             return dp + 0.5 * acc
         return dp
@@ -337,10 +368,9 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     for iterations in range(1, max_iter + 1):
         sel = _selection(mask)
         jac, curvature = derivatives(sel)
-        jw = weigh(jac, sel)
         r = weigh(y[sel] - m[sel], sel)
-        a = jw.T @ jw
-        g = jw.T @ r
+        a = jac.gram()
+        g = jac.rmatvec(r)
         d2 = np.diag(a)
         accepted = stop = left_domain = False
         while lam < 1e14:
@@ -349,7 +379,7 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
                 dp = np.linalg.solve(damp, g)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
-            step = accelerated(dp, damp, curvature, jw, sel, d2)
+            step = accelerated(dp, damp, curvature, jac, sel, d2)
             trial = p + step
             trial_rss, trial_mask, trial_m = guarded_rss(trial)
             left_domain |= not np.isfinite(trial_rss)
@@ -374,9 +404,8 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         jac, _ = derivatives(sel)
     n_used = int(np.count_nonzero(mask))
     dof = max(n_used - p.size, 1)
-    jw = weigh(jac, sel)
     try:
-        cov = np.linalg.inv(jw.T @ jw) * (rss / dof)
+        cov = np.linalg.inv(jac.gram()) * (rss / dof)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         se = np.full(p.size, np.nan)

@@ -538,6 +538,21 @@ class TestFit1D:
             fit_gaussian_1d(np.linspace(0, 1, 10), np.ones(10))
 
 
+@pytest.fixture(scope="module")
+def telecom_grids(telecom_setup):
+    """The type-II telecom grids of acceptance criterion 5, n = 300."""
+    s = telecom_setup
+    grids = []
+    for tau_quoted, z in ((94.58, 0.02), (719.1, 0.0075), (976.0, 0.005)):
+        pump = PumpSpec(central_frequency_phz=s["pump_sum_phz"],
+                        pulse_duration_fs=envelope_tau_from_reciprocal_sigma(tau_quoted),
+                        spatial_width_um=41.0)
+        spec = JsaGridSpec(n=300, range_fraction=z, signal_center_phz=s["signal_center"],
+                           idler_center_phz=s["idler_center"])
+        grids.append(jsa_grid(pump, s["coupling"], s["crystal"], spec, s["query"]))
+    return grids
+
+
 class TestFit2D:
     @staticmethod
     def _bivariate(ws, wi, ms, mi, ss, si, rho):
@@ -577,6 +592,85 @@ class TestFit2D:
                        np.ones((16, 16)))
         with pytest.raises(DegenerateFit):
             fit_gaussian_2d(grid)
+
+    @pytest.mark.parametrize("half", [4.0, 20.0])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.9, 0.99])
+    def test_moment_products_match_dense(self, rho, half):
+        # 300 x 300 grid spanning +-half widths, parameters off the truth:
+        # J^T J from moments within 1e-10 of sqrt(A_ii A_ll) of the dense
+        # product, J^T v within 1e-14 of sqrt(A_ii) |v|.
+        ws = np.linspace(1.2 - half * 0.01, 1.2 + half * 0.01, 300)
+        wi = np.linspace(1.25 - half * 0.013, 1.25 + half * 0.013, 300)
+        params = np.array([2.0, 1.201, 1.24935, 0.0102, 0.01287, rho])
+        f = biphoton._gaussian_2d(params, ws[:, None], wi[None, :])
+        jac = biphoton._gaussian_2d_jacobian(params, ws[:, None], wi[None, :], f)
+        moments = biphoton._GaussianMoments(params, ws, wi, f)
+        gram = jac.T @ jac
+        scale = np.sqrt(np.diag(gram))
+        assert np.all(np.abs(moments.gram() - gram) <= 1e-10 * np.outer(scale, scale))
+        v = np.random.default_rng(3).standard_normal(f.size)
+        assert np.all(np.abs(moments.rmatvec(v) - jac.T @ v)
+                      <= 1e-14 * scale * np.linalg.norm(v))
+
+    def test_dense_jacobian_above_switch(self, monkeypatch):
+        # Each Jacobian call takes its form from the iterate's rho: moments
+        # up to MOMENT_RHO_MAX, the dense matrix above.
+        calls = []
+        dense, moments = biphoton._gaussian_2d_jacobian, biphoton._GaussianMoments
+
+        def spy(kind, build):
+            def record(params, *args):
+                calls.append((kind, params[5]))
+                return build(params, *args)
+            return record
+
+        monkeypatch.setattr(biphoton, "_gaussian_2d_jacobian", spy("dense", dense))
+        monkeypatch.setattr(biphoton, "_GaussianMoments", spy("moments", moments))
+        ws = np.linspace(0.9, 1.1, 121)
+        wi = np.linspace(1.9, 2.1, 121)
+        for rho in (0.5, 0.999):
+            fit = fit_gaussian_2d(JsaGrid(ws, wi, self._bivariate(ws, wi, 1.0, 2.0, 0.02,
+                                                                  0.025, rho)))
+            assert fit.pearson == pytest.approx(rho, abs=1e-9)
+        assert {kind for kind, _ in calls} == {"dense", "moments"}
+        assert all((kind == "dense") == (abs(rho) > biphoton.MOMENT_RHO_MAX)
+                   for kind, rho in calls)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_telecom_fit_matches_dense_path(self, telecom_grids, monkeypatch, case):
+        # The criterion-5 grids at n = 300: the moment products give the
+        # dense-Jacobian fit's parameters to 1e-12 in the same iterations.
+        grid = telecom_grids[case]
+        results = []
+        lsq = numerics.least_squares_fit
+
+        def record(*args, **kw):
+            results.append(lsq(*args, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(numerics, "least_squares_fit", record)
+        fit = fit_gaussian_2d(grid)
+        monkeypatch.setattr(biphoton, "MOMENT_RHO_MAX", -1.0)   # every call dense
+        reference = fit_gaussian_2d(grid)
+        got, want = results[0].parameters, results[1].parameters
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert results[0].iterations == results[1].iterations
+        assert fit.pearson == pytest.approx(reference.pearson, rel=1e-12)
+
+    def test_memory_peak(self, telecom_grids):
+        # Traced allocations of one fit on a 300 x 300 grid, above its input:
+        # no (n^2, 6) Jacobian, which alone takes 4.32 MB.
+        import tracemalloc
+
+        grid = telecom_grids[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_gaussian_2d(grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5e6
 
     def test_jacobian_matches_central_differences(self, telecom_setup):
         s = telecom_setup

@@ -203,6 +203,17 @@ class TestQuadrature:
         assert weights.sum() == pytest.approx(2.0, abs=1e-13)
         assert np.all(np.diff(nodes) > 0)
 
+    def test_cached_rule_is_read_only(self):
+        # Every caller shares the cached arrays: an in-place write would
+        # corrupt each later quadrature of the same order.
+        nodes, weights = numerics.gauss_legendre(12)
+        assert numerics.gauss_legendre(12)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes *= 0.5
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        assert weights.sum() == pytest.approx(2.0, abs=1e-14)
+
     @given(st.integers(min_value=2, max_value=40))
     @settings(max_examples=20, deadline=None)
     def test_exactness_property(self, order):
@@ -515,6 +526,48 @@ class TestLeastSquares:
         assert np.array_equal(plain.standard_errors, unit.standard_errors)
         assert plain.residual_sum_squares == unit.residual_sum_squares
         assert plain.iterations == unit.iterations
+
+    class _Products:
+        """The normal-equation products of a dense Jacobian, as an object."""
+
+        def __init__(self, jac):
+            self.jac = jac
+
+        def gram(self):
+            return self.jac.T @ self.jac
+
+        def rmatvec(self, v):
+            return self.jac.T @ v
+
+    def _exponential_problem(self):
+        x = np.linspace(0.0, 2.0, 40)
+        y = 1.5 * np.exp(-0.7 * x) + 0.01 * np.sin(9.0 * x)
+        model = lambda p, xx: p[0] * np.exp(-p[1] * xx)
+        jacobian = lambda p, xx, values: np.column_stack([values / p[0], -xx * values])
+        return x, y, model, jacobian
+
+    def test_jacobian_products_match_dense(self):
+        # The hook may give J^T J and J^T v instead of J: the same
+        # arithmetic, so the same fit to the bit.
+        x, y, model, jacobian = self._exponential_problem()
+        dense = numerics.least_squares_fit(model, x, y, [1.0, 0.3], jacobian=jacobian)
+        products = numerics.least_squares_fit(
+            model, x, y, [1.0, 0.3],
+            jacobian=lambda p, xx, values: self._Products(jacobian(p, xx, values)))
+        assert dense.converged and dense.iterations > 2
+        assert np.array_equal(dense.parameters, products.parameters)
+        assert np.array_equal(dense.standard_errors, products.standard_errors)
+        assert dense.iterations == products.iterations
+
+    def test_jacobian_products_need_unweighted_full_mask(self):
+        x, y, model, jacobian = self._exponential_problem()
+        hook = lambda p, xx, values: self._Products(jacobian(p, xx, values))
+        with pytest.raises(DomainError, match="unweighted"):
+            numerics.least_squares_fit(model, x, y, [1.0, 0.3], jacobian=hook,
+                                       weights=np.full(x.size, 2.0))
+        holed = lambda p, xx: np.where(xx > 1.9, np.nan, model(p, xx))
+        with pytest.raises(DomainError, match="every point"):
+            numerics.least_squares_fit(holed, x, y, [1.0, 0.3], jacobian=hook)
 
     def test_standard_errors_scale_with_noise(self):
         rng = np.random.default_rng(7)
