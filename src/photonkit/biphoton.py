@@ -606,10 +606,11 @@ def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
     amp0 = float(p.max())
 
     # The model and its Jacobian are evaluated on the tensor grid by
-    # broadcasting the axes; the fit sees the j-major flattened grid.
+    # broadcasting the axes; the fit sees the j-major flattened grid. Neither
+    # reads the fitter's x, so it is one zero-stride value per point.
     ws_col = ws[:, None]
     wi_row = wi[None, :]
-    x = np.arange(p.size, dtype=float)
+    x = np.broadcast_to(0.0, p.size)
 
     def model(params, _):
         return _gaussian_2d(params, ws_col, wi_row).ravel()

@@ -5,8 +5,8 @@ the one thread pool `worker_map`, the symmetric-slab dispersion relation's
 roots and mode profile, the moments of a weighted grid and the grid CSV writer.
 
 The special functions live in `special`. `gauss_legendre` imports
-numpy.polynomial on its first call, so importing this module loads the numpy
-core alone."""
+numpy.polynomial on its first call and `write_grid_csv` imports `float_repr`,
+so importing this module loads the numpy core alone."""
 
 from __future__ import annotations
 
@@ -492,16 +492,13 @@ def grid_moments(x, y, weights):
 
 def write_grid_csv(path, header: Sequence[str], x, y, values) -> None:
     """Write a 2-D grid as rows `x[j], y[k], values[j, k]` under a header row,
-    j-major, one block of rows per x value at a time.
+    j-major.
 
     Floats are written as repr and lines end in \\r\\n, byte for byte what
-    csv.writer gives for the same repr'd rows.
-    """
-    y_reprs = [repr(v) for v in np.asarray(y, dtype=float).tolist()]
-    values = np.asarray(values, dtype=float)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for xv, row in zip(np.asarray(x, dtype=float).tolist(), values):
-            head = repr(xv) + ","
-            fh.write("".join(f"{head}{yr},{v!r}\r\n"
-                             for yr, v in zip(y_reprs, row.tolist())))
+    csv.writer gives for the same repr'd rows. The bytes come from the numpy
+    kernel in `float_repr` (float_repr.write_grid), not from a repr call per
+    value; it is imported here so that only the commands that write a grid
+    compile it."""
+    from .float_repr import write_grid
+
+    write_grid(path, header, x, y, values)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -392,8 +394,17 @@ class TestBentguide:
         path.write_text(json.dumps(scenario))
         code, out = run_json(capsys, ["bentguide", "solve", "--spec", str(path)])
         assert code == cli.EXIT_OK and len(out["modes"]) == 12
-        lines = (tmp_path / "out" / "sub" / "f.csv").read_text().splitlines()
-        assert lines[0] == "r_um,z_um,abs_Er" and len(lines) == 1 + 101 * 101
+        text = (tmp_path / "out" / "sub" / "f.csv").read_bytes()
+        rows = list(csv.reader(io.StringIO(text.decode(), newline="")))
+        assert rows[0] == ["r_um", "z_um", "abs_Er"] and len(rows) == 1 + 101 * 101
+        # The floats, mostly written positionally here, are repr's: the file
+        # is csv.writer's form of the numbers it holds.
+        assert sum("e" not in row[2] for row in rows[1:]) > len(rows) // 2
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(rows[0])
+        writer.writerows([repr(float(v)) for v in row] for row in rows[1:])
+        assert buffer.getvalue().encode() == text
 
     def test_inverted_radii(self, capsys, tmp_path):
         path = tmp_path / "bent.json"
@@ -680,6 +691,7 @@ def _command_argv(case, tmp_path, jsa_scenario):
         "dielectric": {"spec": DIELECTRIC_SPEC, "wavelength_um": 1.55},
         "validate": dict(scenario, command="jsa"),
         "bent": {"spec": BENT_SPEC},
+        "bent_field": {"spec": BENT_SPEC, "output_dir": "out", "field_csv": "field.csv"},
     }
     for name, content in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(content))
@@ -701,6 +713,8 @@ def _command_argv(case, tmp_path, jsa_scenario):
         "validate": ["validate", str(tmp_path / "validate.json")],
         "bentguide solve": ["bentguide", "solve", "--spec",
                             str(tmp_path / "bent.json")],
+        "bentguide solve field_csv": ["bentguide", "solve", "--spec",
+                                      str(tmp_path / "bent_field.json")],
         "--golden": ["--golden"],
     }[case]
 
@@ -770,6 +784,19 @@ class TestImports:
                                                     jsa_scenario, case, wanted):
         loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
         assert ("photonkit.special" in loaded) == wanted
+
+    # Only the grid CSV writer uses photonkit.float_repr, and it imports it
+    # when it runs.
+    @pytest.mark.parametrize("case,wanted", [
+        ("jsa", True), ("fiber", True), ("bentguide solve field_csv", True),
+        ("fit-sellmeier", False), ("phasematch sweep", False), ("dispersion", False),
+        ("rectguide hollow", False), ("rectguide dielectric", False),
+        ("bentguide solve", False), ("--golden", False), ("stats g2", False),
+        ("validate", False)])
+    def test_repr_kernel_loads_only_for_grid_csvs(self, capsys, tmp_path,
+                                                  jsa_scenario, case, wanted):
+        loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
+        assert ("photonkit.float_repr" in loaded) == wanted
 
     def test_golden_loads_no_biphoton(self, capsys, tmp_path, jsa_scenario):
         # fiber_prop names the biphoton types in annotations only

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonkit import numerics, special
+from photonkit import float_repr, numerics, special
 from photonkit.errors import DomainError, MaxIterations, NoSignChange
 
 
@@ -607,6 +607,18 @@ class TestWorkerMap:
             numerics.worker_map(fail_on_three, range(5))
 
 
+def _csv_writer_bytes(path, header, x, y, values):
+    """The grid as csv.writer writes its repr'd rows: the reference form."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for j, xv in enumerate(x):
+            for k, yv in enumerate(y):
+                writer.writerow([repr(float(xv)), repr(float(yv)),
+                                 repr(float(values[j, k]))])
+    return path.read_bytes()
+
+
 class TestWriteGridCsv:
     def test_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -618,16 +630,47 @@ class TestWriteGridCsv:
         values[1, 2] = np.nan
         header = ("x_nm", "y_nm", "probability")
         numerics.write_grid_csv(tmp_path / "got.csv", header, x, y, values)
-        with open(tmp_path / "want.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for j, xv in enumerate(x):
-                for k, yv in enumerate(y):
-                    writer.writerow([repr(float(xv)), repr(float(yv)),
-                                     repr(float(values[j, k]))])
         got = (tmp_path / "got.csv").read_bytes()
-        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got == _csv_writer_bytes(tmp_path / "want.csv", header, x, y, values)
         assert got.count(b"\r\n") == 1 + x.size * y.size
+
+    def test_blocks_and_every_layout(self, tmp_path, monkeypatch):
+        # Blocks of 3 rows over 11 (the last one short), with every form repr
+        # takes: 0.000ddd, ddd.ddd, ddd.0, one- and many-digit mantissas,
+        # 2- and 3-digit exponents, signed zeros, subnormals, non-finite.
+        monkeypatch.setattr(float_repr, "GRID_CSV_BLOCK_VALUES", 20)
+        rng = np.random.default_rng(11)
+        specials = [0.0, -0.0, 5e-324, -8e-323, 2.2250738585072014e-308,
+                    1e-4, 9.999999999999999e-05, 0.00012345678901234567, 0.5,
+                    -1.25, 123.0, 1e15, 9999999999999998.0, 1e16, 1e22, 1e23,
+                    -1.7976931348623157e308, 1e-5, 3e100, np.nan, np.inf, -np.inf]
+        values = np.concatenate([specials, rng.standard_normal(66 - len(specials))
+                                 * 10.0 ** rng.integers(-320, 300, 66 - len(specials))])
+        values = rng.permutation(values).reshape(11, 6)
+        x = np.array([-1e-7, 0.0, 0.25, 1.0, 12.5, 1e5, 1.5e16, -3.0, 7e-5, 2.0, np.pi])
+        y = np.array([1.2209, -1e-300, 100.0, 0.1 + 0.2, 5e-324, -0.0])
+        header = ("a", "b", "c")
+        numerics.write_grid_csv(tmp_path / "got.csv", header, x, y, values)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == _csv_writer_bytes(tmp_path / "want.csv", header, x, y, values))
+
+    def test_reversed_read_only_view(self, tmp_path):
+        # fiber_prop.propagate_stationary hands over probability[::-1, ::-1]
+        # of a read-only grid.
+        rng = np.random.default_rng(5)
+        base = rng.random((9, 13)) ** 40
+        base.setflags(write=False)
+        values = base[::-1, ::-1]
+        x, y = np.linspace(-2.0, 2.0, 9)[::-1], np.linspace(0.0, 1.0, 13)[::-1]
+        header = ("t_s_ns", "t_i_ns", "probability")
+        numerics.write_grid_csv(tmp_path / "got.csv", header, x, y, values)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == _csv_writer_bytes(tmp_path / "want.csv", header, x, y, values))
+
+    def test_empty_grid_writes_the_header(self, tmp_path):
+        numerics.write_grid_csv(tmp_path / "got.csv", ("a", "b", "c"),
+                                np.array([]), np.array([1.0]), np.zeros((0, 1)))
+        assert (tmp_path / "got.csv").read_bytes() == b"a,b,c\r\n"
 
 
 class TestGridMoments:
