@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .dispersion import refractive_index
+from .dispersion import grating_vector, refractive_index
 from .errors import (
     DegenerateFit,
     DegenerateGrid,
@@ -30,7 +30,6 @@ from .errors import (
     QuadratureNotConverged,
 )
 from .numerics import C_UM_PER_FS
-from .phasematch import grating_vector
 from .specs import (
     CouplingSpec,
     CrystalSpec,

@@ -1,4 +1,5 @@
-"""Sellmeier refractive indices and the thermally expanded poling period.
+"""Sellmeier refractive indices, the thermally expanded poling period and
+the grating vector it gives.
 
 The crystal descriptions and their file I/O live in `specs` and are
 re-exported here."""
@@ -12,6 +13,7 @@ import numpy as np
 from .errors import DomainError, NegativeRadicand, PoleProximity, Unpoled
 from .specs import (
     CrystalSpec,
+    PhaseMatchQuery,
     Polarization,
     SellmeierSet,
     builtin_crystal_path,
@@ -27,6 +29,7 @@ __all__ = [
     "index_and_derivative",
     "index_derivatives",
     "poling_period",
+    "grating_vector",
     "wavevector_magnitude",
     "load_crystal",
     "crystal_to_dict",
@@ -38,16 +41,23 @@ POLE_GUARD_UM2 = 1e-9
 
 def _index_squared(sellmeier: SellmeierSet, lam2):
     """n^2 at squared wavelength(s) lam2 in um^2, with the pole distances
-    (lam2 - a2, lam2 - a4); raises outside the formula's domain."""
-    if np.any(lam2 <= 0):
-        raise DomainError("wavelength must be positive")
+    (lam2 - a2, lam2 - a4); raises outside the formula's domain.
+
+    One test covers every check, and only a failing one asks which check
+    failed, in the order non-positive wavelength, pole, radicand, each over
+    the whole array. NaN fails no check and passes through: fmin skips it, so
+    fmin(lam2, radicand) <= 0 is (lam2 <= 0) | (radicand <= 0)."""
     a0, a1, a2, a3, a4 = sellmeier.as_tuple()
     d1 = lam2 - a2
     d2 = lam2 - a4
-    if np.any(np.abs(d1) < POLE_GUARD_UM2) or np.any(np.abs(d2) < POLE_GUARD_UM2):
-        raise PoleProximity("wavelength squared within 1e-9 um^2 of a Sellmeier pole")
-    radicand = a0 + a1 / d1 + a3 / d2
-    if np.any(radicand <= 0):
+    with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 raises below
+        radicand = a0 + a1 / d1 + a3 / d2
+    if ((np.fmin(lam2, radicand) <= 0) | (np.abs(d1) < POLE_GUARD_UM2)
+            | (np.abs(d2) < POLE_GUARD_UM2)).any():
+        if np.any(lam2 <= 0):
+            raise DomainError("wavelength must be positive")
+        if np.any(np.abs(d1) < POLE_GUARD_UM2) or np.any(np.abs(d2) < POLE_GUARD_UM2):
+            raise PoleProximity("wavelength squared within 1e-9 um^2 of a Sellmeier pole")
         raise NegativeRadicand("Sellmeier radicand is not positive")
     return radicand, d1, d2
 
@@ -124,11 +134,26 @@ def poling_period(crystal: CrystalSpec, temperature_k: float) -> float:
     )
 
 
+def grating_vector(query: PhaseMatchQuery, crystal: CrystalSpec) -> float:
+    """Signed quasi-wavevector contribution sign * m * 2 pi / Lambda(T), 1/um.
+
+    Enters the phasematch mismatch as dk = k_p - k_s - k_i + grating_vector,
+    so the default sign of -1 gives the subtracted-grating convention.
+    """
+    if crystal.poling_period_um == 0 or query.qpm_order == 0:
+        return 0.0
+    lam_t = poling_period(crystal, query.temperature_k)
+    return query.qpm_sign * query.qpm_order * 2.0 * math.pi / lam_t
+
+
 def wavevector_magnitude(n, wavelength_um):
     """k = 2 pi n / lambda, in 1/um."""
     n = np.asarray(n, dtype=float)
     lam = np.asarray(wavelength_um, dtype=float)
-    if np.any(n <= 0) or np.any(lam <= 0):
+    # One test of the two smallest values. fmin skips NaN, which passes
+    # through, and n and lam are not broadcast against each other for it.
+    if min(np.fmin.reduce(n, axis=None, initial=math.inf),
+           np.fmin.reduce(lam, axis=None, initial=math.inf)) <= 0:
         raise DomainError("index and wavelength must be positive")
     k = 2.0 * math.pi * n / lam
     return float(k) if k.ndim == 0 else k

@@ -4,7 +4,10 @@ solve for the signal wavelength.
 Both entry points scan the mismatch over the search window at COARSE_STEP_NM
 and hand every bracketed sign change at once to numerics.find_root, which
 takes bracket-safeguarded Newton steps on the closed-form slope until
-|dk| <= MISMATCH_TOL_PER_UM."""
+|dk| <= MISMATCH_TOL_PER_UM. The sweep scans in blocks of pump rows, and a
+caller that already holds roots (the Sellmeier fit between its trials) lets
+it test each held root's scan cell first and scan only the pumps whose cell
+lost its sign change."""
 
 from __future__ import annotations
 
@@ -15,8 +18,8 @@ from functools import partial
 import numpy as np
 
 from .dispersion import (
+    grating_vector,
     index_and_derivative,
-    poling_period,
     refractive_index,
     wavevector_magnitude,
 )
@@ -38,9 +41,11 @@ __all__ = [
 ]
 
 COARSE_STEP_NM = 0.1
-# Most mismatch values one window scan evaluates, pumps x window points; each
-# array of the scan then takes at most 80 MB.
+# Most mismatch values one sweep's window scan may cost, pumps x window points.
+# It bounds the work of one call; memory is bounded by the scan's row blocks.
 MAX_SCAN_CELLS = 10**7
+# Mismatch values per row block of a sweep's scan: whole pump rows, at least one.
+SCAN_BLOCK_CELLS = 2**14
 MISMATCH_TOL_PER_UM = 1e-10
 # find_root's step cap and final step size for the roots.
 SWEEP_MAX_STEPS = 64
@@ -60,18 +65,6 @@ def idler_wavelength(pump_nm: float, signal_nm: float) -> float:
     if not 0 < pump_nm < signal_nm:
         raise DomainError("requires 0 < pump wavelength < signal wavelength")
     return 1.0 / (1.0 / pump_nm - 1.0 / signal_nm)
-
-
-def grating_vector(query: PhaseMatchQuery, crystal: CrystalSpec) -> float:
-    """Signed quasi-wavevector contribution sign * m * 2 pi / Lambda(T), 1/um.
-
-    Enters the mismatch as dk = k_p - k_s - k_i + grating_vector, so the
-    default sign of -1 gives the subtracted-grating convention.
-    """
-    if crystal.poling_period_um == 0 or query.qpm_order == 0:
-        return 0.0
-    lam_t = poling_period(crystal, query.temperature_k)
-    return query.qpm_sign * query.qpm_order * 2.0 * math.pi / lam_t
 
 
 def _wavevector(sellmeier: SellmeierSet, wavelength_um, slope: bool):
@@ -154,57 +147,101 @@ def scan_points(pump_count: int, window_nm: tuple[float, float]) -> int:
     return points
 
 
-def _scan(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
-          window_nm: tuple[float, float]):
-    """Mismatch on the window grid, one row per pump, and the sign changes
-    between neighbouring grid points.
+def _window_grid(pumps_nm: np.ndarray, window_nm: tuple[float, float]) -> np.ndarray:
+    """The scan grid of the window, np.linspace over scan_points.
 
     Raises DomainError unless the window is finite and lies above every pump
-    wavelength, and when the grid would exceed MAX_SCAN_CELLS.
+    wavelength, and when the pumps' scan would exceed MAX_SCAN_CELLS.
     """
     lo, hi = window_nm
     if not (lo < hi < math.inf and np.all(pumps_nm < lo)):
         raise DomainError("search window must be finite and lie above the pump "
                           "wavelength")
-    grid = np.linspace(lo, hi, scan_points(pumps_nm.size, window_nm))
+    return np.linspace(lo, hi, scan_points(pumps_nm.size, window_nm))
+
+
+def _scan(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
+          grid: np.ndarray):
+    """Mismatch of each pump over `grid`, one row per pump, and the sign
+    changes between neighbouring grid points. `grid` is the window grid, or
+    one row of grid points per pump. A grid point where dk is exactly zero
+    makes no sign change."""
     dk = mismatch(query, crystal, pumps_nm[:, None], grid)
     sign = np.sign(dk)
-    return grid, dk, sign[:, :-1] * sign[:, 1:] < 0
+    return dk, sign[..., :-1] * sign[..., 1:] < 0
 
 
 def _refine(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
-            grid: np.ndarray, dk: np.ndarray, rows, cols) -> np.ndarray:
-    """Roots of the scanned mismatch in the brackets [grid[c], grid[c + 1]] of
-    pumps_nm[r], for r, c in zip(rows, cols), each with |dk| <=
+            bracket: RootBracket) -> np.ndarray:
+    """Roots of the mismatch of each pump inside its bracket, each with |dk| <=
     MISMATCH_TOL_PER_UM; find_root raises MaxIterations when a root misses
     that within SWEEP_MAX_STEPS steps."""
-    bracket = RootBracket(grid[cols], grid[cols + 1], dk[rows, cols], dk[rows, cols + 1])
-    return find_root(partial(mismatch, query, crystal, pumps_nm[rows], slope=True),
+    return find_root(partial(mismatch, query, crystal, pumps_nm, slope=True),
                      bracket, tol=SWEEP_STEP_TOL_NM, max_iter=SWEEP_MAX_STEPS,
                      ftol=MISMATCH_TOL_PER_UM)
 
 
 def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec, pump_sweep_nm,
-                       search_window_nm: tuple[float, float]) -> np.ndarray:
+                       search_window_nm: tuple[float, float],
+                       near_nm=None) -> np.ndarray:
     """Collinear signal-wavelength roots for many pump wavelengths at once.
 
     Shares the window scan, which requires the window above every pump, and
     the find_root refinement of solve_signal_wavelength. Pumps whose mismatch
     keeps its sign over the window come back NaN; where several sign changes
     exist for one pump, the bracket closest to the window centre is refined.
-    Collinear geometry only.
+    The scan runs over blocks of pumps of at most SCAN_BLOCK_CELLS mismatch
+    values each. Collinear geometry only.
+
+    near_nm, one value per pump, holds roots the caller already has (a
+    fitter's roots at its last parameters, say). A pump whose held root is
+    finite and inside the window first tests the scan cell holding that root:
+    dk at the cell's two grid points, with the scan's own sign-change test.
+    Where the sign changes, that cell is the pump's bracket and the pump is
+    not scanned; every other pump is. The bracket, its dk values and the
+    refinement are the scan's own, so where a pump has one sign change in the
+    window its root is the same to the bit. Where it has several, a pump whose
+    held cell still changes sign keeps that root, while the scan would refine
+    the bracket closest to the window centre: the roots follow the held ones
+    instead of jumping between branches.
     """
     if query.signal_theta_rad != 0.0:
         raise DomainError("sweep solver supports collinear geometry only")
     pumps = np.atleast_1d(np.asarray(pump_sweep_nm, dtype=float))
-    grid, dk, flips = _scan(query, crystal, pumps, search_window_nm)
+    grid = _window_grid(pumps, search_window_nm)
+    cell = np.full(pumps.size, -1)  # each pump's bracket [grid[c], grid[c + 1]]
+    f_lo, f_hi = np.empty(pumps.size), np.empty(pumps.size)
+    if near_nm is not None:
+        near = np.atleast_1d(np.asarray(near_nm, dtype=float))
+        if near.shape != pumps.shape:
+            raise DomainError("near_nm needs one value per pump")
+        rows = np.nonzero((grid[0] <= near) & (near <= grid[-1]))[0]
+        cols = np.minimum(np.searchsorted(grid, near[rows], side="right") - 1,
+                          grid.size - 2)
+        dk, flips = _scan(query, crystal, pumps[rows], grid[np.stack([cols, cols + 1], 1)])
+        kept = flips[:, 0]
+        rows = rows[kept]
+        cell[rows] = cols[kept]
+        f_lo[rows], f_hi[rows] = dk[kept, 0], dk[kept, 1]
     centre = 0.5 * (search_window_nm[0] + search_window_nm[1])
-    dist = np.where(flips, np.abs(0.5 * (grid[:-1] + grid[1:]) - centre), np.inf)
-    rows = np.nonzero(flips.any(axis=1))[0]
+    dist = np.abs(0.5 * (grid[:-1] + grid[1:]) - centre)
+    todo = np.nonzero(cell < 0)[0]
+    block = max(SCAN_BLOCK_CELLS // grid.size, 1)
+    for start in range(0, todo.size, block):
+        rows = todo[start:start + block]
+        dk, flips = _scan(query, crystal, pumps[rows], grid)
+        found = flips.any(axis=1)
+        cols = np.argmin(np.where(flips, dist, np.inf), axis=1)[found]
+        rows, dk = rows[found], dk[found]
+        cell[rows] = cols
+        f_lo[rows] = dk[np.arange(rows.size), cols]
+        f_hi[rows] = dk[np.arange(rows.size), cols + 1]
     roots = np.full(pumps.size, np.nan)
+    rows = np.nonzero(cell >= 0)[0]
     if rows.size:
-        cols = np.argmin(dist, axis=1)[rows]
-        roots[rows] = _refine(query, crystal, pumps, grid, dk, rows, cols)
+        cols = cell[rows]
+        roots[rows] = _refine(query, crystal, pumps[rows], RootBracket(
+            grid[cols], grid[cols + 1], f_lo[rows], f_hi[rows]))
     return roots
 
 
@@ -228,7 +265,8 @@ def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
     """
     lo, hi = search_window_nm
     pump = np.array([query.pump_wavelength_nm])
-    grid, dk, flips = _scan(query, crystal, pump, search_window_nm)
+    grid = _window_grid(pump, search_window_nm)
+    dk, flips = _scan(query, crystal, pump, grid)
     flips = np.nonzero(flips[0])[0]
     exact = np.nonzero(dk[0] == 0.0)[0]
     brackets = ([(grid[i], grid[i + 1]) for i in flips]
@@ -241,7 +279,8 @@ def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
     if exact.size:
         root, residual = float(grid[exact[0]]), 0.0
     else:
-        x = _refine(query, crystal, pump, grid, dk, [0], flips)
+        x = _refine(query, crystal, pump, RootBracket(
+            grid[flips], grid[flips + 1], dk[0, flips], dk[0, flips + 1]))
         root, residual = float(x[0]), abs(float(mismatch(query, crystal, pump, x)[0]))
     return PhaseMatchSolution(
         signal_wavelength_nm=root,

@@ -190,7 +190,12 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     The LM model is the sweep solve over all pumps. The LM Jacobian and the
     geodesic acceleration's second directional derivative are the exact ones
     of model_derivatives, built once per LM iteration at the roots the fit
-    already holds, so they cost no root solves: each LM trial is one sweep.
+    already holds, so they cost no root solves: each LM trial is one root
+    solve. That solve is passed the held roots (near_nm of
+    solve_signal_sweep), so a pump whose root stays in its 0.1 nm scan cell
+    is refined from that cell without scanning the window, to the same bits
+    as the scan's root wherever the window holds one root per pump. Where it
+    holds several, the model keeps to the branch of the roots it holds.
     Points whose model root vanishes during a step are masked for that step,
     but every point needs its root at the start values (NoRootInWindow
     otherwise). The report carries both the fitted RSS and the RSS at the
@@ -205,18 +210,20 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     weights = (np.array([1.0 / pt.sigma_nm**2 for pt in points])
                if weighted else None)
 
-    at_start = True
+    held = None  # roots at the LM's current parameters, from its Jacobian hook
 
     def model(params, x):
-        nonlocal at_start
-        roots = model_signal_wavelength(x, params, setup)
-        if at_start:
+        roots = phasematch.solve_signal_sweep(
+            setup.query, _crystal_with_z(setup, params), x, setup.search_window_nm,
+            near_nm=held)
+        if held is None:
             # The LM's first call is at the start values.
-            at_start = False
             _require_roots(x, roots)
         return roots
 
     def jacobian(params, x, values):
+        nonlocal held
+        held = values
         return model_derivatives(x, values, params, setup)
 
     result = numerics.least_squares_fit(model, pumps, signals, start,

@@ -775,6 +775,15 @@ class TestImports:
         assert [m for m in loaded
                 if m.rpartition(".")[2] in self._UNLOADED[case]] == []
 
+    # jsa and fiber take only the grating vector from the phase-matching
+    # physics, and it lives in dispersion: their processes do not compile
+    # phasematch's window scan and root solve.
+    @pytest.mark.parametrize("case", ["jsa", "fiber"])
+    def test_spectral_commands_leave_phasematch_unloaded(self, capsys, tmp_path,
+                                                         jsa_scenario, case):
+        loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
+        assert "photonkit.phasematch" not in loaded
+
     # Only the Bessel solver and the p-values use photonkit.special; the
     # commands that need neither must not compile it.
     @pytest.mark.parametrize("case,wanted", [

@@ -79,6 +79,38 @@ class TestRefractiveIndex:
         with pytest.raises(DomainError):
             refractive_index(s, 0.0)
 
+    @pytest.mark.parametrize("fn", [refractive_index, index_and_derivative,
+                                    index_derivatives])
+    def test_check_precedence(self, fn):
+        # non-positive wavelength, then pole, then radicand, over the whole
+        # array: lam = 0 sits on the a2 = 0 pole and is still a plain DomainError
+        with pytest.raises(DomainError, match="wavelength must be positive") as exc:
+            fn(SellmeierSet(2.0, 1.0, 0.0, 0.0, 0.0), 0.0)
+        assert type(exc.value) is DomainError
+        with pytest.raises(DomainError) as exc:
+            fn(SellmeierSet(2.0, 1.0, 0.25, 0.0, 0.0), np.array([0.5, 0.0, 0.8]))
+        assert type(exc.value) is DomainError
+        # a pole beside a negative radicand
+        s = SellmeierSet(1.0, -5.0, 0.25, 0.0, 0.0)
+        with pytest.raises(PoleProximity, match="within 1e-9 um"):
+            fn(s, np.array([0.6, 0.5]))
+        with pytest.raises(NegativeRadicand, match="radicand is not positive"):
+            fn(s, np.array([0.6, 0.7]))
+
+    def test_nan_passes_through(self, kato_crystal):
+        s = kato_crystal.sellmeier_z
+        assert math.isnan(refractive_index(s, math.nan))
+        n = refractive_index(s, np.array([0.5, math.nan]))
+        assert n[0] == refractive_index(s, 0.5) and math.isnan(n[1])
+        n, dn = index_and_derivative(s, math.nan)
+        assert math.isnan(n) and math.isnan(dn)
+        n, dn = index_and_derivative(s, np.array([math.nan, 0.8]))
+        assert (n[1], dn[1]) == index_and_derivative(s, 0.8)
+        assert math.isnan(n[0]) and math.isnan(dn[0])
+        # NaN hides no invalid wavelength beside it
+        with pytest.raises(DomainError):
+            refractive_index(s, np.array([math.nan, 0.0]))
+
 
 class TestIndexAndDerivative:
     def test_index_matches_refractive_index(self, kato_crystal):
@@ -165,6 +197,14 @@ class TestWavevector:
             wavevector_magnitude(0.0, 1.0)
         with pytest.raises(DomainError):
             wavevector_magnitude(1.0, 0.0)
+        with pytest.raises(DomainError, match="must be positive"):
+            wavevector_magnitude(np.array([[1.0], [math.nan]]), np.array([0.5, -0.0]))
+
+    def test_nan_passes_through(self):
+        assert math.isnan(wavevector_magnitude(math.nan, 1.0))
+        k = wavevector_magnitude(np.array([[1.0], [2.0]]), np.array([math.nan, 1.0]))
+        assert k.shape == (2, 2)
+        assert np.isnan(k[:, 0]).all() and k[1, 1] == 2.0 * (2.0 * math.pi)
 
 
 class TestPolingPeriod:

@@ -93,6 +93,10 @@ class TestGratingVector:
         assert grating_vector(q3, kato_crystal) == pytest.approx(
             3.0 * grating_vector(q1, kato_crystal))
 
+    def test_reexported_from_dispersion(self):
+        from photonkit import dispersion
+        assert phasematch.grating_vector is dispersion.grating_vector
+
     def test_zero_order(self, kato_crystal):
         q = PhaseMatchQuery(pump_wavelength_nm=400.0, qpm_order=0)
         assert grating_vector(q, kato_crystal) == 0.0
@@ -294,6 +298,86 @@ class TestSweepRefinement:
         _, collinear = mismatch(replace(q, signal_theta_rad=0.0), kato_crystal, 397.6,
                                 signal, slope=True)
         assert not collinear == pytest.approx(slope, rel=1e-5)
+
+
+class TestHeldRoots:
+    """solve_signal_sweep given the roots a caller holds (near_nm)."""
+
+    @staticmethod
+    def _sweep(crystal, pumps, window, near=None):
+        q = PhaseMatchQuery(pump_wavelength_nm=397.6, temperature_k=crystal.t0_kelvin)
+        return solve_signal_sweep(q, crystal, pumps, window, near_nm=near)
+
+    @staticmethod
+    def _count_scanned(monkeypatch):
+        # pump rows scanned over the whole window grid, per block
+        scanned, scan = [], phasematch._scan
+
+        def counted(query, crystal, pumps_nm, grid):
+            if grid.ndim == 1:
+                scanned.append(pumps_nm.size)
+            return scan(query, crystal, pumps_nm, grid)
+
+        monkeypatch.setattr(phasematch, "_scan", counted)
+        return scanned
+
+    def test_held_cells_give_the_scan_roots(self, kato_crystal, monkeypatch):
+        pumps = np.linspace(392.0, 403.0, 55)
+        roots = self._sweep(kato_crystal, pumps, (500.0, 600.0))
+        scanned = self._count_scanned(monkeypatch)
+        assert np.array_equal(self._sweep(kato_crystal, pumps, (500.0, 600.0), roots),
+                              roots)
+        assert scanned == []
+        # without held roots every pump is scanned, in blocks of whole rows
+        assert np.array_equal(self._sweep(kato_crystal, pumps, (500.0, 600.0)), roots)
+        assert sum(scanned) == 55
+        assert max(scanned) == phasematch.SCAN_BLOCK_CELLS // 1001
+
+    def test_two_root_window_follows_held_branch(self, kato_crystal):
+        # Over (500, 1700) nm each type-0 Kato pump has a signal root at
+        # 516-572 nm and its idler at 1365-1628 nm. The scan refines the
+        # bracket nearest the window centre, the idler; held signal roots
+        # keep the signal branch.
+        pumps = np.linspace(392.0, 403.0, 12)
+        signal = self._sweep(kato_crystal, pumps, (500.0, 600.0))
+        plain = self._sweep(kato_crystal, pumps, (500.0, 1700.0))
+        assert (plain > 1300.0).all()
+        for pump, s, i in zip(pumps, signal, plain):
+            assert i == pytest.approx(idler_wavelength(pump, s), rel=1e-9)
+        held = self._sweep(kato_crystal, pumps, (500.0, 1700.0), signal)
+        assert held == pytest.approx(signal, abs=1e-9)
+        assert np.array_equal(self._sweep(kato_crystal, pumps, (500.0, 1700.0), plain),
+                              plain)
+
+    def test_fallback_to_scan(self, kato_crystal):
+        # roots at about 529.5, 541.9 and 554.4 nm; none for 402 nm (565.7)
+        pumps = np.array([395.0, 397.6, 400.0, 402.0])
+        window = (500.0, 560.0)
+        plain = self._sweep(kato_crystal, pumps, window)
+        assert np.isfinite(plain[:3]).all() and np.isnan(plain[3])
+        # a held cell without a sign change, a NaN, a root outside the
+        # window, and a held cell for a pump without a root
+        near = [plain[0] + 5.0, math.nan, 650.0, 555.0]
+        got = self._sweep(kato_crystal, pumps, window, near)
+        assert np.array_equal(got, plain, equal_nan=True)
+        with pytest.raises(DomainError, match="one value per pump"):
+            self._sweep(kato_crystal, pumps, window, near[:3])
+
+    def test_memory_peak(self, kato_crystal):
+        # Traced allocations of a 400-pump sweep over the default window: the
+        # scan runs in row blocks instead of one 400 x 1001 mismatch array
+        # with its temporaries (19 MB).
+        import tracemalloc
+
+        pumps = np.linspace(392.0, 403.0, 400)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            self._sweep(kato_crystal, pumps, (500.0, 600.0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6e6
 
 
 class TestSnell:

@@ -262,23 +262,66 @@ class TestCurvature:
         assert np.isfinite(got[1])
 
     def test_fit_sweeps_once_per_trial(self, setup, true_coeffs, monkeypatch):
-        # the LM's start, then one sweep per trial: no geodesic probe sweeps
+        # the LM's start, then one sweep per trial: no geodesic probe sweeps.
+        # Each trial refines from the held roots' scan cells, so the window is
+        # scanned for the start and for the pumps whose root left its cell:
+        # 35 pump rows (15, 15 and 5), against 15 per sweep.
         pts = synthesize_noisy_dataset(true_coeffs, np.linspace(392.0, 403.0, 15),
                                        0.0, seed=5, setup=setup)
-        sweeps, curvatures = [], []
+        sweeps, curvatures, scanned = [], [], []
         sweep, derivatives = phasematch.solve_signal_sweep, sellmeier_fit.model_derivatives
+        scan = phasematch._scan
 
         def counted_derivatives(*a, **kw):
             jac, curvature = derivatives(*a, **kw)
             return jac, lambda v: curvatures.append(1) or curvature(v)
 
+        def counted_scan(query, crystal, pumps_nm, grid):
+            if grid.ndim == 1:  # the whole window grid, not the held cells
+                scanned.append(pumps_nm.size)
+            return scan(query, crystal, pumps_nm, grid)
+
         monkeypatch.setattr(phasematch, "solve_signal_sweep",
                             lambda *a, **kw: sweeps.append(1) or sweep(*a, **kw))
+        monkeypatch.setattr(phasematch, "_scan", counted_scan)
         monkeypatch.setattr(sellmeier_fit, "model_derivatives", counted_derivatives)
         start = (true_coeffs[0] * 1.002, true_coeffs[1] * 0.99, true_coeffs[2] * 1.01)
         report = fit(pts, start, setup)
         assert report.converged
         assert len(sweeps) == 1 + len(curvatures)
+        assert scanned == [15, 15, 5]
+
+    @pytest.mark.parametrize("noise_seed", [None, 0, 1])
+    def test_trial_roots_equal_the_scan(self, setup, true_coeffs, monkeypatch,
+                                        noise_seed):
+        # criterion 3's clean fit and its first two noisy fits: at every
+        # trial the roots refined from the held cells are the full sweep's
+        # roots at the same coefficients, to the bit
+        pumps = np.linspace(392.0, 403.0, 55)
+        if noise_seed is None:
+            pts = synthesize_noisy_dataset(true_coeffs, pumps, 0.0, seed=101, setup=setup)
+            start, max_iter = (true_coeffs[0] * 1.002, true_coeffs[1] * 0.99,
+                               true_coeffs[2] * 1.01), 400
+        else:
+            pts = synthesize_noisy_dataset(true_coeffs, pumps, 0.01, seed=noise_seed,
+                                           setup=setup)
+            start, max_iter = true_coeffs, 40
+        trials, sweep = [], phasematch.solve_signal_sweep
+
+        def recorded(query, crystal, pumps_nm, window, near_nm=None):
+            roots = sweep(query, crystal, pumps_nm, window, near_nm=near_nm)
+            if near_nm is not None:
+                s = crystal.sellmeier_z
+                trials.append(((s.a0, s.a1, s.a2), roots))
+            return roots
+
+        monkeypatch.setattr(phasematch, "solve_signal_sweep", recorded)
+        fit(pts, start, setup, max_iter=max_iter)
+        monkeypatch.undo()
+        assert len(trials) >= 12
+        for coeffs, roots in trials:
+            assert np.array_equal(roots, model_signal_wavelength(pumps, coeffs, setup),
+                                  equal_nan=True)
 
     def test_derivatives_once_per_iteration(self, setup, true_coeffs, monkeypatch):
         # criterion 3's clean fit: one mismatch-derivative pass per LM
