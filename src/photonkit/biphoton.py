@@ -64,7 +64,10 @@ FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 Z_QUAD_ORDER = 16          # starting node count of the crystal quadrature
 Z_QUAD_MAX_ORDER = 1024
 Z_QUAD_TOL = 1e-10         # Legendre-tail estimate over the peak amplitude
-JSA_BLOCK_VALUES = 120_000   # float64 temporaries per block, about 1 MB
+# Node-array floats per block of jsa_grid cells, about 1 MB, and the size of
+# the node buffer each worker reuses for its blocks: with a block's own cell
+# terms and the n^2 amplitude, all the memory a grid takes besides its output.
+JSA_BLOCK_VALUES = 120_000
 # Largest |rho| at which the 2D fit builds its normal equations from grid
 # moments; the dense Jacobian above it (see _GaussianMoments).
 MOMENT_RHO_MAX = 0.995
@@ -236,10 +239,11 @@ def _upward_first(count: int, omega) -> np.ndarray:
     return np.argsort(np.abs(omega) <= count, kind="stable")
 
 
-def _spherical_j(count: int, omega) -> np.ndarray:
+def _spherical_j(count: int, omega, out=None) -> np.ndarray:
     """Spherical Bessel functions j_0 .. j_{count-1} (count >= 2) at the
     points `omega`, listed in the order _upward_first(count, omega) gives, as
-    a (count, omega.size) array; one sin/cos pair per point, numpy alone.
+    a (count, omega.size) array, written to `out` when given; one sin/cos
+    pair per point, numpy alone.
 
     Where |omega| > count the upward recurrence j_{k+1} = (2k+1)/omega j_k -
     j_{k-1} from j_0 = sin(omega)/omega and j_1 = (j_0 - cos(omega))/omega is
@@ -254,7 +258,7 @@ def _spherical_j(count: int, omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float).ravel()
     n_up = int(np.count_nonzero(np.abs(w) > count))
     nonzero = w != 0.0
-    j = np.empty((count, w.size))
+    j = np.empty((count, w.size)) if out is None else out
     j0 = np.divide(np.sin(w), w, out=j[0], where=nonzero)
     j0[~nonzero] = 1.0
     j1 = np.divide(j0 - np.cos(w), w, out=j[1], where=nonzero)
@@ -335,7 +339,14 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     QuadratureNotConverged if Z_QUAD_MAX_ORDER nodes do not get there. The
     returned grid is normalized to unit sum and carries m and that relative
     error estimate. Blocks of grid cells run on numerics.worker_map's
-    threads, with the same result for any worker count. Collinear geometry
+    threads, with the same result for any worker count. Each block builds
+    its own cell terms (k_p, the mismatch, the coefficients of det A and the
+    pump amplitude) from the axes, every value as it would be on the whole
+    grid, and keeps only its largest |A_p theta| and tail: the grid takes
+    its n^2 output, one n^2 array of A_p theta squared in place, and one
+    block's temporaries per worker (see JSA_BLOCK_VALUES). Each doubling of
+    m builds the cell terms again. A Sellmeier check that fails in any block
+    raises what the check over the whole grid would. Collinear geometry
     only: DomainError for a nonzero query.signal_theta_rad.
     """
     if query.signal_theta_rad != 0.0:
@@ -343,12 +354,11 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
                           field="signal_theta_rad")
     w_s = grid.signal_axis()
     w_i = grid.idler_axis()
-    k_s = _axis_k(crystal, query.pol_signal, w_s)          # (n,)
-    k_i = _axis_k(crystal, query.pol_idler, w_i)           # (n,)
-    w_sum = w_s[:, None] + w_i[None, :]                    # (n, n)
-    k_p = _axis_k(crystal, query.pol_pump, w_sum)          # (n, n)
+    k_s = _axis_k(crystal, query.pol_signal, w_s)          # (n_s,)
+    k_i = _axis_k(crystal, query.pol_idler, w_i)           # (n_i,)
+    inv_ks, inv_ki = 1.0 / k_s, 1.0 / k_i
+    grating = grating_vector(query, crystal)
     half_l = 0.5 * crystal.length_um
-    omega = (k_p - k_s[:, None] - k_i[None, :] + grating_vector(query, crystal)) * half_l
 
     # A(z) = A0 + i z A1 with the real matrices A0 = [[a_ss, a_si],
     # [a_si, a_ii]] of squared widths and A1 = [[g_ss, 1/k_p], [1/k_p, g_ii]],
@@ -357,81 +367,115 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     wi2 = coupling.idler_width_um**2
     wp2 = pump.spatial_width_um**2
     a_ss, a_ii, a_si = ws2 + wp2, wi2 + wp2, wp2
-    inv_kp = 1.0 / k_p
-    g_ss = inv_kp - 1.0 / k_s[:, None]
-    g_ii = inv_kp - 1.0 / k_i[None, :]
     d0 = a_ss * a_ii - a_si * a_si
-    d1 = a_ss * g_ii + a_ii * g_ss - 2.0 * a_si * inv_kp
-    d2 = g_ss * g_ii - inv_kp * inv_kp
 
     # exp(b^T A^-1 b / 2) factor from the offset fiber centres (x-direction
     # only; offsets are scalars along one axis): b^T adj(A) b = q0 + i z q1.
     b_s = ws2 * coupling.signal_offset_per_um
     b_i = wi2 * coupling.idler_offset_per_um
     has_offset = b_s != 0.0 or b_i != 0.0
-    if has_offset:
-        q0 = a_ii * b_s**2 - 2.0 * a_si * b_s * b_i + a_ss * b_i**2
-        q1 = g_ii * b_s**2 - 2.0 * inv_kp * b_s * b_i + g_ss * b_i**2
+    q0 = a_ii * b_s**2 - 2.0 * a_si * b_s * b_i + a_ss * b_i**2
     const_offset = math.exp(-0.5 * (ws2 * coupling.signal_offset_per_um**2
                                     + wi2 * coupling.idler_offset_per_um**2))
-    pump_amplitude = pump_temporal_amplitude(w_sum, pump).ravel()
-    del w_sum, k_p, inv_kp, g_ss, g_ii
+    prefactor = (coupling.signal_width_um * coupling.idler_width_um
+                 * pump.spatial_width_um / math.pi**1.5) * (2.0 * math.pi)**2
+    scale = prefactor * const_offset * crystal.length_um
 
-    omega, d1, d2 = omega.ravel(), d1.ravel(), d2.ravel()
-    if has_offset:
-        q1 = q1.ravel()
+    def cell_terms(cells: slice):
+        """The phase omega = dk0 L/2, d1, d2, q1 (None without offsets) and the
+        pump amplitude A_p on a block of cells of the row-major grid, cell
+        idx at (w_s[idx // n_i], w_i[idx % n_i]); each value is the one its
+        expression gives on the whole grid."""
+        rows, cols = np.divmod(np.arange(cells.start, cells.stop), w_i.size)
+        w_sum = w_s[rows] + w_i[cols]
+        k_p = _axis_k(crystal, query.pol_pump, w_sum)
+        omega = (k_p - k_s[rows] - k_i[cols] + grating) * half_l
+        inv_kp = 1.0 / k_p
+        g_ss = inv_kp - inv_ks[rows]
+        g_ii = inv_kp - inv_ki[cols]
+        d1 = a_ss * g_ii + a_ii * g_ss - 2.0 * a_si * inv_kp
+        d2 = g_ss * g_ii - inv_kp * inv_kp
+        q1 = (g_ii * b_s**2 - 2.0 * inv_kp * b_s * b_i + g_ss * b_i**2
+              if has_offset else None)
+        return omega, d1, d2, q1, pump_temporal_amplitude(w_sum, pump)
 
-    theta = np.empty(omega.size)   # theta / L
-    tail = np.empty(omega.size)    # the Legendre tail |c_{m-1}| + |c_{m-2}|
+    size = w_s.size * w_i.size
+    psi = np.empty(size)   # A_p scale theta, squared in place at the end
 
-    def accumulate(cells: slice) -> None:
-        """theta and tail at m nodes on a block of cells, with g at the nodes
-        as rows of (nodes, cells) arrays, the cells in the order _spherical_j
-        takes them."""
+    def accumulate(cells: slice) -> tuple[float, float]:
+        """theta at m nodes on a block of cells, with g at the nodes as rows
+        of (nodes, cells) arrays, the cells in the order _spherical_j takes
+        them. Writes A_p scale theta to psi[cells] and returns the block's
+        largest |A_p theta| and A_p tail, the tail the Legendre coefficients'
+        |c_{m-1}| + |c_{m-2}|."""
+        omega, d1, d2, q1, amplitude = cell_terms(cells)
         t, even, odd = tables
-        half = even.shape[0]
-        order = _upward_first(m, omega[cells])
-        index = order + cells.start
+        half, nodes = even.shape[0], t.size
+        order = _upward_first(m, omega)
+        try:
+            buf = spare.pop()
+        except IndexError:
+            buf = np.empty(0)
+        if buf.size < 4 * nodes * step:   # JSA_BLOCK_VALUES unless step is 1
+            buf = np.empty(max(JSA_BLOCK_VALUES, 4 * nodes * step))
+        # (2 nodes, cells) rows of the buffer: low takes |det|^2 and then the
+        # coefficients, high takes det and then the j_k
+        low, high = buf[:4 * nodes * omega.size].reshape(2, 2 * nodes, omega.size)
         # g = exp(quad/2) conj(det) / |det|^2 at the nodes
         z = half_l * t[:, None]
-        det_re = d2[index] * -(z * z)
+        det_re = np.multiply(d2[order], -(z * z), out=high[:nodes])
         det_re += d0
-        det_im = z * d1[index]
-        det2 = np.square(det_re)
-        det2 += np.square(det_im)
+        det_im = np.multiply(z, d1[order], out=high[nodes:])
+        det2 = np.square(det_re, out=low[:nodes])
+        det2 += np.square(det_im, out=low[nodes:])
         if has_offset:
             # quad = (q0 + i z q1) / det: Im(quad)/2 turns conj(det) and
             # e^{Re(quad)/2} divides det2
-            q1z = z * q1[index]
+            q1z = z * q1[order]
             phase = 0.5 * (q1z * det_re - q0 * det_im) / det2
             det2 *= np.exp(-0.5 * (q0 * det_re + q1z * det_im) / det2)
             cos, sin = np.cos(phase), np.sin(phase)
             det_re, det_im = cos * det_re + sin * det_im, cos * det_im - sin * det_re
         det_re /= det2                          # Re g
         det_im /= det2                          # -Im g
-        del det2
-        coef = np.empty((m, index.size))       # i^k c_k: even k, then odd k
+        coef = low[:m]                          # i^k c_k: even k, then odd k
         np.matmul(even, det_re, out=coef[:half])
         np.matmul(odd, det_im, out=coef[half:])
         del det_re, det_im
-        j = _spherical_j(m, omega[index])
-        theta[index] = (np.einsum("kc,kc->c", coef[:half], j[0::2])
+        j = _spherical_j(m, omega[order], out=high[:m])
+        theta = np.empty(order.size)           # theta / L
+        theta[order] = (np.einsum("kc,kc->c", coef[:half], j[0::2])
                         + np.einsum("kc,kc->c", coef[half:], j[1::2]))
-        tail[index] = np.abs(coef[half - 1]) + np.abs(coef[-1])
+        tail = np.empty(order.size)
+        tail[order] = np.abs(coef[half - 1]) + np.abs(coef[-1])
+        spare.append(buf)
+        np.multiply(amplitude * scale, theta, out=psi[cells])
+        return np.abs(amplitude * theta).max(), (amplitude * tail).max()
 
-    # A block's temporaries take about 2 m + 8 floats a cell, 5 m + 8 with
-    # offsets: blocks of consecutive cells of the row-major grid keep them
-    # within JSA_BLOCK_VALUES floats at every m. Threads take whole blocks, so
-    # the sums do not depend on them.
-    size = omega.size
+    # Blocks of consecutive cells of the row-major grid. A block's node arrays
+    # take 2 m floats a cell (2 m + 2 for odd m) of a JSA_BLOCK_VALUES-float
+    # buffer that a worker takes back for its next block, at every m, so
+    # that its pages are not returned to the system and faulted in again
+    # block after block. (glibc also keeps up to twice the largest block it
+    # has unmapped in its heap, which spares the fit and the CSV writer the
+    # same churn afterwards.) With the block's other temporaries, its cell
+    # terms among them, a block holds about 2 m + 8 floats a cell, 5 m + 8
+    # with offsets, which keeps it within JSA_BLOCK_VALUES floats at every
+    # m. Threads take whole blocks, so the sums do not depend on them.
+    spare = []   # node buffers not in use by a block, one per worker at most
     m = z_order
     while True:
         step = max(1, JSA_BLOCK_VALUES // ((5 if has_offset else 2) * m + 8))
         blocks = [slice(i, min(i + step, size)) for i in range(0, size, step)]
         tables = _filon_tables(m)
-        numerics.worker_map(accumulate, blocks)
-        peak = float(np.abs(pump_amplitude * theta).max())
-        error = float((pump_amplitude * tail).max())
+        try:
+            peaks, errors = np.array(numerics.worker_map(accumulate, blocks)).T
+        except DomainError:
+            # A Sellmeier check that fails in some block: raise what the check
+            # on the whole grid raises, whose test order spans every cell.
+            _axis_k(crystal, query.pol_pump, w_s[:, None] + w_i[None, :])
+            raise
+        peak, error = float(peaks.max()), float(errors.max())
         if not error > Z_QUAD_TOL * peak:   # a NaN grid fails in JsaGrid
             break
         if m >= Z_QUAD_MAX_ORDER:
@@ -442,10 +486,9 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
                 order=m, error_estimate=relative)
         m = min(2 * m, Z_QUAD_MAX_ORDER)
 
-    prefactor = (coupling.signal_width_um * coupling.idler_width_um
-                 * pump.spatial_width_um / math.pi**1.5) * (2.0 * math.pi)**2
-    psi = pump_amplitude * (prefactor * const_offset * crystal.length_um) * theta
-    return JsaGrid(w_s, w_i, (psi**2).reshape(w_s.size, w_i.size), quadrature_order=m,
+    spare.clear()
+    np.square(psi, out=psi)
+    return JsaGrid(w_s, w_i, psi.reshape(w_s.size, w_i.size), quadrature_order=m,
                    quadrature_error=error / peak if peak > 0 else 0.0)
 
 
@@ -500,8 +543,16 @@ def _gaussian_2d(params, ws, wi):
         return np.full(np.broadcast_shapes(np.shape(ws), np.shape(wi)), np.nan)
     us = (ws - ms) / ss
     ui = (wi - mi) / si
-    q = (us**2 - 2.0 * rho * us * ui + ui**2) / (2.0 * (1.0 - rho**2))
-    return amp * np.exp(-q)
+    # amp exp(-(us^2 - 2 rho us ui + ui^2) / (2 (1 - rho^2))), each operation
+    # in that order, in place in the one array of the broadcast shape
+    out = np.multiply(2.0 * rho * us, ui)
+    np.subtract(us**2, out, out=out)
+    out += ui**2
+    out /= 2.0 * (1.0 - rho**2)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= amp
+    return out
 
 
 def _gaussian_2d_jacobian(params, ws, wi, values):

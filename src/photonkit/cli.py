@@ -337,7 +337,7 @@ def _check_scan(pointer: str, pump_count: int, window) -> None:
 def _cmd_phasematch_sweep(args) -> dict:
     import numpy as np
 
-    from . import phasematch, sellmeier_fit
+    from . import phasematch
 
     crystal = _crystal(args.crystal)
     if not (math.isfinite(args.start_nm) and math.isfinite(args.stop_nm)):
@@ -356,8 +356,8 @@ def _cmd_phasematch_sweep(args) -> dict:
         # The run creates the CSV's parent directory, as bentguide solve does.
         try:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            sellmeier_fit.save_dataset_csv(
-                [sellmeier_fit.MeasurementPoint(row["pump_nm"], row["signal_nm"])
+            phasematch.save_dataset_csv(
+                [phasematch.MeasurementPoint(row["pump_nm"], row["signal_nm"])
                  for row in rows if row["signal_nm"] is not None], args.out)
         except OSError as exc:
             raise _invalid("/out", str(exc)) from None

@@ -368,9 +368,9 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     for iterations in range(1, max_iter + 1):
         sel = _selection(mask)
         jac, curvature = derivatives(sel)
-        r = weigh(y[sel] - m[sel], sel)
         a = jac.gram()
-        g = jac.rmatvec(r)
+        # the residual is not held while the trials run
+        g = jac.rmatvec(weigh(y[sel] - m[sel], sel))
         d2 = np.diag(a)
         accepted = stop = left_domain = False
         while lam < 1e14:
@@ -393,6 +393,8 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
                 stop = rel_step < LM_STEP_TOL or rel_drop < LM_RSS_TOL
                 converged = stop and not left_domain
                 break
+            # a rejected trial's model values are not held while the next runs
+            del trial_mask, trial_m
             lam *= 10.0
         if stop or not accepted:
             break
@@ -486,7 +488,7 @@ def grid_moments(x, y, weights):
     mu_y = float(np.dot(py, y))
     var_x = float(np.dot(px, (x - mu_x)**2))
     var_y = float(np.dot(py, (y - mu_y)**2))
-    cov = float(((x - mu_x)[:, None] * (y - mu_y)[None, :] * weights).sum() / total)
+    cov = float((x - mu_x) @ weights @ (y - mu_y) / total)
     return mu_x, mu_y, var_x, var_y, cov
 
 

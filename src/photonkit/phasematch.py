@@ -7,13 +7,18 @@ takes bracket-safeguarded Newton steps on the closed-form slope until
 |dk| <= MISMATCH_TOL_PER_UM. The sweep scans in blocks of pump rows, and a
 caller that already holds roots (the Sellmeier fit between its trials) lets
 it test each held root's scan cell first and scan only the pumps whose cell
-lost its sign change."""
+lost its sign change. The pump-vs-signal dataset (MeasurementPoint and its
+CSV file) lives here too, so that writing a sweep does not compile the
+Sellmeier fit; `sellmeier_fit` re-exports it. Only its reader and writer
+import `csv`: importing it with the module raised the peak RSS of the sweep
+and fit-sellmeier processes by 0.1-0.2 MB."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +43,9 @@ __all__ = [
     "solve_signal_sweep",
     "snell_external_angle",
     "scan_points",
+    "MeasurementPoint",
+    "load_dataset_csv",
+    "save_dataset_csv",
 ]
 
 COARSE_STEP_NM = 0.1
@@ -58,6 +66,56 @@ class PhaseMatchSolution:
     idler_wavelength_nm: float
     idler_angle_rad: float
     mismatch_per_um: float
+
+
+@dataclass(frozen=True)
+class MeasurementPoint:
+    pump_nm: float
+    signal_nm: float
+    sigma_nm: float = 1.0
+
+    def __post_init__(self):
+        fields = (self.pump_nm, self.signal_nm, self.sigma_nm)
+        if not all(0 < v < math.inf for v in fields):
+            raise DomainError("measurement fields must be finite and positive")
+
+
+def load_dataset_csv(path) -> list[MeasurementPoint]:
+    """Read a `lambda_pump_nm,lambda_vis_nm,sigma_nm` dataset file (sigma_nm
+    optional, 1 when absent). Raises DomainError for a missing column, and
+    with the line number for a value that is missing, not a number, not finite
+    or not positive."""
+    import csv
+
+    points = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for column in ("lambda_pump_nm", "lambda_vis_nm"):
+            if column not in (reader.fieldnames or ()):
+                raise DomainError(f"missing column {column}")
+        for row in reader:
+            try:
+                points.append(MeasurementPoint(
+                    pump_nm=float(row["lambda_pump_nm"]),
+                    signal_nm=float(row["lambda_vis_nm"]),
+                    sigma_nm=float(row.get("sigma_nm") or 1.0),
+                ))
+            except DomainError as exc:
+                raise DomainError(f"line {reader.line_num}: {exc}") from None
+            except (TypeError, ValueError):
+                raise DomainError(f"line {reader.line_num}: value missing "
+                                  "or not a number") from None
+    return points
+
+
+def save_dataset_csv(points: Sequence[MeasurementPoint], path) -> None:
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lambda_pump_nm", "lambda_vis_nm", "sigma_nm"])
+        for pt in points:
+            writer.writerow([repr(pt.pump_nm), repr(pt.signal_nm), repr(pt.sigma_nm)])
 
 
 def idler_wavelength(pump_nm: float, signal_nm: float) -> float:

@@ -1,12 +1,13 @@
 """Estimate Sellmeier coefficients (a_z0, a_z1, a_z2) from pump-wavelength vs
-signal-central-wavelength data through the implicit phase-matching model."""
+signal-central-wavelength data through the implicit phase-matching model.
+
+The dataset type and its CSV file live in `phasematch` and are re-exported
+here."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from . import numerics, phasematch
 from .dispersion import index_derivatives
 from .errors import DivergedFit, DomainError, InsufficientData, NoRootInWindow
+from .phasematch import MeasurementPoint, load_dataset_csv, save_dataset_csv
 from .specs import CrystalSpec, SellmeierSet
 
 __all__ = [
@@ -31,18 +33,6 @@ __all__ = [
 ]
 
 MAX_NOISE_FRACTION = 0.05
-
-
-@dataclass(frozen=True)
-class MeasurementPoint:
-    pump_nm: float
-    signal_nm: float
-    sigma_nm: float = 1.0
-
-    def __post_init__(self):
-        fields = (self.pump_nm, self.signal_nm, self.sigma_nm)
-        if not all(0 < v < math.inf for v in fields):
-            raise DomainError("measurement fields must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -268,40 +258,6 @@ def synthesize_noisy_dataset(coeffs: Sequence[float], pump_sweep_nm: Sequence[fl
         points.append(MeasurementPoint(pump_nm=float(pump), signal_nm=float(noisy),
                                        sigma_nm=float(sigma) if sigma > 0 else 1.0))
     return points
-
-
-def load_dataset_csv(path) -> list[MeasurementPoint]:
-    """Read a `lambda_pump_nm,lambda_vis_nm,sigma_nm` dataset file (sigma_nm
-    optional, 1 when absent). Raises DomainError for a missing column, and
-    with the line number for a value that is missing, not a number, not finite
-    or not positive."""
-    points = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for column in ("lambda_pump_nm", "lambda_vis_nm"):
-            if column not in (reader.fieldnames or ()):
-                raise DomainError(f"missing column {column}")
-        for row in reader:
-            try:
-                points.append(MeasurementPoint(
-                    pump_nm=float(row["lambda_pump_nm"]),
-                    signal_nm=float(row["lambda_vis_nm"]),
-                    sigma_nm=float(row.get("sigma_nm") or 1.0),
-                ))
-            except DomainError as exc:
-                raise DomainError(f"line {reader.line_num}: {exc}") from None
-            except (TypeError, ValueError):
-                raise DomainError(f"line {reader.line_num}: value missing "
-                                  "or not a number") from None
-    return points
-
-
-def save_dataset_csv(points: Sequence[MeasurementPoint], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_pump_nm", "lambda_vis_nm", "sigma_nm"])
-        for pt in points:
-            writer.writerow([repr(pt.pump_nm), repr(pt.signal_nm), repr(pt.sigma_nm)])
 
 
 def sellmeier_fraction_ranges(sellmeier: SellmeierSet,

@@ -766,6 +766,9 @@ class TestImports:
                 "fiber_prop"),
         "fit-sellmeier": ("biphoton", "bent_guide", "rect_guide", "photon_stats",
                           "fiber_prop"),
+        # the sweep writes its dataset CSV with phasematch's own writer
+        "phasematch sweep": ("biphoton", "bent_guide", "rect_guide", "photon_stats",
+                             "sellmeier_fit", "fiber_prop"),
         "validate": ("bent_guide", "rect_guide"),
     }
 

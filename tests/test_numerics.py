@@ -689,6 +689,44 @@ class TestGridMoments:
         assert mu_y == pytest.approx(1.5, rel=1e-14)
         assert cov == pytest.approx(0.0, abs=1e-15)
 
+    @staticmethod
+    def _grid(case, telecom_setup):
+        """(x, y, weights): a random grid, or a criterion-5 telecom grid at
+        n = 300, the last also as the view flipped on both axes that
+        fiber_prop's stationary map can hand over."""
+        if case == "random":
+            rng = np.random.default_rng(7)
+            return (np.sort(rng.uniform(-1.0, 2.0, 57)), np.sort(rng.uniform(3.0, 4.0, 43)),
+                    rng.uniform(0.0, 1.0, (57, 43)) + np.outer(np.arange(57), np.arange(43)))
+        from photonkit import biphoton
+
+        s = telecom_setup
+        tau, z = ((94.58, 0.02), (719.1, 0.0075), (976.0, 0.005))[int(case[-1])]
+        pump = biphoton.PumpSpec(
+            central_frequency_phz=s["pump_sum_phz"], spatial_width_um=41.0,
+            pulse_duration_fs=biphoton.envelope_tau_from_reciprocal_sigma(tau))
+        spec = biphoton.JsaGridSpec(n=300, range_fraction=z,
+                                    signal_center_phz=s["signal_center"],
+                                    idler_center_phz=s["idler_center"])
+        g = biphoton.jsa_grid(pump, s["coupling"], s["crystal"], spec, s["query"])
+        if case.startswith("flipped"):
+            return g.omega_s_phz[::-1], g.omega_i_phz[::-1], g.probability[::-1, ::-1]
+        return g.omega_s_phz, g.omega_i_phz, g.probability
+
+    @pytest.mark.parametrize("case", ["random", "telecom_0", "telecom_1", "telecom_2",
+                                      "flipped_telecom_0"])
+    def test_covariance_matches_broadcast_product(self, case, telecom_setup):
+        # The covariance is the sum of w (x - mu_x)(y - mu_y) over the grid,
+        # taken as two matrix-vector products; the broadcast triple product
+        # of the same terms agrees to 1e-14 of sqrt(var_x var_y).
+        x, y, w = self._grid(case, telecom_setup)
+        mu_x, mu_y, var_x, var_y, cov = numerics.grid_moments(x, y, w)
+        total = w.sum()
+        assert mu_x == np.dot(w.sum(axis=1) / total, x)
+        assert mu_y == np.dot(w.sum(axis=0) / total, y)
+        broadcast = ((x - mu_x)[:, None] * (y - mu_y)[None, :] * w).sum() / total
+        assert abs(cov - broadcast) <= 1e-14 * math.sqrt(var_x * var_y)
+
 
 class TestBessel:
     def test_wronskian_identity(self):
