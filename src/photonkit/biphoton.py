@@ -66,7 +66,8 @@ Z_QUAD_MAX_ORDER = 1024
 Z_QUAD_TOL = 1e-10         # Legendre-tail estimate over the peak amplitude
 # Node-array floats per block of jsa_grid cells, about 1 MB, and the size of
 # the node buffer each worker reuses for its blocks: with a block's own cell
-# terms and the n^2 amplitude, all the memory a grid takes besides its output.
+# terms, all the memory a grid takes besides its output, which holds the
+# amplitudes until they are squared and normalized in place.
 JSA_BLOCK_VALUES = 120_000
 # Largest |rho| at which the 2D fit builds its normal equations from grid
 # moments; the dense Jacobian above it (see _GaussianMoments).
@@ -96,27 +97,41 @@ class JsaGrid:
     quadrature_error: float | None = None
 
     def __post_init__(self):
-        total = float(self.probability.sum())
-        if not total > 0:
-            raise DegenerateGrid(f"grid probabilities sum to {total}")
-        probability = self.probability / total
+        probability = self.probability / _grid_total(self.probability)
         probability.flags.writeable = False
         object.__setattr__(self, "probability", probability)
+
+    @classmethod
+    def _of(cls, omega_s_phz, omega_i_phz, probability, quadrature_order=None,
+            quadrature_error=None) -> "JsaGrid":
+        """The grid of these fields as they are, `probability` (already of
+        unit sum, and no caller's array) made read-only, not copied."""
+        grid = object.__new__(cls)
+        probability.flags.writeable = False
+        for name, value in (("omega_s_phz", omega_s_phz),
+                            ("omega_i_phz", omega_i_phz),
+                            ("probability", probability),
+                            ("quadrature_order", quadrature_order),
+                            ("quadrature_error", quadrature_error)):
+            object.__setattr__(grid, name, value)
+        return grid
 
     def transpose(self) -> "JsaGrid":
         """The grid with signal and idler exchanged, its probability the exact
         transpose: it is not divided by its sum again, which rounding can
         leave off 1.0."""
-        grid = object.__new__(JsaGrid)
-        probability = self.probability.T.copy()
-        probability.flags.writeable = False
-        for name, value in (("omega_s_phz", self.omega_i_phz.copy()),
-                            ("omega_i_phz", self.omega_s_phz.copy()),
-                            ("probability", probability),
-                            ("quadrature_order", self.quadrature_order),
-                            ("quadrature_error", self.quadrature_error)):
-            object.__setattr__(grid, name, value)
-        return grid
+        return JsaGrid._of(self.omega_i_phz.copy(), self.omega_s_phz.copy(),
+                           self.probability.T.copy(), self.quadrature_order,
+                           self.quadrature_error)
+
+
+def _grid_total(probability) -> float:
+    """The sum a grid's probabilities are divided by; DegenerateGrid unless it
+    is positive (a NaN in the grid makes it NaN)."""
+    total = float(probability.sum())
+    if not total > 0:
+        raise DegenerateGrid(f"grid probabilities sum to {total}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -343,11 +358,12 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     its own cell terms (k_p, the mismatch, the coefficients of det A and the
     pump amplitude) from the axes, every value as it would be on the whole
     grid, and keeps only its largest |A_p theta| and tail: the grid takes
-    its n^2 output, one n^2 array of A_p theta squared in place, and one
-    block's temporaries per worker (see JSA_BLOCK_VALUES). Each doubling of
-    m builds the cell terms again. A Sellmeier check that fails in any block
-    raises what the check over the whole grid would. Collinear geometry
-    only: DomainError for a nonzero query.signal_theta_rad.
+    its n^2 output, which holds A_p theta until it is squared and normalized
+    in place, and one block's temporaries per worker (see JSA_BLOCK_VALUES).
+    Each doubling of m builds the cell terms again. A Sellmeier check that
+    fails in any block raises what the check over the whole grid would.
+    Collinear geometry only: DomainError for a nonzero
+    query.signal_theta_rad.
     """
     if query.signal_theta_rad != 0.0:
         raise DomainError("the joint spectrum is collinear only",
@@ -476,7 +492,7 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
             _axis_k(crystal, query.pol_pump, w_s[:, None] + w_i[None, :])
             raise
         peak, error = float(peaks.max()), float(errors.max())
-        if not error > Z_QUAD_TOL * peak:   # a NaN grid fails in JsaGrid
+        if not error > Z_QUAD_TOL * peak:   # a NaN grid fails in _grid_total
             break
         if m >= Z_QUAD_MAX_ORDER:
             relative = error / peak if peak > 0 else math.inf
@@ -487,9 +503,12 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
         m = min(2 * m, Z_QUAD_MAX_ORDER)
 
     spare.clear()
-    np.square(psi, out=psi)
-    return JsaGrid(w_s, w_i, psi.reshape(w_s.size, w_i.size), quadrature_order=m,
-                   quadrature_error=error / peak if peak > 0 else 0.0)
+    # |A_p theta|^2 normalized in place: psi is this call's own array, so the
+    # grid takes it without the n^2 copy a JsaGrid built from values makes
+    probability = np.square(psi, out=psi).reshape(w_s.size, w_i.size)
+    probability /= _grid_total(probability)
+    return JsaGrid._of(w_s, w_i, probability, quadrature_order=m,
+                       quadrature_error=error / peak if peak > 0 else 0.0)
 
 
 def marginal(grid: JsaGrid, axis: str = "signal"):

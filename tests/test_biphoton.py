@@ -193,7 +193,10 @@ class TestJsaGrid:
         values = np.arange(1.0, 17.0).reshape(4, 4)
         grid = JsaGrid(np.arange(4.0), np.arange(4.0), values)
         assert grid.probability.sum() == pytest.approx(1.0, abs=1e-15)
-        assert values[0, 0] == 1.0  # the input array is left as it was
+        # the input array is copied, and left as it was
+        assert np.array_equal(values, np.arange(1.0, 17.0).reshape(4, 4))
+        assert values.flags.writeable
+        assert not np.shares_memory(grid.probability, values)
         with pytest.raises(dataclasses.FrozenInstanceError):
             grid.probability = values
         with pytest.raises(ValueError):
@@ -412,9 +415,9 @@ class TestJsaKernel:
     def test_memory_above_output(self, telecom_setup, vis_ir_setup, monkeypatch,
                                  n, offsets):
         # Traced allocations of one grid above its n^2 output on one worker:
-        # each block builds its own cell terms, so besides the output only
-        # the amplitude buffer and one block's scratch (about
-        # JSA_BLOCK_VALUES floats) are held.
+        # each block builds its own cell terms, so besides the output, which
+        # holds the amplitudes until they are normalized in place, only one
+        # block's scratch (about JSA_BLOCK_VALUES floats) is held.
         import tracemalloc
 
         pump, coupling, crystal, grid, query, _ = _kernel_case(
@@ -429,6 +432,53 @@ class TestJsaKernel:
         finally:
             tracemalloc.stop()
         assert peak - got.probability.nbytes <= 2 * n * n * 8 + 1.2e6
+
+    @pytest.mark.parametrize("tau_quoted,z", [(94.58, 0.02), (719.1, 0.0075),
+                                              (976.0, 0.005)])
+    def test_normalized_in_place_bit_identical(self, telecom_setup, monkeypatch,
+                                               tau_quoted, z):
+        # On the three benchmark cases, dividing jsa_grid's own array in place
+        # gives the bits a JsaGrid built from the unnormalized values does.
+        s = telecom_setup
+        pump = PumpSpec(central_frequency_phz=s["pump_sum_phz"],
+                        pulse_duration_fs=envelope_tau_from_reciprocal_sigma(tau_quoted),
+                        spatial_width_um=41.0)
+        spec = JsaGridSpec(n=300, range_fraction=z, signal_center_phz=s["signal_center"],
+                           idler_center_phz=s["idler_center"])
+        seen = []
+        total = biphoton._grid_total
+        monkeypatch.setattr(biphoton, "_grid_total",
+                            lambda values: seen.append(values.copy()) or total(values))
+        got = jsa_grid(pump, s["coupling"], s["crystal"], spec, s["query"])
+        (values,) = seen
+        built = JsaGrid(got.omega_s_phz, got.omega_i_phz, values)
+        assert got.probability.tobytes() == built.probability.tobytes()
+        assert not got.probability.flags.writeable
+
+    def test_normalized_in_place_memory(self, telecom_setup, monkeypatch):
+        # at n = 600 the grid takes no second n^2 array to normalize its output
+        import tracemalloc
+
+        s = telecom_setup
+        pump = PumpSpec(central_frequency_phz=s["pump_sum_phz"],
+                        pulse_duration_fs=envelope_tau_from_reciprocal_sigma(94.58),
+                        spatial_width_um=41.0)
+        spec = JsaGridSpec(n=600, range_fraction=0.02,
+                           signal_center_phz=s["signal_center"],
+                           idler_center_phz=s["idler_center"])
+        monkeypatch.setenv("WORKBENCH_THREADS", "1")
+        # the first grid of a process imports numpy.polynomial, about 0.7 MB
+        # traced: a small grid first keeps that import out of the peak
+        jsa_grid(pump, s["coupling"], s["crystal"], dataclasses.replace(spec, n=16),
+                 s["query"])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = jsa_grid(pump, s["coupling"], s["crystal"], spec, s["query"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - got.probability.nbytes < 1.5e6
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("failing,error,message", [

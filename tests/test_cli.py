@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -668,17 +669,23 @@ _RUN_AND_LIST = (
     "code = cli.run(sys.argv[1:])\n"
     f"print(code, *sorted(m for m in sys.modules if m.startswith({_WATCHED!r})))\n")
 
+# The console entry point, as an installed `photonkit` runs it.
+_MAIN = "from photonkit.cli import main; main()"
+
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _fresh_python(*args, env=None):
+def _fresh_python(*args, env=None, code=0):
     """Standard output of a fresh interpreter run with `args` and the
-    environment `env` (default: this one), with the package on the path."""
+    environment `env` (default: this one), with the package on the path,
+    which must exit with `code`."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, check=True).stdout
+    done = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    return done.stdout
 
 
 def _command_argv(case, tmp_path, jsa_scenario):
@@ -833,14 +840,73 @@ class TestImports:
         out = _fresh_python("-c", _RUN_AND_LIST, "validate", str(path))
         code, *loaded = out.splitlines()[-1].split()
         assert code == str(cli.EXIT_OK)
-        assert loaded == ["photonkit", "photonkit.cli", "photonkit.errors",
-                          "photonkit.specs"]
+        # each of these scenarios builds one of the specs that live in
+        # _lazy_specs
+        assert loaded == ["photonkit", "photonkit._lazy_specs", "photonkit.cli",
+                          "photonkit.errors", "photonkit.specs"]
+
+    # The commands that take only crystal and phase-matching specs do not
+    # build the joint-spectrum, fiber and waveguide spec classes.
+    @pytest.mark.parametrize("case", [
+        "phasematch sweep", "fit-sellmeier", "dispersion", "stats g2"])
+    def test_lazy_specs_stay_unloaded(self, capsys, tmp_path, jsa_scenario, case):
+        loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
+        assert "photonkit._lazy_specs" not in loaded
 
     def test_golden_in_fresh_process(self):
         # --golden imports its solver modules when it runs
-        out = _fresh_python("-c", "from photonkit.cli import main; main()", "--golden")
+        out = _fresh_python("-c", _MAIN, "--golden")
         lines = out.splitlines()
         assert len(lines) == 8 and all(ln.startswith("PASS  ") for ln in lines)
+
+
+class TestExitPath:
+    """`main` freezes the heap once the command has returned, before it
+    exits; the process must end as it would without that."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["stats", "g2", "--state", "fock:1"], cli.EXIT_OK),
+        (["--golden"], cli.EXIT_OK),
+        (["stats", "g2", "--state", "cat:1"], cli.EXIT_VALIDATION),
+        ([], cli.EXIT_VALIDATION),
+        (["fiber", "--scenario", "{zero_dispersion}"], cli.EXIT_SOLVER),
+    ])
+    def test_exits_with_runs_code_and_complete_output(self, capsys, jsa_scenario,
+                                                      argv, code):
+        path, scenario = jsa_scenario
+        scenario["fiber"] = {"gvd_2beta_s2_per_m": 0.0, "length_m": 1.0e4}
+        path.write_text(json.dumps(scenario))
+        argv = [a.format(zero_dispersion=path) for a in argv]
+        assert cli.run(argv) == code
+        expected = capsys.readouterr().out
+        # standard output is a pipe here: it is flushed whole before the exit
+        assert _fresh_python("-c", _MAIN, *argv, code=code) == expected
+
+    def test_threaded_jsa_writes_its_whole_grid(self, jsa_scenario, tmp_path):
+        path, scenario = jsa_scenario
+        out = _fresh_python("-c", _MAIN, "jsa", "--scenario", str(path),
+                            env=dict(os.environ, WORKBENCH_THREADS="2"))
+        assert json.loads(out)["status"] == "ok"
+        rows = (tmp_path / "out" / "jsa_grid.csv").read_text().splitlines()
+        n = scenario["grid"]["n"]
+        assert rows[0] == "omega_s_phz,omega_i_phz,probability"
+        assert len(rows) == 1 + n * n
+
+    def test_atexit_handler_runs_after_the_freeze(self):
+        out = _fresh_python(
+            "-c", "import atexit, gc\n"
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                  + _MAIN,
+            "stats", "g2", "--state", "fock:2")
+        *payload, last = out.splitlines()
+        assert json.loads("\n".join(payload))["g2"] == 0.5
+        assert last == "frozen True"
+
+    def test_run_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert cli.run(["stats", "g2", "--state", "fock:2"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
 
 
 class TestBlasThreads:
