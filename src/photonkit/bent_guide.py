@@ -203,8 +203,7 @@ def assemble_mode(spec: BentGuideSpec, vert: VerticalRoot,
 
 
 def solve_modes(spec: BentGuideSpec) -> list[BentModeSolution]:
-    """Full mode table ordered by (q ascending, p ascending), solved serially:
-    on two threads the golden annulus took longer than on one."""
+    """Full mode table ordered by (q ascending, p ascending)."""
     k1 = spec.k0_per_um * spec.core_index
     modes = []
     for vert in vertical_roots(spec):

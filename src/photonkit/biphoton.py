@@ -65,9 +65,9 @@ Z_QUAD_ORDER = 16          # starting node count of the crystal quadrature
 Z_QUAD_MAX_ORDER = 1024
 Z_QUAD_TOL = 1e-10         # Legendre-tail estimate over the peak amplitude
 # Node-array floats per block of jsa_grid cells, about 1 MB, and the size of
-# the node buffer each worker reuses for its blocks: with a block's own cell
-# terms, all the memory a grid takes besides its output, which holds the
-# amplitudes until they are squared and normalized in place.
+# the node buffer a grid reuses for its blocks: with a block's own cell terms,
+# all the memory a grid takes besides its output, which holds the amplitudes
+# until they are squared and normalized in place.
 JSA_BLOCK_VALUES = 120_000
 # Largest |rho| at which the 2D fit builds its normal equations from grid
 # moments; the dense Jacobian above it (see _GaussianMoments).
@@ -353,13 +353,12 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     mismatch) is within Z_QUAD_TOL of the largest |A_p theta|;
     QuadratureNotConverged if Z_QUAD_MAX_ORDER nodes do not get there. The
     returned grid is normalized to unit sum and carries m and that relative
-    error estimate. Blocks of grid cells run on numerics.worker_map's
-    threads, with the same result for any worker count. Each block builds
-    its own cell terms (k_p, the mismatch, the coefficients of det A and the
-    pump amplitude) from the axes, every value as it would be on the whole
-    grid, and keeps only its largest |A_p theta| and tail: the grid takes
-    its n^2 output, which holds A_p theta until it is squared and normalized
-    in place, and one block's temporaries per worker (see JSA_BLOCK_VALUES).
+    error estimate. Blocks of grid cells are summed one after another. Each
+    builds its own cell terms (k_p, the mismatch, the coefficients of det A
+    and the pump amplitude) from the axes, every value as it would be on the
+    whole grid, and keeps only its largest |A_p theta| and tail: the grid
+    takes its n^2 output, which holds A_p theta until it is squared and
+    normalized in place, and one block's temporaries (see JSA_BLOCK_VALUES).
     Each doubling of m builds the cell terms again. A Sellmeier check that
     fails in any block raises what the check over the whole grid would.
     Collinear geometry only: DomainError for a nonzero
@@ -418,22 +417,16 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     size = w_s.size * w_i.size
     psi = np.empty(size)   # A_p scale theta, squared in place at the end
 
-    def accumulate(cells: slice) -> tuple[float, float]:
+    def accumulate(cells: slice, buf) -> tuple[float, float]:
         """theta at m nodes on a block of cells, with g at the nodes as rows
-        of (nodes, cells) arrays, the cells in the order _spherical_j takes
-        them. Writes A_p scale theta to psi[cells] and returns the block's
-        largest |A_p theta| and A_p tail, the tail the Legendre coefficients'
-        |c_{m-1}| + |c_{m-2}|."""
+        of (nodes, cells) arrays in the node buffer buf, the cells in the
+        order _spherical_j takes them. Writes A_p scale theta to psi[cells]
+        and returns the block's largest |A_p theta| and A_p tail, the tail
+        the Legendre coefficients' |c_{m-1}| + |c_{m-2}|."""
         omega, d1, d2, q1, amplitude = cell_terms(cells)
         t, even, odd = tables
-        half, nodes = even.shape[0], t.size
+        half = even.shape[0]
         order = _upward_first(m, omega)
-        try:
-            buf = spare.pop()
-        except IndexError:
-            buf = np.empty(0)
-        if buf.size < 4 * nodes * step:   # JSA_BLOCK_VALUES unless step is 1
-            buf = np.empty(max(JSA_BLOCK_VALUES, 4 * nodes * step))
         # (2 nodes, cells) rows of the buffer: low takes |det|^2 and then the
         # coefficients, high takes det and then the j_k
         low, high = buf[:4 * nodes * omega.size].reshape(2, 2 * nodes, omega.size)
@@ -464,34 +457,35 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
                         + np.einsum("kc,kc->c", coef[half:], j[1::2]))
         tail = np.empty(order.size)
         tail[order] = np.abs(coef[half - 1]) + np.abs(coef[-1])
-        spare.append(buf)
         np.multiply(amplitude * scale, theta, out=psi[cells])
         return np.abs(amplitude * theta).max(), (amplitude * tail).max()
 
     # Blocks of consecutive cells of the row-major grid. A block's node arrays
-    # take 2 m floats a cell (2 m + 2 for odd m) of a JSA_BLOCK_VALUES-float
-    # buffer that a worker takes back for its next block, at every m, so
-    # that its pages are not returned to the system and faulted in again
-    # block after block. (glibc also keeps up to twice the largest block it
-    # has unmapped in its heap, which spares the fit and the CSV writer the
-    # same churn afterwards.) With the block's other temporaries, its cell
-    # terms among them, a block holds about 2 m + 8 floats a cell, 5 m + 8
-    # with offsets, which keeps it within JSA_BLOCK_VALUES floats at every
-    # m. Threads take whole blocks, so the sums do not depend on them.
-    spare = []   # node buffers not in use by a block, one per worker at most
+    # take 2 m floats a cell (2 m + 2 for odd m) of one JSA_BLOCK_VALUES-float
+    # buffer that every block reuses, at every m, so that its pages are not
+    # returned to the system and faulted in again block after block. (glibc
+    # also keeps up to twice the largest block it has unmapped in its heap,
+    # which spares the fit and the CSV writer the same churn afterwards.)
+    # With the block's other temporaries, its cell terms among them, a block
+    # holds about 2 m + 8 floats a cell, 5 m + 8 with offsets, which keeps it
+    # within JSA_BLOCK_VALUES floats at every m.
+    buf = np.empty(0)
     m = z_order
     while True:
         step = max(1, JSA_BLOCK_VALUES // ((5 if has_offset else 2) * m + 8))
-        blocks = [slice(i, min(i + step, size)) for i in range(0, size, step)]
         tables = _filon_tables(m)
+        nodes = tables[0].size
+        if buf.size < 4 * nodes * step:   # at the first m, or when step is 1
+            buf = np.empty(max(JSA_BLOCK_VALUES, 4 * nodes * step))
         try:
-            peaks, errors = np.array(numerics.worker_map(accumulate, blocks)).T
+            maxima = [accumulate(slice(start, min(start + step, size)), buf)
+                      for start in range(0, size, step)]
         except DomainError:
             # A Sellmeier check that fails in some block: raise what the check
             # on the whole grid raises, whose test order spans every cell.
             _axis_k(crystal, query.pol_pump, w_s[:, None] + w_i[None, :])
             raise
-        peak, error = float(peaks.max()), float(errors.max())
+        peak, error = map(float, np.max(maxima, axis=0))
         if not error > Z_QUAD_TOL * peak:   # a NaN grid fails in _grid_total
             break
         if m >= Z_QUAD_MAX_ORDER:
@@ -502,7 +496,7 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
                 order=m, error_estimate=relative)
         m = min(2 * m, Z_QUAD_MAX_ORDER)
 
-    spare.clear()
+    del buf
     # |A_p theta|^2 normalized in place: psi is this call's own array, so the
     # grid takes it without the n^2 copy a JsaGrid built from values makes
     probability = np.square(psi, out=psi).reshape(w_s.size, w_i.size)

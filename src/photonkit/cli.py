@@ -13,8 +13,8 @@ Each CLI call is a fresh process, so every command imports the solver modules
 it runs, and numpy, inside its own function, and a process loads only those.
 Scenarios and flags are checked by building the dataclasses of `specs`, which
 loads no numpy: `validate` and `stats g2` run without it. Before numpy loads,
-wherever that happens, the BLAS thread count defaults to the CLI's worker
-count (see `_BLAS_THREAD_VARS`).
+wherever that happens, the BLAS thread count defaults to one (see
+`_BLAS_THREAD_VARS`).
 
 `main` is the console entry point. Once the command has returned it freezes
 the heap (`gc.freeze`), so the collections the interpreter runs at exit skip
@@ -34,16 +34,12 @@ import sys
 import typing
 from pathlib import Path
 
-from . import worker_count
-
 # numpy's OpenBLAS reads these once, when it loads, and otherwise starts one
-# thread per core. Unless the user set one, a
-# CLI process runs as many BLAS threads as it has workers. This runs when the
-# CLI is imported, before any command imports numpy.
+# thread per core. Unless the user set one, a CLI process runs BLAS on one
+# thread. This runs when the CLI is imported, before any command imports numpy.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
-    for _var in _BLAS_THREAD_VARS:
-        os.environ.setdefault(_var, str(worker_count()))
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 from . import specs  # noqa: E402
 from .errors import DomainError, PhotonkitError, ScenarioError  # noqa: E402

@@ -1,8 +1,7 @@
 """Shared numerical kernel: the one bracketed root solver, quadrature, damped
 least squares, and the pieces every solver shares: the speed of light, the
-worker-thread count (defined in the package `__init__`, which loads no numpy),
-the one thread pool `worker_map`, the symmetric-slab dispersion relation's
-roots and mode profile, the moments of a weighted grid and the grid CSV writer.
+symmetric-slab dispersion relation's roots and mode profile, the moments of a
+weighted grid and the grid CSV writer.
 
 The special functions live in `special`. `gauss_legendre` imports
 numpy.polynomial on its first call and `write_grid_csv` imports `float_repr`,
@@ -17,7 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import worker_count
 from .errors import (
     DomainError,
     MaxIterations,
@@ -35,8 +33,6 @@ __all__ = [
     "gauss_legendre",
     "integrate",
     "least_squares_fit",
-    "worker_count",
-    "worker_map",
     "slab_roots",
     "slab_profile",
     "grid_moments",
@@ -414,18 +410,6 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     return FitResult(parameters=p, standard_errors=se,
                      residual_sum_squares=rss, converged=converged,
                      iterations=iterations, initial_residual_sum_squares=initial_rss)
-
-
-def worker_map(fn: Callable, items: Sequence) -> list:
-    """[fn(x) for x in items], in order, on worker_count() threads; serial for
-    one worker or one item. No other photonkit code starts threads."""
-    workers = worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def slab_roots(k_lim: float, extent: float,

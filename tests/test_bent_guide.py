@@ -293,23 +293,6 @@ class TestModes:
         assert mean_radius(modes[0]) == modes[0].mean_radius_um
         assert len(calls) == 1
 
-    # The golden spec, and a spec with four vertical roots: the mode table
-    # is solved serially, so the worker count changes no bit of it.
-    @pytest.mark.parametrize("dims,roots", [((0.5, 1.5, 0.25, 2.3, 1.0, 0.8), 3),
-                                            ((2.0, 4.0, 0.6, 1.8, 1.4, 0.8), 4)],
-                             ids=["golden", "four_roots"])
-    def test_worker_count_invariance(self, dims, roots, monkeypatch):
-        spec = BentGuideSpec(*dims)
-        assert len(vertical_roots(spec)) == roots
-        monkeypatch.setenv("WORKBENCH_THREADS", "1")
-        one = solve_modes(spec)
-        monkeypatch.setenv("WORKBENCH_THREADS", "2")
-        two = solve_modes(spec)
-        assert len(two) == len(one) > 0
-        for a, b in zip(two, one):
-            for f in dataclasses.fields(BentModeSolution):
-                assert getattr(a, f.name) == getattr(b, f.name), f.name
-
     def test_robust_guidance_band(self, modes, bent_reference_spec):
         flagged = {(m.p, m.q) for m in modes if not robustly_guided(m)}
         assert flagged == {(5, 1), (4, 2), (2, 3), (3, 3)}

@@ -256,17 +256,6 @@ class TestJsaGrid:
         assert t.quadrature_order == small_grid.quadrature_order
         assert t.quadrature_error == small_grid.quadrature_error
 
-    def test_thread_count_invariance(self, vis_ir_setup, monkeypatch):
-        s = vis_ir_setup
-        g = JsaGridSpec(n=24, range_fraction=0.02,
-                        signal_center_phz=s["signal_center"],
-                        idler_center_phz=s["idler_center"])
-        monkeypatch.setenv("WORKBENCH_THREADS", "1")
-        one = jsa_grid(s["pump"], s["coupling"], s["crystal"], g, s["query"])
-        monkeypatch.setenv("WORKBENCH_THREADS", "4")
-        four = jsa_grid(s["pump"], s["coupling"], s["crystal"], g, s["query"])
-        assert np.allclose(one.probability, four.probability, rtol=1e-12)
-
     def test_rectangular_grid_shape(self, vis_ir_setup):
         s = vis_ir_setup
         g = JsaGridSpec(n=20, range_fraction=0.02,
@@ -356,7 +345,7 @@ class TestJsaKernel:
     the plain Gauss-Legendre sum at 1024 nodes, to 1e-12 of the peak."""
 
     CASES = ["telecom", "vis_ir", "offsets_pos_neg", "offsets_neg_pos",
-             "rectangular", "odd_order", "two_threads", "crystal_30mm",
+             "rectangular", "odd_order", "telecom_blocks", "crystal_30mm",
              "waists_4um"]
 
     @pytest.mark.parametrize("case", CASES)
@@ -364,11 +353,9 @@ class TestJsaKernel:
                                         monkeypatch):
         pump, coupling, crystal, grid, query, kwargs = _kernel_case(
             case, telecom_setup, vis_ir_setup)
-        if case in ("rectangular", "two_threads"):
+        if case in ("rectangular", "telecom_blocks"):
             # several blocks, of 700 cells at 16 nodes, the last one partial
             monkeypatch.setattr(biphoton, "JSA_BLOCK_VALUES", 28000)
-        if case == "two_threads":
-            monkeypatch.setenv("WORKBENCH_THREADS", "2")
         got = jsa_grid(pump, coupling, crystal, grid, query, **kwargs)
         ref, theta = _reference_jsa(pump, coupling, crystal, grid, query)
         assert got.probability.shape == ref.shape
@@ -376,10 +363,6 @@ class TestJsaKernel:
         assert got.quadrature_error <= biphoton.Z_QUAD_TOL
         # theta is real: the complex sum's imaginary part is roundoff
         assert np.abs(theta.imag).max() <= 1e-12 * np.abs(theta).max()
-        if case == "two_threads":
-            monkeypatch.setenv("WORKBENCH_THREADS", "1")
-            one = jsa_grid(pump, coupling, crystal, grid, query)
-            assert np.array_equal(got.probability, one.probability)
 
     @pytest.mark.parametrize("case,order", [
         ("telecom", 16), ("odd_order", 33), ("offsets_pos_neg", 32),
@@ -412,18 +395,16 @@ class TestJsaKernel:
 
     @pytest.mark.parametrize("offsets", [False, True])
     @pytest.mark.parametrize("n", [300, 600])
-    def test_memory_above_output(self, telecom_setup, vis_ir_setup, monkeypatch,
-                                 n, offsets):
-        # Traced allocations of one grid above its n^2 output on one worker:
-        # each block builds its own cell terms, so besides the output, which
-        # holds the amplitudes until they are normalized in place, only one
-        # block's scratch (about JSA_BLOCK_VALUES floats) is held.
+    def test_memory_above_output(self, telecom_setup, vis_ir_setup, n, offsets):
+        # Traced allocations of one grid above its n^2 output: each block
+        # builds its own cell terms, so besides the output, which holds the
+        # amplitudes until they are normalized in place, only one block's
+        # scratch (about JSA_BLOCK_VALUES floats) is held.
         import tracemalloc
 
         pump, coupling, crystal, grid, query, _ = _kernel_case(
             "offsets_pos_neg" if offsets else "telecom", telecom_setup, vis_ir_setup)
         grid = dataclasses.replace(grid, n=n)
-        monkeypatch.setenv("WORKBENCH_THREADS", "1")
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -455,7 +436,7 @@ class TestJsaKernel:
         assert got.probability.tobytes() == built.probability.tobytes()
         assert not got.probability.flags.writeable
 
-    def test_normalized_in_place_memory(self, telecom_setup, monkeypatch):
+    def test_normalized_in_place_memory(self, telecom_setup):
         # at n = 600 the grid takes no second n^2 array to normalize its output
         import tracemalloc
 
@@ -466,7 +447,6 @@ class TestJsaKernel:
         spec = JsaGridSpec(n=600, range_fraction=0.02,
                            signal_center_phz=s["signal_center"],
                            idler_center_phz=s["idler_center"])
-        monkeypatch.setenv("WORKBENCH_THREADS", "1")
         # the first grid of a process imports numpy.polynomial, about 0.7 MB
         # traced: a small grid first keeps that import out of the peak
         jsa_grid(pump, s["coupling"], s["crystal"], dataclasses.replace(spec, n=16),
@@ -480,14 +460,13 @@ class TestJsaKernel:
             tracemalloc.stop()
         assert peak - got.probability.nbytes < 1.5e6
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("failing,error,message", [
         ("last", NegativeRadicand, "Sellmeier radicand is not positive"),
         ("first_and_last", PoleProximity,
          "wavelength squared within 1e-9 um^2 of a Sellmeier pole"),
     ])
     def test_pump_check_failing_in_late_blocks(self, telecom_setup, monkeypatch,
-                                               workers, failing, error, message):
+                                               failing, error, message):
         # The pump alone takes the x-axis set, whose UV pole a2 is moved to
         # the shortest pump wavelength squared on the grid: just above it, the
         # radicand is negative at the last cell alone, and on it that cell
@@ -514,7 +493,6 @@ class TestJsaKernel:
         query = dataclasses.replace(s["query"], pol_pump="x")
         # 26 blocks of 10 cells at 16 nodes, the last one of 6
         monkeypatch.setattr(biphoton, "JSA_BLOCK_VALUES", 400)
-        monkeypatch.setenv("WORKBENCH_THREADS", workers)
         with np.errstate(divide="ignore"):
             radicand = (sellmeier.a0 + sellmeier.a1 / (lam2 - sellmeier.a2)
                         + sellmeier.a3 / (lam2 - sellmeier.a4))

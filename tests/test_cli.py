@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import io
@@ -5,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -746,6 +748,33 @@ class TestImports:
         assert out.split() == ["photonkit", "photonkit.cli", "photonkit.errors",
                                "photonkit.specs"]
 
+    def test_no_module_imports_threads(self):
+        # photonkit starts no threads or processes of its own
+        imported = set()
+        for path in Path(cli.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                imported.update((path.name, name.partition(".")[0]) for name in names)
+        assert ("numerics.py", "numpy") in imported
+        assert [(module, name) for module, name in sorted(imported) if name in (
+            "threading", "_thread", "concurrent", "multiprocessing")] == []
+
+    def test_jsa_loads_no_thread_pool(self, tmp_path, jsa_scenario):
+        # WORKBENCH_THREADS has no effect, on a grid of two blocks (n = 60)
+        path, scenario = jsa_scenario
+        scenario["grid"]["n"] = 60
+        path.write_text(json.dumps(scenario))
+        out = _fresh_python("-c", _RUN_AND_LIST, "jsa", "--scenario", str(path),
+                            env=dict(os.environ, WORKBENCH_THREADS="2"))
+        code, *loaded = out.splitlines()[-1].split()
+        assert code == str(cli.EXIT_OK)
+        assert "concurrent.futures" not in loaded
+
     def _loaded(self, case, capsys, tmp_path, jsa_scenario):
         """The watched modules loaded by a fresh process that runs `case`."""
         if case == "fit-sellmeier":
@@ -882,10 +911,9 @@ class TestExitPath:
         # standard output is a pipe here: it is flushed whole before the exit
         assert _fresh_python("-c", _MAIN, *argv, code=code) == expected
 
-    def test_threaded_jsa_writes_its_whole_grid(self, jsa_scenario, tmp_path):
+    def test_jsa_writes_its_whole_grid(self, jsa_scenario, tmp_path):
         path, scenario = jsa_scenario
-        out = _fresh_python("-c", _MAIN, "jsa", "--scenario", str(path),
-                            env=dict(os.environ, WORKBENCH_THREADS="2"))
+        out = _fresh_python("-c", _MAIN, "jsa", "--scenario", str(path))
         assert json.loads(out)["status"] == "ok"
         rows = (tmp_path / "out" / "jsa_grid.csv").read_text().splitlines()
         n = scenario["grid"]["n"]
@@ -910,8 +938,8 @@ class TestExitPath:
 
 
 class TestBlasThreads:
-    """Importing the CLI before numpy sets the BLAS thread count from
-    WORKBENCH_THREADS, unless the user set one or numpy is already loaded."""
+    """Importing the CLI before numpy runs BLAS on one thread, unless the user
+    set a BLAS thread variable or numpy is already loaded."""
 
     _PRINT = ("import json, os, photonkit.cli; "
               f"print(json.dumps({{v: os.environ.get(v) for v in {_BLAS_VARS!r}}}))")
@@ -919,18 +947,15 @@ class TestBlasThreads:
     @staticmethod
     def _env(**settings):
         # _fresh_python would otherwise inherit this process's thread settings
-        env = {k: v for k, v in os.environ.items()
-               if k not in _BLAS_VARS + ("WORKBENCH_THREADS",)}
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
         return dict(env, **settings)
 
-    @pytest.mark.parametrize("settings, expected", [
-        ({}, "1"),
-        ({"WORKBENCH_THREADS": "2"}, "2"),
-        ({"WORKBENCH_THREADS": "abc"}, "1"),
-    ])
-    def test_default_from_worker_count(self, settings, expected):
+    # WORKBENCH_THREADS has no effect
+    @pytest.mark.parametrize("settings", [{}, {"WORKBENCH_THREADS": "2"}],
+                             ids=["unset", "workbench_threads"])
+    def test_default_one_thread(self, settings):
         out = _fresh_python("-c", self._PRINT, env=self._env(**settings))
-        assert json.loads(out) == dict.fromkeys(_BLAS_VARS, expected)
+        assert json.loads(out) == dict.fromkeys(_BLAS_VARS, "1")
 
     def test_user_setting_untouched(self):
         out = _fresh_python("-c", self._PRINT,
@@ -943,13 +968,6 @@ class TestBlasThreads:
                                   "import photonkit.cli; print(before == os.environ)",
                             env=self._env())
         assert out.split() == ["True"]
-
-    def test_one_worker_count(self):
-        # the CLI reads it before numpy loads; the solvers read the same one
-        import photonkit
-        from photonkit import numerics
-
-        assert numerics.worker_count is photonkit.worker_count
 
 
 def _key_paths(value, prefix=""):

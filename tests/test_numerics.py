@@ -1,6 +1,5 @@
 import csv
 import math
-import threading
 
 import mpmath
 import numpy as np
@@ -576,35 +575,6 @@ class TestLeastSquares:
         y = 1.0 + 2.0 * x + 0.01 * rng.standard_normal(x.size)
         res = numerics.least_squares_fit(model, x, y, [0.0, 0.0])
         assert 1e-4 < res.standard_errors[1] < 1e-2
-
-
-class TestWorkerMap:
-    @pytest.mark.parametrize("threads", ["1", "2", "3"])
-    def test_results_in_order(self, monkeypatch, threads):
-        monkeypatch.setenv("WORKBENCH_THREADS", threads)
-        assert numerics.worker_map(lambda x: x * x, range(9)) == [
-            x * x for x in range(9)]
-
-    def test_threads_only_for_several_workers_and_items(self, monkeypatch):
-        def ident(_):
-            return threading.get_ident()
-
-        main = threading.get_ident()
-        monkeypatch.setenv("WORKBENCH_THREADS", "1")
-        assert numerics.worker_map(ident, [0, 1]) == [main, main]
-        monkeypatch.setenv("WORKBENCH_THREADS", "2")
-        assert numerics.worker_map(ident, [0]) == [main]
-        assert main not in numerics.worker_map(ident, [0, 1])
-
-    def test_worker_exception_propagates(self, monkeypatch):
-        def fail_on_three(x):
-            if x == 3:
-                raise DomainError("item 3")
-            return x
-
-        monkeypatch.setenv("WORKBENCH_THREADS", "2")
-        with pytest.raises(DomainError, match="item 3"):
-            numerics.worker_map(fail_on_three, range(5))
 
 
 def _csv_writer_bytes(path, header, x, y, values):
