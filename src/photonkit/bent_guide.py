@@ -5,8 +5,7 @@ matched to exponential tails, giving tangent/cotangent transcendental
 equations for beta_w, solved by the shared Newton slab solver
 numerics.slab_roots. The radial problem is a Bessel boundary problem whose
 azimuthal number m is a positive real solving a 2x2 determinant condition.
-Also exposes the radial-Schrodinger substitution u = sqrt(r) R and the
-dimension-dependent inverse-square potential behind it. Lengths in um.
+Also checks the radial-Schrodinger substitution u = sqrt(r) R. Lengths in um.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import numerics, special
-from .errors import BesselRange, BoundaryResidual, DomainError, NoRealSolution
+from .errors import BesselRange, BoundaryResidual, DomainError
 from .specs import BentGuideSpec
 
 __all__ = [
@@ -28,15 +27,12 @@ __all__ = [
     "count_vertical_modes",
     "radial_determinant",
     "azimuthal_numbers",
-    "approximate_azimuthal",
     "assemble_mode",
     "solve_modes",
     "mean_radius",
     "effective_index",
     "robustly_guided",
     "qff_transform_check",
-    "qff_potential",
-    "integer_snap_residual",
 ]
 
 AZIMUTHAL_SCAN_STEP = 0.05
@@ -164,18 +160,6 @@ def azimuthal_numbers(spec: BentGuideSpec, h_per_um: float) -> list[tuple[int, f
     return list(zip(range(1, ms.size + 1), ms.tolist(), gammas.tolist()))
 
 
-def approximate_azimuthal(spec: BentGuideSpec, h_per_um: float, p: int) -> float:
-    """Thin-annulus estimate m = r_av sqrt(h^2 - pi^2 p^2/dr^2 - 5/(4 r_av^2))."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    r_av = 0.5 * (spec.inner_radius_um + spec.outer_radius_um)
-    dr = spec.outer_radius_um - spec.inner_radius_um
-    radicand = h_per_um**2 - (math.pi * p / dr) ** 2 - 1.25 / r_av**2
-    if radicand <= 0:
-        raise NoRealSolution(f"no real azimuthal number for p={p}")
-    return r_av * math.sqrt(radicand)
-
-
 def assemble_mode(spec: BentGuideSpec, vert: VerticalRoot,
                   azim: tuple[int, float, float]) -> BentModeSolution:
     """Combine a vertical root and an azimuthal root into a complete mode.
@@ -263,32 +247,3 @@ def qff_transform_check(mode: BentModeSolution, n_samples: int = 2001) -> dict:
     max_rel = float(np.max(np.abs(resid))) / scale
     return {"max_relative_residual": max_rel, "scale": scale,
             "n_interior": int(u.size - 4)}
-
-
-def qff_potential(m: float, r_um, dimension: int = 2) -> np.ndarray:
-    """Radial effective potential (m^2 + (d-1)(d-3)/4) / r^2, units of 2M/hbar^2.
-
-    The dimension-dependent term vanishes for d = 1 and d = 3; in d = 2 it is
-    the attractive -1/(4 r^2) anticentrifugal contribution.
-    """
-    if dimension < 1:
-        raise DomainError("dimension must be >= 1")
-    r = np.asarray(r_um, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("potential defined for r > 0")
-    d = dimension
-    out = (m**2 + (d - 1) * (d - 3) / 4.0) / r**2
-    return float(out) if out.ndim == 0 else out
-
-
-def integer_snap_residual(spec: BentGuideSpec, h_per_um: float, m: float) -> tuple[int, float]:
-    """Nearest-integer azimuthal number and the determinant residual there.
-
-    Reported for comparison with finite-element solvers that require integer
-    m; the residual is relative to the local determinant scale.
-    """
-    m_int = max(1, round(m))
-    det = float(radial_determinant(spec, h_per_um, m_int))
-    span = np.linspace(max(m_int - 0.5, 0.1), m_int + 0.5, 21)
-    scale = float(np.max(np.abs(radial_determinant(spec, h_per_um, span))))
-    return m_int, det / scale if scale > 0 else math.inf

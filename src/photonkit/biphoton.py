@@ -26,7 +26,6 @@ from .errors import (
     DegenerateFit,
     DegenerateGrid,
     DomainError,
-    EvanescentTransverse,
     QuadratureNotConverged,
 )
 from .numerics import C_UM_PER_FS
@@ -52,12 +51,10 @@ __all__ = [
     "pump_temporal_amplitude",
     "fwhm_omega_to_tau",
     "envelope_tau_from_reciprocal_sigma",
-    "phase_mismatch_longitudinal",
     "jsa_grid",
     "marginal",
     "fit_gaussian_1d",
     "fit_gaussian_2d",
-    "screening_mask",
 ]
 
 FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -144,24 +141,10 @@ class GaussianFit1D:
     fwhm_phz: float
     standard_errors: tuple[float, float, float, float]
     rss: float
-    dof: int
 
     @property
     def sigma_phz(self) -> float:
         return self.fwhm_phz / FWHM_SIGMA
-
-    @property
-    def p_values(self) -> tuple[float, float, float, float]:
-        """Two-sided Student-t p-values of (bias, amplitude, centre, FWHM)
-        against zero (special.student_t_two_sided), NaN where the standard
-        error is not positive and finite; computed on read, which is when
-        `special` is imported."""
-        from .special import student_t_two_sided
-
-        params = (self.bias, self.amplitude, self.center_phz, self.fwhm_phz)
-        return tuple(student_t_two_sided(v / e, self.dof)
-                     if e > 0 and np.isfinite(e) else math.nan
-                     for v, e in zip(params, self.standard_errors))
 
 
 @dataclass(frozen=True)
@@ -220,32 +203,6 @@ def _axis_k(crystal: CrystalSpec, pol: Polarization, omega_phz):
     lam_um = wavelength_um_from_omega_phz(omega_phz)
     n = refractive_index(crystal.axis_set(pol), lam_um)
     return n * np.asarray(omega_phz, dtype=float) / C_UM_PER_FS
-
-
-def phase_mismatch_longitudinal(omega_s_phz: float, omega_i_phz: float,
-                                k_s_perp: float, k_i_perp: float,
-                                crystal: CrystalSpec, query: PhaseMatchQuery,
-                                temperature_k: float | None = None) -> float:
-    """Longitudinal mismatch with paraxial k_z = k - k_perp^2 / (2k), 1/um.
-
-    The pump transverse wavevector is the sum of the two photon transverse
-    wavevectors. Polarizations, QPM order/sign and temperature come from the
-    query (its pump wavelength field is ignored here).
-    """
-    if temperature_k is not None:
-        from dataclasses import replace
-        query = replace(query, temperature_k=temperature_k)
-    k_s = _axis_k(crystal, query.pol_signal, omega_s_phz)
-    k_i = _axis_k(crystal, query.pol_idler, omega_i_phz)
-    k_p = _axis_k(crystal, query.pol_pump, omega_s_phz + omega_i_phz)
-    k_p_perp = k_s_perp + k_i_perp
-    for k, kt in ((k_s, k_s_perp), (k_i, k_i_perp), (k_p, k_p_perp)):
-        if kt**2 >= k**2:
-            raise EvanescentTransverse("transverse wavevector exceeds total")
-    kz_s = k_s - k_s_perp**2 / (2.0 * k_s)
-    kz_i = k_i - k_i_perp**2 / (2.0 * k_i)
-    kz_p = k_p - k_p_perp**2 / (2.0 * k_p)
-    return float(kz_p - kz_s - kz_i + grating_vector(query, crystal))
 
 
 def _upward_first(count: int, omega) -> np.ndarray:
@@ -543,7 +500,6 @@ def fit_gaussian_1d(omega_phz, values) -> GaussianFit1D:
         fwhm_phz=float(abs(f)),
         standard_errors=tuple(res.standard_errors),
         rss=res.residual_sum_squares,
-        dof=max(x.size - 4, 1),
     )
 
 
@@ -694,15 +650,3 @@ def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
         near_singular=bool(abs(rho) > 1.0 - 1e-6),
         rss=res.residual_sum_squares,
     )
-
-
-def screening_mask(fits, mismatches_per_um, p_value_max: float = 0.01,
-                   mismatch_max_per_um: float = 1e-4) -> np.ndarray:
-    """Measurement screen: keep points whose Gaussian-fit parameters are all
-    significant (p-value below the threshold) and whose computed collinear
-    mismatch magnitude stays below the cutoff."""
-    keep = []
-    for fit, dk in zip(fits, mismatches_per_um):
-        significant = all(pv < p_value_max for pv in fit.p_values if np.isfinite(pv))
-        keep.append(significant and abs(dk) < mismatch_max_per_um)
-    return np.asarray(keep, dtype=bool)

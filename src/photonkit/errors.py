@@ -89,10 +89,6 @@ class DivergedFit(PhotonkitError):
 
 # --- biphoton ---
 
-class EvanescentTransverse(DomainError):
-    """Transverse wavevector exceeds the total wavevector magnitude."""
-
-
 class DegenerateGrid(PhotonkitError):
     """Grid probabilities whose sum is not positive: zero, or NaN."""
 
@@ -129,10 +125,6 @@ class NoGuidedModes(PhotonkitError):
 
 class BesselRange(DomainError):
     """Requested Bessel order outside the supported range."""
-
-
-class NoRealSolution(DomainError):
-    """Closed-form estimate has a negative radicand."""
 
 
 class BoundaryResidual(PhotonkitError):

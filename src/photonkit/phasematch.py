@@ -41,7 +41,6 @@ __all__ = [
     "idler_angle",
     "solve_signal_wavelength",
     "solve_signal_sweep",
-    "snell_external_angle",
     "scan_points",
     "MeasurementPoint",
     "load_dataset_csv",
@@ -301,14 +300,6 @@ def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec, pump_sweep_
         roots[rows] = _refine(query, crystal, pumps[rows], RootBracket(
             grid[cols], grid[cols + 1], f_lo[rows], f_hi[rows]))
     return roots
-
-
-def snell_external_angle(n_internal: float, theta_internal_rad: float) -> float:
-    """Refraction helper: internal angle to external (vacuum-side) angle."""
-    arg = n_internal * math.sin(theta_internal_rad)
-    if abs(arg) > 1:
-        raise ArcsineDomain("total internal reflection: no external angle")
-    return math.asin(arg)
 
 
 def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,

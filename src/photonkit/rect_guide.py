@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics
 from .errors import DomainError, NoGuidedModes
 from .numerics import C_UM_PER_FS
@@ -26,7 +24,6 @@ __all__ = [
     "hollow_cutoff_thz",
     "marcatili_slab_roots",
     "marcatili_solve",
-    "mode_field",
 ]
 
 THZ_TO_INV_FS = 1e-3  # 1 THz = 1e-3 cycles per fs
@@ -133,39 +130,3 @@ def marcatili_solve(spec: RectGuideSpec, wavelength_um: float,
             f"no guided {polarization} modes at {wavelength_um} um")
     modes.sort(key=lambda md: -md.k_z_per_um)
     return modes
-
-
-def mode_field(mode: RectMode, spec: RectGuideSpec, x_um, y_um) -> np.ndarray:
-    """Dominant-component field magnitude on the (x, y) sample grid.
-
-    Coordinates are measured from the guide centre. For dielectric modes the
-    four corner regions are zeroed, as the five-region approximation leaves
-    them undetermined.
-    """
-    x = np.asarray(x_um, dtype=float)
-    y = np.asarray(y_um, dtype=float)
-    a, b = spec.width_a_um, spec.height_b_um
-    if mode.family in ("TE", "TM"):
-        # shift to wall-based coordinates for the closed-form patterns
-        xs = x[:, None] + 0.5 * a
-        ys = y[None, :] + 0.5 * b
-        inside = ((xs >= 0) & (xs <= a)) & ((ys >= 0) & (ys <= b))
-        if mode.family == "TM":
-            field = np.sin(mode.m * math.pi * xs / a) * np.sin(mode.n * math.pi * ys / b)
-        elif mode.m == 0:
-            field = np.broadcast_to(np.sin(mode.n * math.pi * ys / b),
-                                    (x.size, y.size)).copy()
-        else:
-            field = np.sin(mode.m * math.pi * xs / a) * np.cos(mode.n * math.pi * ys / b)
-        return np.abs(np.where(inside, field, 0.0))
-
-    k0 = math.sqrt(mode.k_z_per_um**2 + mode.k_x_per_um**2
-                   + mode.k_y_per_um**2) / spec.core_index
-    k_lim2 = k0**2 * (spec.core_index**2 - spec.clad_index**2)
-    gx = math.sqrt(max(k_lim2 - mode.k_x_per_um**2, 1e-30))
-    gy = math.sqrt(max(k_lim2 - mode.k_y_per_um**2, 1e-30))
-    u = numerics.slab_profile(x, mode.k_x_per_um, a, gx, parity_odd=(mode.m % 2 == 0))
-    v = numerics.slab_profile(y, mode.k_y_per_um, b, gy, parity_odd=(mode.n % 2 == 0))
-    field = np.abs(u[:, None] * v[None, :])
-    corner = (np.abs(x)[:, None] > 0.5 * a) & (np.abs(y)[None, :] > 0.5 * b)
-    return np.where(corner, 0.0, field)

@@ -1,8 +1,7 @@
-"""Special functions in numpy and `math`: real-order Bessel functions of
-both kinds with their first derivatives, and the two-sided Student-t tail.
+"""Real-order Bessel functions of both kinds, J and Y, in numpy and `math`.
 
-They live apart from `numerics` so that only the commands that use them (the
-bent-guide solver and the 1-D Gaussian fit's p-values) compile and load them."""
+They live apart from `numerics` so that only the commands that run the
+bent-guide solver (`bentguide solve` and `--golden`) compile and load them."""
 
 from __future__ import annotations
 
@@ -12,11 +11,7 @@ import numpy as np
 
 from .errors import DomainError, MaxIterations
 
-__all__ = [
-    "bessel_jy",
-    "bessel_jy_derivatives",
-    "student_t_two_sided",
-]
+__all__ = ["bessel_jy"]
 
 MAX_BESSEL_ORDER = 60.0
 # The argument range of the Bessel functions. Below it a single recurrence
@@ -148,8 +143,8 @@ def _temme_y(mu, x):
 
 
 def _bessel_jy_pass(nu, x):
-    """J_nu, Y_nu, J'_nu and Y'_nu at 1-D arrays nu and x, by Numerical
-    Recipes' bessjy (Press et al., 3rd ed., section 6.6).
+    """J_nu and Y_nu at 1-D arrays nu and x, by Numerical Recipes' bessjy
+    (Press et al., 3rd ed., section 6.6).
 
     A continued fraction (CF1) gives J'_nu/J_nu, and downward recurrence takes
     the unnormalized J to order mu = nu - nl. At x < 2, nl rounds nu so that
@@ -158,7 +153,7 @@ def _bessel_jy_pass(nu, x):
     Phys. Commun. 8, 377, 1974) gives them. The Wronskian then scales J, and
     upward recurrence takes Y back to nu. Each iteration works on the elements
     not yet converged, and each recurrence step on those with that many steps
-    to go. Where Y_nu overflows it is -inf, and Y'_nu is +inf.
+    to go. Where Y_nu overflows it is -inf.
     """
     small = x < 2.0
     nl = np.where(small, np.floor(nu + 0.5), np.maximum(0.0, np.floor(nu - x + 1.5)))
@@ -176,7 +171,7 @@ def _bessel_jy_pass(nu, x):
     # j_up is J_{mu+1} on the same scale.
     jl = sign
     jpl = h * jl
-    j_start, jp_start = jl.copy(), jpl.copy()
+    j_start = jl.copy()
     j_up = (mu * xi - h) * jl
     fact = nu * xi
     for k in steps:
@@ -188,7 +183,7 @@ def _bessel_jy_pass(nu, x):
         big = np.abs(t) > _RESCALE
         if big.any():
             shrink = 1.0 / np.abs(t[big])
-            for arr in (jl, jpl, j_up, j_start, jp_start):
+            for arr in (jl, jpl, j_up, j_start):
                 arr[:k][big] *= shrink
     jl[jl == 0.0] = _EPS  # a zero J_mu would leave its scale 0/0
 
@@ -218,103 +213,25 @@ def _bessel_jy_pass(nu, x):
         y_mu[large] = ym
         y_mu1[large] = ml * xi[large] * ym - jm * (gam * p + q)
 
-    scale = j_mu / jl
-    j, jp = j_start * scale, jp_start * scale
+    j = j_start * (j_mu / jl)
     # Upward recurrence of Y from mu to nu; past overflow it gives inf - inf.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, k in enumerate(steps, start=1):
             t = (mu[:k] + i) * (2.0 * xi[:k]) * y_mu1[:k] - y_mu[:k]
             y_mu[:k] = y_mu1[:k]
             y_mu1[:k] = t
-        yp = nu * xi * y_mu - y_mu1
     y = np.where(np.isfinite(y_mu), y_mu, -np.inf)
-    yp = np.where(np.isfinite(yp), yp, np.inf)
     back = np.argsort(perm)
-    return j[back], y[back], jp[back], yp[back]
-
-
-def _bessel(order, x, derivatives):
-    order, x = _check_bessel_domain(order, x)
-    j, y, jp, yp = _bessel_jy_pass(order.ravel(), x.ravel())
-    first, second = (jp, yp) if derivatives else (j, y)
-    if order.ndim == 0:
-        return float(first[0]), float(second[0])
-    return first.reshape(order.shape), second.reshape(order.shape)
+    return j[back], y[back]
 
 
 def bessel_jy(order, x):
     """Bessel functions J_nu(x) and Y_nu(x) for real order nu in [0, 60] and
     BESSEL_MIN_X <= x <= BESSEL_MAX_X, broadcast over arrays; Y is -inf where
     it overflows."""
-    return _bessel(order, x, derivatives=False)
+    order, x = _check_bessel_domain(order, x)
+    j, y = _bessel_jy_pass(order.ravel(), x.ravel())
+    if order.ndim == 0:
+        return float(j[0]), float(y[0])
+    return j.reshape(order.shape), y.reshape(order.shape)
 
-
-def bessel_jy_derivatives(order, x):
-    """First derivatives J'_nu(x), Y'_nu(x) on the same domain, from the same
-    pass as bessel_jy; Y' is +inf where it overflows."""
-    return _bessel(order, x, derivatives=True)
-
-
-# Gamma(a + 1/2) / (Gamma(a) sqrt(a)) = 1 + sum_k c_k / a^k, k = 1, 2, ...;
-# the first term left out is below 1e-17 at a = 100.
-_HALF_GAMMA_RATIO = (-1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144,
-                     869 / 4194304)
-
-
-def _log_beta_half(a: float) -> float:
-    """log B(a, 1/2). From a = 100 on, lgamma(a) and lgamma(a + 1/2) are large
-    enough that their difference would lose digits, so an asymptotic series
-    gives their ratio."""
-    log_sqrt_pi = 0.5 * math.log(math.pi)
-    if a < 100.0:
-        return math.lgamma(a) + log_sqrt_pi - math.lgamma(a + 0.5)
-    series = sum(c / a**k for k, c in enumerate(_HALF_GAMMA_RATIO, start=1))
-    return log_sqrt_pi - 0.5 * math.log(a) - math.log1p(series)
-
-
-def _beta_fraction(a: float, b: float, z: float) -> float:
-    """The continued fraction of the regularized incomplete beta function,
-    I_z(a, b) = z^a (1 - z)^b / (a B(a, b)) times this, by modified Lentz
-    (Press et al., Numerical Recipes, betacf); it converges fast for
-    z < (a + 1) / (a + b + 2)."""
-    c, d = 1.0, 1.0 - (a + b) * z / (a + 1.0)
-    d = 1.0 / (d if abs(d) > _FPMIN else _FPMIN)
-    h = d
-    for m in range(1, _SERIES_MAX_ITER + 1):
-        m2 = 2 * m
-        for coeff in (m * (b - m) * z / ((a - 1.0 + m2) * (a + m2)),
-                      -(a + m) * (a + b + m) * z / ((a + m2) * (a + 1.0 + m2))):
-            d = 1.0 + coeff * d
-            d = 1.0 / (d if abs(d) > _FPMIN else _FPMIN)
-            c = 1.0 + coeff / c
-            c = c if abs(c) > _FPMIN else _FPMIN
-            delta = c * d
-            h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise MaxIterations("incomplete beta continued fraction did not converge")
-
-
-def student_t_two_sided(t: float, dof: float) -> float:
-    """Two-sided tail 2 P(T > |t|) of Student's t with dof > 0 degrees of
-    freedom: the regularized incomplete beta I_z(dof/2, 1/2) at
-    z = dof / (dof + t^2); NaN for a NaN t."""
-    if not dof > 0:
-        raise DomainError("degrees of freedom must be positive")
-    t = float(t)
-    t2 = t * t  # inf past 1e154, where ** would raise OverflowError
-    if math.isnan(t2):
-        return math.nan
-    if t2 == 0.0:
-        return 1.0
-    if math.isinf(t2):
-        return 0.0
-    a = 0.5 * dof
-    # z^a (1 - z)^(1/2) / B(a, 1/2), with log z and log(1 - z) taken
-    # without cancellation
-    front = math.exp(-a * math.log1p(t2 / dof) - 0.5 * math.log1p(dof / t2)
-                     - _log_beta_half(a))
-    z = dof / (dof + t2)
-    if z < (a + 1.0) / (a + 2.5):
-        return front * _beta_fraction(a, 0.5, z) / a
-    return 1.0 - 2.0 * front * _beta_fraction(0.5, a, t2 / (dof + t2))

@@ -9,14 +9,11 @@ from photonkit.bent_guide import (
     AZIMUTHAL_SCAN_STEP,
     BentGuideSpec,
     BentModeSolution,
-    approximate_azimuthal,
     assemble_mode,
     azimuthal_numbers,
     count_vertical_modes,
     effective_index,
-    integer_snap_residual,
     mean_radius,
-    qff_potential,
     qff_transform_check,
     radial_determinant,
     robustly_guided,
@@ -27,7 +24,6 @@ from photonkit.errors import (
     BesselRange,
     BoundaryResidual,
     DomainError,
-    NoRealSolution,
 )
 
 
@@ -218,20 +214,6 @@ class TestAzimuthal:
                 azimuthal_numbers(bent_reference_spec, 15.0)] == \
             list(range(1, len(ms) + 1))
 
-    def test_thin_annulus_estimate(self):
-        # a narrow annulus is where the flat-slab picture is accurate
-        s = BentGuideSpec(9.5, 10.5, 0.25, 2.3, 1.0, 0.8)
-        h = 5.5
-        exact = azimuthal_numbers(s, h)
-        assert exact
-        for p, m, _ in exact:
-            approx = approximate_azimuthal(s, h, p)
-            assert approx == pytest.approx(m, rel=5e-3)
-
-    def test_no_real_solution(self, bent_reference_spec):
-        with pytest.raises(NoRealSolution):
-            approximate_azimuthal(bent_reference_spec, 1.0, 5)
-
     def test_bessel_range_guard(self, bent_reference_spec):
         with pytest.raises(BesselRange):
             azimuthal_numbers(bent_reference_spec, 100.0)
@@ -310,31 +292,6 @@ class TestModes:
     def test_qff_residual(self, modes):
         out = qff_transform_check(modes[0])
         assert out["max_relative_residual"] < 1e-6
-
-    def test_integer_snap(self, modes, bent_reference_spec):
-        mode = modes[0]
-        m_int, resid = integer_snap_residual(bent_reference_spec,
-                                             mode.h_per_um, mode.m)
-        assert m_int == round(mode.m)
-        assert abs(resid) <= 1.0
-
-
-class TestQffPotential:
-    def test_dimension_term(self):
-        r = np.array([0.5, 1.0, 2.0])
-        m = 3.0
-        v1 = qff_potential(m, r, dimension=1)
-        v2 = qff_potential(m, r, dimension=2)
-        v3 = qff_potential(m, r, dimension=3)
-        assert v1 == pytest.approx(m**2 / r**2)
-        assert v3 == pytest.approx(m**2 / r**2)
-        assert v2 == pytest.approx((m**2 - 0.25) / r**2)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            qff_potential(1.0, [1.0], dimension=0)
-        with pytest.raises(DomainError):
-            qff_potential(1.0, [0.0])
 
 
 class TestAsymptotics:

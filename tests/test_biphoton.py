@@ -17,16 +17,13 @@ from photonkit.biphoton import (
     jsa_grid,
     marginal,
     omega_phz_from_wavelength_um,
-    phase_mismatch_longitudinal,
     pump_temporal_amplitude,
-    screening_mask,
     wavelength_um_from_omega_phz,
 )
 from photonkit.errors import (
     DegenerateFit,
     DegenerateGrid,
     DomainError,
-    EvanescentTransverse,
     NegativeRadicand,
     PoleProximity,
     QuadratureNotConverged,
@@ -97,35 +94,6 @@ class TestPumpEnvelope:
         with pytest.raises(DomainError) as info:
             PumpSpec(**values)
         assert info.value.field == name
-
-
-class TestLongitudinalMismatch:
-    def test_collinear_reduction(self, vis_ir_setup):
-        q = vis_ir_setup["query"]
-        crystal = vis_ir_setup["crystal"]
-        w_s = 3.534
-        w_i = 4.7375 - w_s
-        got = phase_mismatch_longitudinal(w_s, w_i, 0.0, 0.0, crystal, q)
-        lam_s_nm = float(wavelength_um_from_omega_phz(w_s)) * 1e3
-        want = phasematch.mismatch(q, crystal, q.pump_wavelength_nm, lam_s_nm)
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
-
-    def test_paraxial_accuracy(self, vis_ir_setup):
-        # paraxial expansion vs exact square root at k_perp = 0.05 k
-        q = vis_ir_setup["query"]
-        crystal = vis_ir_setup["crystal"]
-        w_s = 3.534
-        k_s = float(biphoton._axis_k(crystal, q.pol_signal, w_s))
-        kt = 0.05 * k_s
-        paraxial = k_s - kt**2 / (2.0 * k_s)
-        exact = math.sqrt(k_s**2 - kt**2)
-        assert abs(paraxial - exact) / exact < 1e-5
-
-    def test_evanescent(self, vis_ir_setup):
-        q = vis_ir_setup["query"]
-        crystal = vis_ir_setup["crystal"]
-        with pytest.raises(EvanescentTransverse):
-            phase_mismatch_longitudinal(3.534, 1.2, 100.0, 0.0, crystal, q)
 
 
 class TestGridSpec:
@@ -603,34 +571,6 @@ class TestFit1D:
         assert fit.sigma_phz == pytest.approx(
             fit.fwhm_phz / (2.0 * math.sqrt(2.0 * math.log(2.0))))
 
-    def test_p_values_significant(self):
-        x = np.linspace(-1, 1, 80)
-        rng = np.random.default_rng(2)
-        y = 1.0 + np.exp(-4 * math.log(2) * (x - 0.3) ** 2 / 0.2) \
-            + 1e-3 * rng.standard_normal(x.size)
-        fit = fit_gaussian_1d(x, y)
-        assert all(pv < 0.01 for pv in fit.p_values)
-
-    def test_p_values_on_read_match_eager_formula(self):
-        # fit_gaussian_1d used to compute the p-values itself, from the fitted
-        # parameters, their standard errors and dof = samples - 4, with
-        # scipy's stdtr as the reference only. The property computes the same
-        # tail with its own continued fraction, so the two agree to 1e-12
-        # relative rather than bit for bit.
-        from scipy import special
-
-        x = np.linspace(-1, 1, 80)
-        rng = np.random.default_rng(2)
-        y = 1.0 + np.exp(-4 * math.log(2) * (x - 0.3) ** 2 / 0.2) \
-            + 1e-3 * rng.standard_normal(x.size)
-        fit = fit_gaussian_1d(x, y)
-        params = (fit.bias, fit.amplitude, fit.center_phz, fit.fwhm_phz)
-        eager = tuple(float(2.0 * special.stdtr(x.size - 4, -abs(v) / e))
-                      for v, e in zip(params, fit.standard_errors))
-        assert fit.dof == x.size - 4
-        assert all(isinstance(pv, float) for pv in fit.p_values)
-        assert fit.p_values == pytest.approx(eager, rel=1e-12, abs=0.0)
-
     def test_degenerate(self):
         with pytest.raises(DegenerateFit):
             fit_gaussian_1d([1, 2, 3], [1, 2, 1])
@@ -820,17 +760,3 @@ class TestFit2D:
         jac = biphoton._gaussian_2d_jacobian(params, ws[:, None], wi[None, :], tensor)
         assert jac.shape == (37 * 29, 6)
         assert np.array_equal(jac, jac_flat, equal_nan=True)
-
-
-class TestScreening:
-    class _FakeFit:
-        def __init__(self, p_values):
-            self.p_values = p_values
-
-    def test_mask(self):
-        fits = [self._FakeFit((1e-4, 1e-3, 1e-5, 1e-6)),
-                self._FakeFit((0.5, 1e-3, 1e-5, 1e-6)),
-                self._FakeFit((1e-4, 1e-3, 1e-5, 1e-6))]
-        dks = [1e-13, 1e-13, 1e-3]
-        mask = screening_mask(fits, dks)
-        assert mask.tolist() == [True, False, False]

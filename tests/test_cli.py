@@ -823,8 +823,8 @@ class TestImports:
         loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
         assert "photonkit.phasematch" not in loaded
 
-    # Only the Bessel solver and the p-values use photonkit.special; the
-    # commands that need neither must not compile it.
+    # Only the bent-guide solver uses photonkit.special; the commands that do
+    # not run it must not compile it.
     @pytest.mark.parametrize("case,wanted", [
         ("fit-sellmeier", False), ("phasematch sweep", False), ("jsa", False),
         ("fiber", False), ("bentguide solve", True), ("--golden", True)])

@@ -213,10 +213,14 @@ class TestPolingPeriod:
             pytest.approx(kato_crystal.poling_period_um, rel=1e-15)
 
     def test_linear_expansion(self, kato_crystal):
-        base = kato_crystal.poling_period_um
-        alpha = kato_crystal.alpha_per_kelvin
-        got = poling_period(kato_crystal, kato_crystal.t0_kelvin + 10.0)
-        assert got == pytest.approx(base * (1.0 + 10.0 * alpha), rel=1e-15)
+        # Both shipped crystals have alpha_per_kelvin 0, so the expansion is
+        # exercised with a synthetic 1e-5 /K, not a material value.
+        crystal = dataclasses.replace(kato_crystal, alpha_per_kelvin=1e-5)
+        base = crystal.poling_period_um
+        got = poling_period(crystal, crystal.t0_kelvin + 10.0)
+        assert got > base
+        assert got == pytest.approx(base * (1.0 + 10.0 * 1e-5), rel=1e-15)
+        assert poling_period(crystal, crystal.t0_kelvin - 10.0) < base
 
     def test_unpoled(self, kato_crystal):
         bare = CrystalSpec(name="bare", sellmeier_x=kato_crystal.sellmeier_x,

@@ -1,12 +1,16 @@
 """Every name a photonkit module lists in `__all__` exists on it (`errors`
-lists none).
+lists none), and every function listed there is used by photonkit's own code
+or is named library API.
 
 `from photonkit.<module> import *` and the benchmark tracer
 (`perfbench/spans.py`, which looks up each entry) both fail on a stale one."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,49 @@ import photonkit
 from photonkit import biphoton, dispersion, fiber_prop, specs
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(photonkit.__path__))
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Public functions no photonkit code calls, kept as library API; README's
+# "Library API" section lists the same names.
+LIBRARY_API = {
+    "bracket_root": "acceptance criterion 9 brackets its roots with it",
+    "integrate": "acceptance criterion 9 checks Gauss-Legendre exactness with it",
+    "robustly_guided": "acceptance criterion 2 flags marginal bent-guide modes with it",
+    "qff_transform_check": "acceptance criterion 9 checks the radial-Schrodinger form with it",
+    "synthesize_noisy_dataset": "acceptance criterion 3 fits the data it synthesizes",
+    "fwhm_omega_to_tau": "the documented pump-duration conversion from a spectral FWHM",
+    "envelope_tau_from_reciprocal_sigma":
+        "the documented duration conversion; acceptance criterion 5 uses it",
+    "omega_phz_from_wavelength_um":
+        "the documented unit conversion, inverse of wavelength_um_from_omega_phz",
+    "simulate_poisson": "acceptance criterion 8 draws its count records with it",
+    "branch": "acceptance criterion 8 thins the count records with it",
+    "solve_signal_wavelength":
+        "the one-pump phase-matching solve, which the benchmark traces as a layer",
+    "crystal_to_dict": "the inverse of load_crystal: a crystal as its JSON file holds it",
+}
+
+
+def _public_functions() -> set[str]:
+    """The name of every function a photonkit module lists in __all__."""
+    modules = [importlib.import_module(f"photonkit.{name}") for name in MODULES]
+    return {entry for module in modules for entry in getattr(module, "__all__", ())
+            if inspect.isfunction(getattr(module, entry, None))}
+
+
+def _names_used_in_source() -> set[str]:
+    """Every name photonkit's code loads or looks up as an attribute. A def
+    statement's own name, an import and an `__all__` string are none of these,
+    nor is a mention in a docstring or comment."""
+    used = set()
+    for path in Path(photonkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
 
 # The module each input spec moved to `specs` from, which re-exports it.
 SPEC_HOMES = {
@@ -60,3 +107,15 @@ def test_spec_reexport_is_the_same_object(module, name):
     home = importlib.import_module(f"photonkit.{module}")
     assert name in home.__all__
     assert getattr(home, name) is getattr(specs, name)
+
+
+def test_every_public_function_is_called_or_library_api():
+    uncalled = _public_functions() - _names_used_in_source()
+    assert sorted(uncalled - LIBRARY_API.keys()) == []
+    # An entry that gained a caller, or left every __all__, leaves the set.
+    assert sorted(LIBRARY_API.keys() - uncalled) == []
+
+
+def test_readme_lists_the_library_api():
+    section = README.read_text().split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^- `(\w+)`", section, flags=re.M)) == set(LIBRARY_API)

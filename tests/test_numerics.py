@@ -643,6 +643,44 @@ class TestWriteGridCsv:
         assert (tmp_path / "got.csv").read_bytes() == b"a,b,c\r\n"
 
 
+class TestSlabProfile:
+    # The two modes of a 2 um slab of index 1.5 in 1.45 at 0.8 um (index
+    # factor 1): p = 1 has a cosine core, p = 2 a sine core, and
+    # gamma = sqrt(k_lim^2 - k_t^2). Both keep a third or more of their peak
+    # at the walls.
+    EXTENT = 2.0
+    K_LIM = 2.0 * math.pi / 0.8 * math.sqrt(1.5**2 - 1.45**2)
+
+    def _mode(self, parity_odd):
+        roots = dict(numerics.slab_roots(self.K_LIM, self.EXTENT, 1.0))
+        k_t = roots[2 if parity_odd else 1]
+        return k_t, math.sqrt(self.K_LIM**2 - k_t**2)
+
+    @pytest.mark.parametrize("parity_odd", [False, True], ids=["even", "odd"])
+    def test_value_continuous_at_walls(self, parity_odd):
+        k_t, gamma = self._mode(parity_odd)
+        half = 0.5 * self.EXTENT
+        for wall in (-half, half):
+            inside, outside = numerics.slab_profile(
+                [wall - math.copysign(1e-9, wall), wall + math.copysign(1e-9, wall)],
+                k_t, self.EXTENT, gamma, parity_odd)
+            assert abs(inside) > 0.1
+            assert outside == pytest.approx(inside, rel=1e-6)
+
+    @pytest.mark.parametrize("parity_odd", [False, True], ids=["even", "odd"])
+    def test_exponential_decay_outside(self, parity_odd):
+        k_t, gamma = self._mode(parity_odd)
+        half = 0.5 * self.EXTENT
+        x = np.array([0.1, 0.4, 0.7]) + half
+        for side in (1.0, -1.0):
+            f = numerics.slab_profile(side * x, k_t, self.EXTENT, gamma, parity_odd)
+            assert abs(f[0]) > abs(f[1]) > abs(f[2]) > 0
+            assert f[1:] / f[:-1] == pytest.approx(np.exp(-gamma * np.diff(x)), rel=1e-12)
+        right = numerics.slab_profile(x, k_t, self.EXTENT, gamma, parity_odd)
+        left = numerics.slab_profile(-x, k_t, self.EXTENT, gamma, parity_odd)
+        assert np.array_equal(left, -right if parity_odd else right)
+
+
 class TestGridMoments:
     def test_diagonal_pair(self):
         # Equal weight at (0, 0) and (1, 1), unnormalised.
@@ -711,14 +749,6 @@ class TestBessel:
             right = 2.0 / (math.pi * x)
             assert abs(left - right) / abs(right) < 1e-9
 
-    def test_derivative_wronskian(self):
-        # J_v(x) Y'_v(x) - J'_v(x) Y_v(x) = 2 / (pi x)
-        for order, x in [(0.3, 1.7), (5.5, 12.0), (21.0, 27.0)]:
-            j, y = special.bessel_jy(order, x)
-            jp, yp = special.bessel_jy_derivatives(order, x)
-            assert j * yp - jp * y == pytest.approx(2.0 / (math.pi * x),
-                                                   rel=1e-11)
-
     @pytest.mark.parametrize("order,x", [
         (0.0, 1.0), (1.0, 2.5), (4.2, 5.0), (13.3, 14.0), (21.0, 27.0),
         (35.7, 40.0), (59.9, 61.0),
@@ -747,9 +777,8 @@ class TestBessel:
         (math.nan, 1.0), (1.0, math.nan), (1.0, 0.5 * special.BESSEL_MIN_X),
         (1.0, 2.0 * special.BESSEL_MAX_X), (np.array([1.0, math.nan]), 1.0)])
     def test_nan_and_out_of_range_arguments(self, order, x):
-        for fn in (special.bessel_jy, special.bessel_jy_derivatives):
-            with pytest.raises(DomainError):
-                fn(order, x)
+        with pytest.raises(DomainError):
+            special.bessel_jy(order, x)
 
     # Every branch of the scheme: x < 2 (Temme's series) and x >= 2 (Steed's
     # continued fraction); order 0, fractional, integer, half-integer and the
@@ -769,12 +798,9 @@ class TestBessel:
     def test_grid_against_mpmath(self):
         order, x = self._grid()
         j, y = special.bessel_jy(order, x)
-        jp, yp = special.bessel_jy_derivatives(order, x)
         for i, (v, xi) in enumerate(zip(order.tolist(), x.tolist())):
-            expected = (mpmath.besselj(v, xi), mpmath.bessely(v, xi),
-                        mpmath.besselj(v, xi, derivative=1),
-                        mpmath.bessely(v, xi, derivative=1))
-            for got, want in zip((j[i], y[i], jp[i], yp[i]), expected):
+            expected = (mpmath.besselj(v, xi), mpmath.bessely(v, xi))
+            for got, want in zip((j[i], y[i]), expected):
                 assert got == pytest.approx(float(want), rel=1e-10, abs=1e-12), (v, xi)
 
     def test_broadcast_shapes(self):
@@ -798,56 +824,9 @@ class TestBessel:
             [special.BESSEL_MIN_X, special.BESSEL_MIN_X, special.BESSEL_MIN_X,
              special.BESSEL_MAX_X]])
         j, y = special.bessel_jy(order, x)
-        jp, yp = special.bessel_jy_derivatives(order, x)
-        for values in (j, y, jp, yp):
-            assert not np.isnan(values).any()
-        assert np.isfinite(j).all() and np.isfinite(jp).all()
+        assert not np.isnan(j).any() and not np.isnan(y).any()
+        assert np.isfinite(j).all()
         assert (y[~np.isfinite(y)] == -np.inf).all()
-        assert (yp[~np.isfinite(yp)] == np.inf).all()
         # Y_60(1e-5) is about -1e306 times 1e9: past the float range
         assert special.bessel_jy(60.0, 1e-5) == (0.0, -math.inf)
-        assert special.bessel_jy_derivatives(60.0, 1e-5) == (0.0, math.inf)
 
-
-class TestStudentT:
-    # Across the switch to the asymptotic gamma ratio at dof = 200 too.
-    _DOFS = (1, 2, 3, 4.5, 10, 76, 199, 200, 201, 1000, 1e4)
-    _TS = (0.0, 1e-8, 0.01, 0.3, 1.0, 2.5, 4.0, 10.0, 20.0, 40.0)
-
-    @pytest.mark.parametrize("dof", _DOFS)
-    def test_against_mpmath_betainc(self, dof):
-        for t in self._TS:
-            with mpmath.workdps(40):  # z = 1 - 1e-18 needs more than 15 digits
-                z = mpmath.mpf(dof) / (dof + mpmath.mpf(t) ** 2)
-                want = float(mpmath.betainc(mpmath.mpf(dof) / 2, 0.5, 0, z,
-                                            regularized=True))
-            if want < 1e-300:
-                continue  # below the normal float range
-            assert special.student_t_two_sided(t, dof) == pytest.approx(
-                want, rel=1e-12, abs=0.0), (dof, t)
-            assert special.student_t_two_sided(-t, dof) == special.student_t_two_sided(t, dof)
-
-    @pytest.mark.parametrize("dof", _DOFS)
-    def test_against_scipy_stdtr(self, dof):
-        # scipy is the reference only. Its stdtr is off by 3e-9 at dof = 1,
-        # t = 1e-8 (against mpmath), so the grid starts at t = 0.01.
-        from scipy.special import stdtr
-
-        for t in self._TS[2:]:
-            want = float(2.0 * stdtr(dof, -t))
-            if want < 1e-300:
-                continue
-            assert special.student_t_two_sided(t, dof) == pytest.approx(
-                want, rel=1e-12, abs=0.0), (dof, t)
-
-    def test_edges(self):
-        assert special.student_t_two_sided(0.0, 5) == 1.0
-        assert special.student_t_two_sided(math.inf, 5) == 0.0
-        assert special.student_t_two_sided(-1e200, 5) == 0.0
-        assert math.isnan(special.student_t_two_sided(math.nan, 5))
-        # the Cauchy distribution: 1 - (2/pi) atan|t|
-        assert special.student_t_two_sided(3.0, 1) == pytest.approx(
-            1.0 - 2.0 / math.pi * math.atan(3.0), rel=1e-14)
-        for dof in (0, -1.0, math.nan):
-            with pytest.raises(DomainError):
-                special.student_t_two_sided(1.0, dof)

@@ -19,7 +19,6 @@ from photonkit.phasematch import (
     idler_angle,
     idler_wavelength,
     mismatch,
-    snell_external_angle,
     solve_signal_sweep,
     solve_signal_wavelength,
 )
@@ -102,13 +101,15 @@ class TestGratingVector:
         assert grating_vector(q, kato_crystal) == 0.0
 
     def test_temperature_shrinks_vector(self, kato_crystal):
-        if kato_crystal.alpha_per_kelvin == 0:
-            pytest.skip("crystal has no thermal expansion coefficient")
-        t0 = kato_crystal.t0_kelvin
+        # Both shipped crystals have alpha_per_kelvin 0, so the expansion is
+        # exercised with a synthetic 1e-5 /K, not a material value.
+        crystal = replace(kato_crystal, alpha_per_kelvin=1e-5)
+        t0 = crystal.t0_kelvin
         cold = PhaseMatchQuery(pump_wavelength_nm=400.0, temperature_k=t0)
         hot = PhaseMatchQuery(pump_wavelength_nm=400.0, temperature_k=t0 + 50)
-        assert abs(grating_vector(hot, kato_crystal)) < \
-            abs(grating_vector(cold, kato_crystal))
+        assert abs(grating_vector(hot, crystal)) < abs(grating_vector(cold, crystal))
+        assert grating_vector(hot, crystal) == pytest.approx(
+            grating_vector(cold, crystal) / (1.0 + 50 * 1e-5), rel=1e-14)
 
 
 class TestScalarMismatch:
@@ -378,14 +379,3 @@ class TestHeldRoots:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6e6
-
-
-class TestSnell:
-    def test_small_angle(self):
-        assert snell_external_angle(1.5, 0.1) == pytest.approx(
-            math.asin(1.5 * math.sin(0.1)))
-
-    def test_total_internal_reflection(self):
-        from photonkit.errors import ArcsineDomain
-        with pytest.raises(ArcsineDomain):
-            snell_external_angle(2.0, 1.0)

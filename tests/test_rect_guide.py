@@ -10,7 +10,6 @@ from photonkit.rect_guide import (
     hollow_modes,
     marcatili_slab_roots,
     marcatili_solve,
-    mode_field,
 )
 
 C_UM_PER_FS = 0.299792458
@@ -174,45 +173,3 @@ class TestMarcatili:
             for p, k in roots:
                 ref = optimize.brentq(f, lo, hi, args=(p,), xtol=1e-14)
                 assert abs(k - ref) <= 2e-14 + 4 * eps * ref
-
-
-class TestModeField:
-    def test_hollow_vanishes_on_walls(self, hollow):
-        modes = hollow_modes(hollow, 400.0)
-        tm = next(m for m in modes if m.family == "TM")
-        x = np.array([-0.5, 0.0, 0.5])
-        y = np.array([-0.25, 0.0, 0.25])
-        f = mode_field(tm, hollow, x, y)
-        assert np.all(f[0, :] < 1e-12) and np.all(f[-1, :] < 1e-12)
-        assert np.all(f[:, 0] < 1e-12) and np.all(f[:, -1] < 1e-12)
-
-    def test_te10_peak_at_centre(self, hollow):
-        m = hollow_modes(hollow, 400.0)[0]
-        x = np.linspace(-0.5, 0.5, 101)
-        y = np.array([0.0])
-        f = mode_field(m, hollow, x, y)
-        assert np.argmax(f[:, 0]) == 50
-
-    def test_dielectric_corners_zeroed(self, dielectric):
-        m = marcatili_solve(dielectric, 0.8, "Ey")[0]
-        x = np.array([-1.5, 0.0, 1.5])
-        y = np.array([-0.8, 0.0, 0.8])
-        f = mode_field(m, dielectric, x, y)
-        assert f[0, 0] == 0 and f[0, -1] == 0
-        assert f[-1, 0] == 0 and f[-1, -1] == 0
-        assert f[1, 1] > 0
-
-    def test_dielectric_continuity_at_wall(self, dielectric):
-        m = marcatili_solve(dielectric, 0.8, "Ey")[0]
-        half = 0.5 * dielectric.width_a_um
-        x = np.array([half - 1e-9, half + 1e-9])
-        y = np.array([0.0])
-        f = mode_field(m, dielectric, x, y)
-        assert f[0, 0] == pytest.approx(f[1, 0], rel=1e-6)
-
-    def test_exponential_decay_outside(self, dielectric):
-        m = marcatili_solve(dielectric, 0.8, "Ey")[0]
-        x = np.array([1.1, 1.4, 1.7])
-        y = np.array([0.0])
-        f = mode_field(m, dielectric, x, y)[:, 0]
-        assert f[0] > f[1] > f[2] > 0
