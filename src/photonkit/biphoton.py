@@ -57,7 +57,6 @@ __all__ = [
     "fit_gaussian_2d",
 ]
 
-FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 Z_QUAD_ORDER = 16          # starting node count of the crystal quadrature
 Z_QUAD_MAX_ORDER = 1024
 Z_QUAD_TOL = 1e-10         # Legendre-tail estimate over the peak amplitude
@@ -113,14 +112,6 @@ class JsaGrid:
             object.__setattr__(grid, name, value)
         return grid
 
-    def transpose(self) -> "JsaGrid":
-        """The grid with signal and idler exchanged, its probability the exact
-        transpose: it is not divided by its sum again, which rounding can
-        leave off 1.0."""
-        return JsaGrid._of(self.omega_i_phz.copy(), self.omega_s_phz.copy(),
-                           self.probability.T.copy(), self.quadrature_order,
-                           self.quadrature_error)
-
 
 def _grid_total(probability) -> float:
     """The sum a grid's probabilities are divided by; DegenerateGrid unless it
@@ -141,10 +132,6 @@ class GaussianFit1D:
     fwhm_phz: float
     standard_errors: tuple[float, float, float, float]
     rss: float
-
-    @property
-    def sigma_phz(self) -> float:
-        return self.fwhm_phz / FWHM_SIGMA
 
 
 @dataclass(frozen=True)
@@ -318,12 +305,8 @@ def jsa_grid(pump: PumpSpec, coupling: CouplingSpec, crystal: CrystalSpec,
     normalized in place, and one block's temporaries (see JSA_BLOCK_VALUES).
     Each doubling of m builds the cell terms again. A Sellmeier check that
     fails in any block raises what the check over the whole grid would.
-    Collinear geometry only: DomainError for a nonzero
-    query.signal_theta_rad.
+    Pump, signal and idler are collinear, along the poling axis.
     """
-    if query.signal_theta_rad != 0.0:
-        raise DomainError("the joint spectrum is collinear only",
-                          field="signal_theta_rad")
     w_s = grid.signal_axis()
     w_i = grid.idler_axis()
     k_s = _axis_k(crystal, query.pol_signal, w_s)          # (n_s,)

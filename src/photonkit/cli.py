@@ -216,12 +216,8 @@ def _build(scenario: dict) -> dict:
                          ("coupling", specs.CouplingSpec),
                          ("grid", specs.JsaGridSpec)):
             inputs[key] = _spec(cls, scenario.get(key), f"/{key}", diags)
-        query = inputs["query"] = _spec(specs.PhaseMatchQuery,
-                                        scenario.get("query", {}), "/query", diags,
-                                        pump_wavelength_nm=1.0)
-        if query is not None and query.signal_theta_rad != 0.0:
-            diags.append({"path": "/query/signal_theta_rad",
-                          "message": "the joint spectrum is collinear only"})
+        inputs["query"] = _spec(specs.PhaseMatchQuery, scenario.get("query", {}),
+                                "/query", diags, pump_wavelength_nm=1.0)
         inputs["out_dir"] = _out_dir(scenario, diags)
     if command == "fiber":
         inputs["fiber"] = _spec(specs.FiberSpec, scenario.get("fiber"),

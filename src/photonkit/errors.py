@@ -69,10 +69,6 @@ class MultipleRoots(PhotonkitError):
         self.brackets = brackets
 
 
-class ArcsineDomain(DomainError):
-    """arcsin argument magnitude exceeds 1."""
-
-
 # --- sellmeier_fit ---
 
 class InsufficientData(PhotonkitError):
@@ -135,10 +131,6 @@ class BoundaryResidual(PhotonkitError):
 
 class ZeroMean(DomainError):
     """g2 undefined for zero mean photon number."""
-
-
-class ZeroVariance(DomainError):
-    """Correlation undefined when a variance vanishes."""
 
 
 # --- cli ---

@@ -1,5 +1,5 @@
-"""Quasi-phase-matching: wavevector mismatch, idler geometry, and the root
-solve for the signal wavelength.
+"""Collinear quasi-phase-matching: the wavevector mismatch and the root solve
+for the signal wavelength.
 
 Both entry points scan the mismatch over the search window at COARSE_STEP_NM
 and hand every bracketed sign change at once to numerics.find_root, which
@@ -28,7 +28,7 @@ from .dispersion import (
     refractive_index,
     wavevector_magnitude,
 )
-from .errors import ArcsineDomain, DomainError, MultipleRoots, NoRootInWindow
+from .errors import DomainError, MultipleRoots, NoRootInWindow
 from .numerics import RootBracket, find_root
 from .specs import CrystalSpec, PhaseMatchQuery, SellmeierSet
 
@@ -38,7 +38,6 @@ __all__ = [
     "idler_wavelength",
     "grating_vector",
     "mismatch",
-    "idler_angle",
     "solve_signal_wavelength",
     "solve_signal_sweep",
     "scan_points",
@@ -63,7 +62,6 @@ SWEEP_STEP_TOL_NM = 1e-12
 class PhaseMatchSolution:
     signal_wavelength_nm: float
     idler_wavelength_nm: float
-    idler_angle_rad: float
     mismatch_per_um: float
 
 
@@ -136,18 +134,12 @@ def _wavevector(sellmeier: SellmeierSet, wavelength_um, slope: bool):
 
 def mismatch(query: PhaseMatchQuery, crystal: CrystalSpec, pump_nm, signal_nm,
              slope: bool = False):
-    """Longitudinal mismatch dk (1/um) over broadcasting pump and signal
-    wavelengths (nm) at the query's signal angle; the query's own pump
-    wavelength is not used. With slope set, returns (dk, d(dk)/dlam_s), the
-    slope at fixed pump in 1/um per nm.
-
-    The idler polar angle absorbs the signal's transverse wavevector
-    t = k_s sin(th), so dk = k_p - k_s cos(th) - k_iz + q K with
-    k_iz = sqrt(k_i^2 - t^2). The idler follows the signal through
+    """Collinear mismatch dk = k_p - k_s - k_i + q K (1/um) over broadcasting
+    pump and signal wavelengths (nm); the query's own pump wavelength is not
+    used. With slope set, returns (dk, d(dk)/dlam_s), the slope at fixed pump
+    in 1/um per nm. The idler follows the signal through
     1/lam_i = 1/lam_p - 1/lam_s, so dlam_i/dlam_s = -(lam_i/lam_s)^2 and
-    d(dk)/dlam_s = -cos(th) dk_s/dlam
-                   + [(lam_i/lam_s)^2 k_i dk_i/dlam + k_s sin^2(th) dk_s/dlam] / k_iz,
-    which is -dk_s/dlam + (lam_i/lam_s)^2 dk_i/dlam in collinear geometry.
+    d(dk)/dlam_s = -dk_s/dlam + (lam_i/lam_s)^2 dk_i/dlam.
     """
     p_um = np.asarray(pump_nm, dtype=float) * 1e-3
     s_um = np.asarray(signal_nm, dtype=float) * 1e-3
@@ -155,41 +147,10 @@ def mismatch(query: PhaseMatchQuery, crystal: CrystalSpec, pump_nm, signal_nm,
     k_p, _ = _wavevector(crystal.axis_set(query.pol_pump), p_um, False)
     k_s, dks = _wavevector(crystal.axis_set(query.pol_signal), s_um, slope)
     k_i, dki = _wavevector(crystal.axis_set(query.pol_idler), i_um, slope)
-    sin_s = math.sin(query.signal_theta_rad)
-    cos_s = math.cos(query.signal_theta_rad)
-    if sin_s == 0.0:
-        k_iz = k_i
-    else:
-        sin_i = k_s * sin_s / k_i
-        if np.any(np.abs(sin_i) > 1):
-            raise ArcsineDomain("idler cannot absorb the signal transverse momentum")
-        k_iz = k_i * np.sqrt(1.0 - sin_i**2)
-    dk = k_p - k_s * cos_s - k_iz + grating_vector(query, crystal)
+    dk = k_p - k_s - k_i + grating_vector(query, crystal)
     if not slope:
         return dk
-    ddk = (-cos_s * dks + (i_um / s_um) ** 2 * dki * (k_i / k_iz)
-           + k_s * sin_s**2 * dks / k_iz)
-    return dk, ddk * 1e-3
-
-
-def idler_angle(query: PhaseMatchQuery, signal_nm: float, crystal: CrystalSpec) -> float:
-    """Idler polar angle, valid in the phase-matched regime only.
-
-    theta_i = arcsin(t / sqrt(t^2 + l^2)) with t the signal transverse
-    wavevector and l the grating-corrected longitudinal remainder.
-    """
-    k_p, _ = _wavevector(crystal.axis_set(query.pol_pump),
-                         query.pump_wavelength_nm * 1e-3, False)
-    k_s, _ = _wavevector(crystal.axis_set(query.pol_signal), signal_nm * 1e-3, False)
-    t = k_s * math.sin(query.signal_theta_rad)
-    ell = k_p - k_s * math.cos(query.signal_theta_rad) + grating_vector(query, crystal)
-    hyp = math.hypot(t, ell)
-    if hyp == 0:
-        return 0.0
-    arg = t / hyp
-    if abs(arg) > 1:
-        raise ArcsineDomain("arcsin argument outside [-1, 1]")
-    return math.asin(arg)
+    return dk, (-dks + (i_um / s_um) ** 2 * dki) * 1e-3
 
 
 def scan_points(pump_count: int, window_nm: tuple[float, float]) -> int:
@@ -241,14 +202,14 @@ def _refine(query: PhaseMatchQuery, crystal: CrystalSpec, pumps_nm: np.ndarray,
 def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec, pump_sweep_nm,
                        search_window_nm: tuple[float, float],
                        near_nm=None) -> np.ndarray:
-    """Collinear signal-wavelength roots for many pump wavelengths at once.
+    """Signal-wavelength roots for many pump wavelengths at once.
 
     Shares the window scan, which requires the window above every pump, and
     the find_root refinement of solve_signal_wavelength. Pumps whose mismatch
     keeps its sign over the window come back NaN; where several sign changes
     exist for one pump, the bracket closest to the window centre is refined.
     The scan runs over blocks of pumps of at most SCAN_BLOCK_CELLS mismatch
-    values each. Collinear geometry only.
+    values each.
 
     near_nm, one value per pump, holds roots the caller already has (a
     fitter's roots at its last parameters, say). A pump whose held root is
@@ -262,8 +223,6 @@ def solve_signal_sweep(query: PhaseMatchQuery, crystal: CrystalSpec, pump_sweep_
     the bracket closest to the window centre: the roots follow the held ones
     instead of jumping between branches.
     """
-    if query.signal_theta_rad != 0.0:
-        raise DomainError("sweep solver supports collinear geometry only")
     pumps = np.atleast_1d(np.asarray(pump_sweep_nm, dtype=float))
     grid = _window_grid(pumps, search_window_nm)
     cell = np.full(pumps.size, -1)  # each pump's bracket [grid[c], grid[c + 1]]
@@ -334,6 +293,5 @@ def solve_signal_wavelength(query: PhaseMatchQuery, crystal: CrystalSpec,
     return PhaseMatchSolution(
         signal_wavelength_nm=root,
         idler_wavelength_nm=idler_wavelength(query.pump_wavelength_nm, root),
-        idler_angle_rad=idler_angle(query, root, crystal),
         mismatch_per_um=residual,
     )

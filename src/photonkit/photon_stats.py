@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import DomainError, ZeroMean, ZeroVariance
+from .errors import DomainError, ZeroMean
 
 __all__ = [
     "NumberMoments",
@@ -24,7 +23,6 @@ __all__ = [
     "tmsv_moments",
     "simulate_poisson",
     "branch",
-    "pearson",
 ]
 
 
@@ -175,19 +173,3 @@ def branch(record: CountRecord, keep_probability: float,
     keep = _rng(seed).random(times.size) < keep_probability
     return (CountRecord(tuple(times[keep].tolist())),
             CountRecord(tuple(times[~keep].tolist())))
-
-
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient of two equal-length series."""
-    import numpy as np
-
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.size != yv.size or xv.size < 2:
-        raise DomainError("need two equal-length series of length >= 2")
-    sx = xv.std()
-    sy = yv.std()
-    if sx == 0 or sy == 0:
-        raise ZeroVariance("pearson undefined for a constant series")
-    rho = float(((xv - xv.mean()) * (yv - yv.mean())).mean() / (sx * sy))
-    return max(min(rho, 1.0), -1.0)

@@ -179,15 +179,11 @@ def builtin_crystal_path(name: str) -> Path:
 
 @dataclass(frozen=True)
 class PhaseMatchQuery:
-    """One phase-matching question: pump, geometry, polarizations, QPM order.
-
-    Angles are internal to the crystal, in radians. The pump propagates along
-    the poling axis (x); the signal leaves it at polar angle signal_theta_rad,
-    and the mismatch does not depend on the azimuth.
-    """
+    """One phase-matching question: pump, polarizations, QPM order. The
+    geometry is collinear: pump, signal and idler all propagate along the
+    poling axis (x)."""
 
     pump_wavelength_nm: float
-    signal_theta_rad: float = 0.0
     temperature_k: float = 298.0
     pol_pump: Polarization = Polarization.Z
     pol_signal: Polarization = Polarization.Z

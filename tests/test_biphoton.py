@@ -182,47 +182,12 @@ class TestJsaGrid:
         with pytest.raises(DegenerateGrid):
             jsa_grid(pump, s["coupling"], s["crystal"], g, s["query"])
 
-    def test_noncollinear_query_rejected(self, vis_ir_setup):
-        s = vis_ir_setup
-        query = phasematch.PhaseMatchQuery(
-            pump_wavelength_nm=s["query"].pump_wavelength_nm, qpm_sign=-1,
-            signal_theta_rad=0.3)
-        g = JsaGridSpec(n=16, range_fraction=0.02,
-                        signal_center_phz=s["signal_center"],
-                        idler_center_phz=s["idler_center"])
-        with pytest.raises(DomainError) as info:
-            jsa_grid(s["pump"], s["coupling"], s["crystal"], g, query)
-        assert info.value.field == "signal_theta_rad"
-
-    def test_transpose_exchange(self, small_grid):
-        t = small_grid.transpose()
-        assert np.array_equal(t.probability, small_grid.probability.T)
-        assert np.array_equal(t.omega_s_phz, small_grid.omega_i_phz)
-
-    def test_transpose_is_exact_where_its_sum_is_not_one(self):
-        # Summed in transposed order, this grid's normalized probabilities
-        # round to a total other than 1.0; the transpose keeps them as they are.
-        rng = np.random.default_rng(0)
-        g = JsaGrid(np.linspace(1.0, 1.1, 13), np.linspace(2.0, 2.1, 7),
-                    rng.random((13, 7)))
-        assert g.probability.T.copy().sum() != 1.0
-        t = g.transpose()
-        assert np.array_equal(t.probability, g.probability.T)
-        assert np.array_equal(t.omega_s_phz, g.omega_i_phz)
-        assert np.array_equal(t.omega_i_phz, g.omega_s_phz)
-        assert not t.probability.flags.writeable
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            t.probability = g.probability
-
     def test_quadrature_fields(self, small_grid):
         # a grid built from given values has no quadrature to report
         plain = JsaGrid(np.arange(4.0), np.arange(4.0), np.ones((4, 4)))
         assert plain.quadrature_order is None and plain.quadrature_error is None
         assert small_grid.quadrature_order >= biphoton.Z_QUAD_ORDER
         assert 0.0 < small_grid.quadrature_error <= biphoton.Z_QUAD_TOL
-        t = small_grid.transpose()
-        assert t.quadrature_order == small_grid.quadrature_order
-        assert t.quadrature_error == small_grid.quadrature_error
 
     def test_rectangular_grid_shape(self, vis_ir_setup):
         s = vis_ir_setup
@@ -563,13 +528,6 @@ class TestFit1D:
         assert fit.center_phz == pytest.approx(0.2, abs=1e-10)
         assert fit.fwhm_phz == pytest.approx(0.3, abs=1e-9)
         assert fit.rss < 1e-16
-
-    def test_sigma_accessor(self):
-        x = np.linspace(-1, 1, 51)
-        y = np.exp(-4 * math.log(2) * x**2 / 0.25)
-        fit = fit_gaussian_1d(x, y)
-        assert fit.sigma_phz == pytest.approx(
-            fit.fwhm_phz / (2.0 * math.sqrt(2.0 * math.log(2.0))))
 
     def test_degenerate(self):
         with pytest.raises(DegenerateFit):

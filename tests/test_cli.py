@@ -563,6 +563,9 @@ INVALID_SCENARIOS = {
             "gvd_2beta_s2_per_m": -2.27e-26, "length_m": 1e4}), "/output_dir"),
     "signal-theta": (
         "jsa", _jsa_edit("query", "signal_theta_rad", 0.3), "/query/signal_theta_rad"),
+    # an unknown key even at 0.0: phase matching has no signal angle
+    "signal-theta-zero": (
+        "jsa", _jsa_edit("query", "signal_theta_rad", 0.0), "/query/signal_theta_rad"),
     "bent-field-csv-not-a-string": (
         "bentguide solve", _guide(BENT_SPEC, field_csv=5), "/field_csv"),
 }

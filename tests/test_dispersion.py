@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from photonkit import dispersion
 from photonkit.dispersion import (
     CrystalSpec,
     Polarization,

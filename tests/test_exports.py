@@ -41,25 +41,48 @@ LIBRARY_API = {
 }
 
 
-def _public_functions() -> set[str]:
-    """The name of every function a photonkit module lists in __all__."""
-    modules = [importlib.import_module(f"photonkit.{name}") for name in MODULES]
-    return {entry for module in modules for entry in getattr(module, "__all__", ())
+def _module(stem: str):
+    return importlib.import_module("photonkit" if stem == "__init__"
+                                   else f"photonkit.{stem}")
+
+
+def _public_functions() -> dict[str, object]:
+    """Every function a photonkit module lists in __all__, by name."""
+    modules = [_module(name) for name in MODULES]
+    return {entry: getattr(module, entry) for module in modules
+            for entry in getattr(module, "__all__", ())
             if inspect.isfunction(getattr(module, entry, None))}
 
 
-def _names_used_in_source() -> set[str]:
-    """Every name photonkit's code loads or looks up as an attribute. A def
-    statement's own name, an import and an `__all__` string are none of these,
-    nor is a mention in a docstring or comment."""
-    used = set()
+def _functions_loaded_in_source() -> set:
+    """Every function photonkit's code loads: a bare name that its module's
+    globals, or one of the module's relative `from .x import f` statements
+    (function-local ones too), bind to the function, or `m.f` where `m` so
+    names a photonkit module. A def statement's own name, an `__all__`
+    string, a docstring or comment, and an attribute of anything else (a
+    dataclass field of the same name, say) are none of these."""
+    loaded = set()
     for path in Path(photonkit.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return used
+        module = _module(path.stem)
+        tree = ast.parse(path.read_text())
+        bound = {name: [value] for name, value in vars(module).items()}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    value = (getattr(_module(node.module), alias.name) if node.module
+                             else _module(alias.name))
+                    bound.setdefault(alias.asname or alias.name, []).append(value)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                values = bound.get(node.id, [])
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                values = [getattr(m, node.attr, None)
+                          for m in bound.get(node.value.id, [])
+                          if inspect.ismodule(m) and m.__name__.startswith("photonkit")]
+            else:
+                continue
+            loaded.update(v for v in values if inspect.isfunction(v))
+    return loaded
 
 
 # The module each input spec moved to `specs` from, which re-exports it.
@@ -110,7 +133,8 @@ def test_spec_reexport_is_the_same_object(module, name):
 
 
 def test_every_public_function_is_called_or_library_api():
-    uncalled = _public_functions() - _names_used_in_source()
+    loaded = _functions_loaded_in_source()
+    uncalled = {name for name, f in _public_functions().items() if f not in loaded}
     assert sorted(uncalled - LIBRARY_API.keys()) == []
     # An entry that gained a caller, or left every __all__, leaves the set.
     assert sorted(LIBRARY_API.keys() - uncalled) == []

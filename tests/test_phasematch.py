@@ -16,7 +16,6 @@ from photonkit.phasematch import (
     MISMATCH_TOL_PER_UM,
     PhaseMatchQuery,
     grating_vector,
-    idler_angle,
     idler_wavelength,
     mismatch,
     solve_signal_sweep,
@@ -133,7 +132,6 @@ class TestSolvers:
         sol = solve_signal_wavelength(q, kato_crystal, (500.0, 600.0))
         assert sol.mismatch_per_um < 1e-10
         assert 525.0 < sol.signal_wavelength_nm < 545.0
-        assert sol.idler_angle_rad == pytest.approx(0.0, abs=1e-12)
         assert sol.idler_wavelength_nm == pytest.approx(
             idler_wavelength(397.6, sol.signal_wavelength_nm))
 
@@ -183,21 +181,6 @@ class TestSolvers:
         q = PhaseMatchQuery(pump_wavelength_nm=397.6)
         with pytest.raises(DomainError, match="exceeds"):
             solve_signal_sweep(q, kato_crystal, [395.0, 400.0], (500.0, 1e7))
-
-    def test_sweep_collinear_only(self, kato_crystal):
-        q = PhaseMatchQuery(pump_wavelength_nm=397.6, signal_theta_rad=0.01)
-        with pytest.raises(DomainError):
-            solve_signal_sweep(q, kato_crystal, [397.6], (500.0, 600.0))
-
-    def test_noncollinear_angle_solution(self, kato_crystal):
-        q = PhaseMatchQuery(pump_wavelength_nm=397.6, signal_theta_rad=0.02)
-        sol = solve_signal_wavelength(q, kato_crystal, (500.0, 600.0))
-        assert sol.mismatch_per_um < 1e-10
-        assert sol.idler_angle_rad != 0.0
-        # idler transverse momentum balances the signal's
-        k_p, k_s, k_i = _wave_ks(q, sol.signal_wavelength_nm, kato_crystal)
-        assert k_i * math.sin(sol.idler_angle_rad) == pytest.approx(
-            k_s * math.sin(q.signal_theta_rad), rel=1e-9)
 
 
 class TestSweepRefinement:
@@ -284,21 +267,6 @@ class TestSweepRefinement:
         q = PhaseMatchQuery(pump_wavelength_nm=397.6)
         with pytest.raises(MaxIterations):
             solve_signal_wavelength(q, kato_crystal, (500.0, 600.0))
-
-    def test_noncollinear_slope_matches_central_difference(self, kato_crystal):
-        q = PhaseMatchQuery(pump_wavelength_nm=397.6, signal_theta_rad=0.02)
-        signal = np.array([520.0, 533.0, 550.0])
-        dk, slope = mismatch(q, kato_crystal, 397.6, signal, slope=True)
-        assert dk == pytest.approx(mismatch(q, kato_crystal, 397.6, signal),
-                                   rel=1e-12)
-        h = 1e-4
-        numeric = (mismatch(q, kato_crystal, 397.6, signal + h)
-                   - mismatch(q, kato_crystal, 397.6, signal - h)) / (2.0 * h)
-        assert slope == pytest.approx(numeric, rel=1e-5)
-        # the noncollinear terms matter at this angle
-        _, collinear = mismatch(replace(q, signal_theta_rad=0.0), kato_crystal, 397.6,
-                                signal, slope=True)
-        assert not collinear == pytest.approx(slope, rel=1e-5)
 
 
 class TestHeldRoots:

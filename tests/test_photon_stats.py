@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from photonkit.errors import DomainError, ZeroMean, ZeroVariance
+from photonkit.errors import DomainError, ZeroMean
 from photonkit.photon_stats import (
     CountRecord,
     NumberMoments,
@@ -12,7 +12,6 @@ from photonkit.photon_stats import (
     coherent_moments,
     fock_moments,
     g2_from_moments,
-    pearson,
     simulate_poisson,
     thermal_moments,
     tmsv_moments,
@@ -175,30 +174,3 @@ class TestCountRecord:
         with pytest.raises(DomainError):
             CountRecord((-0.1, 0.1))
 
-
-class TestPearson:
-    def test_perfect_correlation(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        assert pearson(x, [2 * v for v in x]) == pytest.approx(1.0, abs=1e-14)
-        assert pearson(x, [-2 * v for v in x]) == pytest.approx(-1.0,
-                                                               abs=1e-14)
-
-    def test_known_value(self):
-        x = np.arange(10.0)
-        rng = np.random.default_rng(0)
-        y = x + rng.standard_normal(10)
-        got = pearson(x, y)
-        assert got == pytest.approx(float(np.corrcoef(x, y)[0, 1]),
-                                    rel=1e-12)
-
-    def test_clipped_to_unit_interval(self):
-        x = np.linspace(0, 1, 50)
-        assert -1.0 <= pearson(x, x**3) <= 1.0
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            pearson([1.0], [2.0])
-        with pytest.raises(DomainError):
-            pearson([1.0, 2.0], [1.0, 2.0, 3.0])
-        with pytest.raises(ZeroVariance):
-            pearson([1.0, 1.0], [1.0, 2.0])
