@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_finite, require_positive
 
 # --- joint spectrum ---
 
@@ -40,6 +40,7 @@ class CouplingSpec:
 
     def __post_init__(self):
         require_positive(self, "signal_width_um", "idler_width_um")
+        require_finite(self, "signal_offset_per_um", "idler_offset_per_um")
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,10 @@ class FiberSpec:
     length_m: float
 
     def __post_init__(self):
-        if not math.isfinite(self.gvd_2beta_s2_per_m):
-            raise DomainError("must be finite", field="gvd_2beta_s2_per_m")
+        require_finite(self, "gvd_2beta_s2_per_m")
         if not self.length_m >= 0:
             raise DomainError("must be nonnegative", field="length_m")
+        require_finite(self, "length_m")
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,7 @@ class RectGuideSpec:
         if self.kind == "dielectric":
             if not self.clad_index >= 1.0:
                 raise DomainError("clad index must be >= 1", field="clad_index")
+            require_finite(self, "clad_index")
             if not self.core_index >= self.clad_index:
                 raise DomainError("core index must not be below clad index",
                                   field="core_index")
@@ -140,8 +142,10 @@ class BentGuideSpec:
         require_positive(self, "half_height_um")
         if not self.clad_index >= 1.0:
             raise DomainError("clad index must be >= 1", field="clad_index")
+        require_finite(self, "clad_index")
         if not self.core_index > self.clad_index:
             raise DomainError("core index must exceed clad index", field="core_index")
+        require_finite(self, "core_index")
         require_positive(self, "vacuum_wavelength_um")
 
     @property

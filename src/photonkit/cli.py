@@ -245,8 +245,9 @@ def _build(scenario: dict) -> dict:
                               "message": f"{spec.kind} solve needs {key}"})
             elif not _json_ok(float, scenario[key]):
                 diags.append({"path": f"/{key}", "message": "number required"})
-            elif scenario[key] <= 0:
-                diags.append({"path": f"/{key}", "message": "must be positive"})
+            elif not 0 < scenario[key] < math.inf:
+                diags.append({"path": f"/{key}", "message": "must be finite"
+                              if scenario[key] > 0 else "must be positive"})
             else:
                 inputs[key] = float(scenario[key])
             if spec.kind == "dielectric":
@@ -502,7 +503,8 @@ def _cmd_validate(args) -> dict:
 # ---------------------------------------------------------------- golden runs
 
 def _golden_checks() -> list[tuple[str, bool]]:
-    from . import bent_guide, fiber_prop, photon_stats, rect_guide, sellmeier_fit
+    from . import bent_guide, dispersion, fiber_prop, photon_stats, rect_guide
+    from .numerics import C_UM_PER_FS
 
     checks: list[tuple[str, bool]] = []
 
@@ -525,7 +527,7 @@ def _golden_checks() -> list[tuple[str, bool]]:
     hollow = rect_guide.RectGuideSpec(1.0, 0.5, 1.0, kind="hollow")
     cutoff = rect_guide.hollow_cutoff_thz(hollow, 1, 0)
     checks.append(("hollow TE10 cutoff = c/(2a)",
-                   abs(cutoff - 0.299792458 / 2.0 * 1e3) < 1e-9))
+                   abs(cutoff - C_UM_PER_FS / 2.0 * 1e3) < 1e-9))
 
     fiber = fiber_prop.FiberSpec(-2.27e-26, 1e4)
     checks.append(("fiber dispersion scale 227 ns/PHz",
@@ -539,7 +541,7 @@ def _golden_checks() -> list[tuple[str, bool]]:
                    g2_vals == [0.0, 0.5, 1.0, 2.0]))
 
     crystal = specs.load_crystal(specs.builtin_crystal_path("ppktp_kato2002"))
-    f1, f2 = sellmeier_fit.sellmeier_fraction_ranges(crystal.sellmeier_z)
+    f1, f2 = dispersion.sellmeier_fraction_ranges(crystal.sellmeier_z)
     checks.append(("z-axis pole-fraction ranges (0.533, 0.048)",
                    abs(f1 - 0.533) < 0.005 and abs(f2 - 0.048) < 0.005))
     return checks

@@ -28,6 +28,7 @@ __all__ = [
     "refractive_index",
     "index_and_derivative",
     "index_derivatives",
+    "sellmeier_fraction_ranges",
     "poling_period",
     "grating_vector",
     "wavevector_magnitude",
@@ -39,22 +40,23 @@ __all__ = [
 POLE_GUARD_UM2 = 1e-9
 
 
-def _index_squared(sellmeier: SellmeierSet, lam2):
-    """n^2 at squared wavelength(s) lam2 in um^2, with the pole distances
-    (lam2 - a2, lam2 - a4); raises outside the formula's domain.
+def _index_squared(sellmeier: SellmeierSet, lam):
+    """n^2 at wavelength(s) lam in um, with the pole distances
+    (lam^2 - a2, lam^2 - a4); raises outside the formula's domain.
 
     One test covers every check, and only a failing one asks which check
     failed, in the order non-positive wavelength, pole, radicand, each over
     the whole array. NaN fails no check and passes through: fmin skips it, so
-    fmin(lam2, radicand) <= 0 is (lam2 <= 0) | (radicand <= 0)."""
+    fmin(lam, radicand) <= 0 is (lam <= 0) | (radicand <= 0)."""
     a0, a1, a2, a3, a4 = sellmeier.as_tuple()
+    lam2 = lam**2
     d1 = lam2 - a2
     d2 = lam2 - a4
     with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 raises below
         radicand = a0 + a1 / d1 + a3 / d2
-    if ((np.fmin(lam2, radicand) <= 0) | (np.abs(d1) < POLE_GUARD_UM2)
+    if ((np.fmin(lam, radicand) <= 0) | (np.abs(d1) < POLE_GUARD_UM2)
             | (np.abs(d2) < POLE_GUARD_UM2)).any():
-        if np.any(lam2 <= 0):
+        if np.any(lam <= 0):
             raise DomainError("wavelength must be positive")
         if np.any(np.abs(d1) < POLE_GUARD_UM2) or np.any(np.abs(d2) < POLE_GUARD_UM2):
             raise PoleProximity("wavelength squared within 1e-9 um^2 of a Sellmeier pole")
@@ -64,8 +66,7 @@ def _index_squared(sellmeier: SellmeierSet, lam2):
 
 def refractive_index(sellmeier: SellmeierSet, wavelength_um):
     """Refractive index at vacuum wavelength(s) in um."""
-    lam2 = np.asarray(wavelength_um, dtype=float) ** 2
-    n = np.sqrt(_index_squared(sellmeier, lam2)[0])
+    n = np.sqrt(_index_squared(sellmeier, np.asarray(wavelength_um, dtype=float))[0])
     return float(n) if n.ndim == 0 else n
 
 
@@ -77,12 +78,24 @@ def index_and_derivative(sellmeier: SellmeierSet, wavelength_um):
     Same domain checks as refractive_index.
     """
     lam = np.asarray(wavelength_um, dtype=float)
-    radicand, d1, d2 = _index_squared(sellmeier, lam**2)
+    radicand, d1, d2 = _index_squared(sellmeier, lam)
     n = np.sqrt(radicand)
     dn = -lam * (sellmeier.a1 / d1**2 + sellmeier.a3 / d2**2) / n
     if n.ndim == 0:
         return float(n), float(dn)
     return n, dn
+
+
+def sellmeier_fraction_ranges(sellmeier: SellmeierSet,
+                              lambda_um_range: tuple[float, float] = (0.4, 1.8),
+                              samples: int = 2001) -> tuple[float, float]:
+    """Value ranges of the two pole fractions over a wavelength interval.
+
+    Returns (range of a1/(lam^2-a2), range of a3/(lam^2-a4)); used to justify
+    freeing only the first-fraction coefficients in the Sellmeier fit.
+    """
+    _, d1, d2 = _index_squared(sellmeier, np.linspace(*lambda_um_range, samples))
+    return float(np.ptp(sellmeier.a1 / d1)), float(np.ptp(sellmeier.a3 / d2))
 
 
 def index_derivatives(sellmeier: SellmeierSet, wavelength_um):
@@ -102,7 +115,7 @@ def index_derivatives(sellmeier: SellmeierSet, wavelength_um):
     counterparts.
     """
     lam = np.asarray(wavelength_um, dtype=float)
-    radicand, d1, d2 = _index_squared(sellmeier, lam**2)
+    radicand, d1, d2 = _index_squared(sellmeier, lam)
     n = np.sqrt(radicand)
     a1, a3 = sellmeier.a1, sellmeier.a3
     inv1, inv2 = 1.0 / d1, 1.0 / d2

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the workbench, and the positivity check
-the spec dataclasses share."""
+"""Exception hierarchy shared across the workbench, and the positivity and
+finiteness checks the spec dataclasses share."""
 
 from __future__ import annotations
+
+import math
 
 
 class PhotonkitError(Exception):
@@ -21,10 +23,19 @@ class DomainError(PhotonkitError, ValueError):
 
 def require_positive(spec, *fields: str) -> None:
     """Raise DomainError at the first of `fields` on `spec` that is not > 0,
-    NaN included."""
+    NaN included, or is infinite."""
     for name in fields:
-        if not getattr(spec, name) > 0:
-            raise DomainError("must be positive", field=name)
+        value = getattr(spec, name)
+        if not 0 < value < math.inf:
+            raise DomainError("must be finite" if value > 0 else "must be positive",
+                              field=name)
+
+
+def require_finite(spec, *fields: str) -> None:
+    """Raise DomainError at the first of `fields` on `spec` that is NaN or infinite."""
+    for name in fields:
+        if not math.isfinite(getattr(spec, name)):
+            raise DomainError("must be finite", field=name)
 
 
 # --- numerics ---

@@ -85,7 +85,6 @@ class FitResult:
     residual_sum_squares: float
     converged: bool
     iterations: int
-    initial_residual_sum_squares: float
 
 
 def find_root(f: Callable, bracket: RootBracket, tol: float = 1e-12,
@@ -356,7 +355,6 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     rss, mask, m = masked_rss(p)
     if not np.isfinite(rss):
         raise DomainError("model not evaluable at the initial parameters")
-    initial_rss = rss
     lam = LM_LAMBDA0
     converged = False
     iterations = 0
@@ -407,9 +405,8 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         se = np.full(p.size, np.nan)
-    return FitResult(parameters=p, standard_errors=se,
-                     residual_sum_squares=rss, converged=converged,
-                     iterations=iterations, initial_residual_sum_squares=initial_rss)
+    return FitResult(parameters=p, standard_errors=se, residual_sum_squares=rss,
+                     converged=converged, iterations=iterations)
 
 
 def slab_roots(k_lim: float, extent: float,

@@ -16,7 +16,7 @@ from . import numerics, phasematch
 from .dispersion import index_derivatives
 from .errors import DivergedFit, DomainError, InsufficientData, NoRootInWindow
 from .phasematch import MeasurementPoint, load_dataset_csv, save_dataset_csv
-from .specs import CrystalSpec, SellmeierSet
+from .specs import CrystalSpec
 
 __all__ = [
     "MeasurementPoint",
@@ -24,12 +24,10 @@ __all__ = [
     "FitSetup",
     "model_signal_wavelength",
     "model_derivatives",
-    "rss",
     "fit",
     "synthesize_noisy_dataset",
     "load_dataset_csv",
     "save_dataset_csv",
-    "sellmeier_fraction_ranges",
 ]
 
 MAX_NOISE_FRACTION = 0.05
@@ -155,23 +153,6 @@ def model_derivatives(pumps_nm, signals_nm, coeffs: Sequence[float],
     return jac, curvature
 
 
-def rss(points: Sequence[MeasurementPoint], coeffs: Sequence[float],
-        setup: FitSetup) -> float:
-    """Residual sum of squares in nm^2 over the dataset."""
-    pumps = np.array([pt.pump_nm for pt in points])
-    model = _require_roots(pumps, model_signal_wavelength(pumps, coeffs, setup))
-    r = np.array([pt.signal_nm for pt in points]) - model
-    return float(np.dot(r, r))
-
-
-def _require_roots(pumps_nm, roots_nm):
-    """roots_nm, or NoRootInWindow naming the first pump without a root."""
-    missing = np.isnan(roots_nm)
-    if missing.any():
-        raise NoRootInWindow(f"no model root for pump {float(pumps_nm[missing][0])} nm")
-    return roots_nm
-
-
 def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
         setup: FitSetup, weighted: bool = False,
         max_iter: int = 400) -> SellmeierFitReport:
@@ -188,10 +169,10 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     holds several, the model keeps to the branch of the roots it holds.
     Points whose model root vanishes during a step are masked for that step,
     but every point needs its root at the start values (NoRootInWindow
-    otherwise). The report carries both the fitted RSS and the RSS at the
-    start values, both from the same sweep solve and both in nm^2, also when
-    the fit itself minimises the weighted chi^2; an unweighted fit takes the
-    start RSS from the LM's own first sweep.
+    otherwise), and an accepted step never drops one. The report's RSS at the
+    start and at the fitted values are sum (signal - root)^2 in nm^2 over the
+    roots the LM's first call solved and the roots its Jacobian hook last
+    received, which are at the returned parameters, weighted fit or not.
     """
     if len(points) < 4:
         raise InsufficientData("need at least 4 points")
@@ -201,14 +182,19 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
                if weighted else None)
 
     held = None  # roots at the LM's current parameters, from its Jacobian hook
+    start_roots = None
 
     def model(params, x):
+        nonlocal start_roots
         roots = phasematch.solve_signal_sweep(
             setup.query, _crystal_with_z(setup, params), x, setup.search_window_nm,
             near_nm=held)
         if held is None:
             # The LM's first call is at the start values.
-            _require_roots(x, roots)
+            missing = np.isnan(roots)
+            if missing.any():
+                raise NoRootInWindow(f"no model root for pump {float(x[missing][0])} nm")
+            start_roots = roots
         return roots
 
     def jacobian(params, x, values):
@@ -219,12 +205,8 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     result = numerics.least_squares_fit(model, pumps, signals, start,
                                         weights=weights, max_iter=max_iter,
                                         jacobian=jacobian)
-    if weighted:
-        start_rss = rss(points, start, setup)
-        fitted_rss = rss(points, result.parameters, setup)
-    else:
-        start_rss = result.initial_residual_sum_squares
-        fitted_rss = result.residual_sum_squares
+    start_rss, fitted_rss = (float(np.dot(r, r)) for r in
+                             (signals - start_roots, signals - held))
     report = SellmeierFitReport(
         fitted=tuple(result.parameters),
         uncertainties=tuple(result.standard_errors),
@@ -258,17 +240,3 @@ def synthesize_noisy_dataset(coeffs: Sequence[float], pump_sweep_nm: Sequence[fl
         points.append(MeasurementPoint(pump_nm=float(pump), signal_nm=float(noisy),
                                        sigma_nm=float(sigma) if sigma > 0 else 1.0))
     return points
-
-
-def sellmeier_fraction_ranges(sellmeier: SellmeierSet,
-                              lambda_um_range: tuple[float, float] = (0.4, 1.8),
-                              samples: int = 2001) -> tuple[float, float]:
-    """Value ranges of the two pole fractions over a wavelength interval.
-
-    Returns (range of a1/(lam^2-a2), range of a3/(lam^2-a4)); used to justify
-    freeing only the first-fraction coefficients in the fit.
-    """
-    lam2 = np.linspace(*lambda_um_range, samples) ** 2
-    f1 = sellmeier.a1 / (lam2 - sellmeier.a2)
-    f2 = sellmeier.a3 / (lam2 - sellmeier.a4)
-    return float(np.ptp(f1)), float(np.ptp(f2))

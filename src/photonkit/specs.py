@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "Polarization",
@@ -52,8 +52,8 @@ def __getattr__(name: str):
 # --- crystals ---
 
 class Polarization(Enum):
-    """Wave polarization selector: fast/slow for the general case, or a
-    principal axis for collinear propagation."""
+    """Wave polarization selector: a principal axis, or fast/slow, which name
+    the y and z axes of the collinear geometry (see CrystalSpec.axis_set)."""
 
     FAST = "fast"
     SLOW = "slow"
@@ -108,6 +108,8 @@ class CrystalSpec:
             raise DomainError("crystal length must be positive")
         if not self.poling_period_um >= 0:
             raise DomainError("poling period must be nonnegative")
+        if not (math.isfinite(self.length_um) and math.isfinite(self.poling_period_um)):
+            raise DomainError("crystal length and poling period must be finite")
         if not (math.isfinite(self.t0_kelvin) and math.isfinite(self.alpha_per_kelvin)):
             raise DomainError("t0_kelvin and alpha_per_kelvin must be finite")
 
@@ -195,8 +197,7 @@ class PhaseMatchQuery:
         if not self.pump_wavelength_nm > 0:
             raise DomainError("pump wavelength must be positive",
                               field="pump_wavelength_nm")
-        if not math.isfinite(self.temperature_k):
-            raise DomainError("must be finite", field="temperature_k")
+        require_finite(self, "pump_wavelength_nm", "temperature_k")
         if abs(self.qpm_sign) != 1:
             raise DomainError("qpm_sign must be +1 or -1", field="qpm_sign")
         if self.qpm_order < 0:

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from photonkit import bent_guide, biphoton, phasematch

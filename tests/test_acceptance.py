@@ -12,7 +12,6 @@ import pytest
 
 from photonkit import (
     bent_guide,
-    biphoton,
     fiber_prop,
     numerics,
     phasematch,

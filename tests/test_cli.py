@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,15 @@ import pytest
 
 from photonkit import cli
 from photonkit.errors import PhotonkitError
-from photonkit.sellmeier_fit import load_dataset_csv
+from photonkit.dispersion import builtin_crystal_path, load_crystal
+from photonkit.phasematch import PhaseMatchQuery
+from photonkit.sellmeier_fit import (
+    FitSetup,
+    load_dataset_csv,
+    model_signal_wavelength,
+    save_dataset_csv,
+    synthesize_noisy_dataset,
+)
 
 
 def run_json(capsys, argv):
@@ -124,6 +133,32 @@ class TestPhasematchSweepAndFit:
         assert code == cli.EXIT_OK
         assert fit_out["converged"] is True
         assert fit_out["rss_nm2"] <= 1e-12
+
+    def test_weighted_fit(self, capsys, tmp_path):
+        # a dataset with unequal sigma_nm; the weighted fit minimises chi^2,
+        # and rss_nm2 and rss_start_nm2 are the plain nm^2 sums at the fitted
+        # and the start coefficients
+        crystal = load_crystal(builtin_crystal_path("ppktp_kato2002"))
+        setup = FitSetup(crystal, PhaseMatchQuery(392.0, temperature_k=298.0),
+                         (500.0, 600.0))
+        start = crystal.sellmeier_z.as_tuple()[:3]
+        points = synthesize_noisy_dataset(start, np.linspace(392.0, 403.0, 12), 0.002,
+                                          seed=1, setup=setup)
+        assert len({pt.sigma_nm for pt in points}) == len(points)
+        data = tmp_path / "data.csv"
+        save_dataset_csv(points, data)
+        code, out = run_json(capsys, ["fit-sellmeier", "--crystal", "ppktp_kato2002",
+                                      "--data", str(data), "--weighted"])
+        assert code == cli.EXIT_OK
+
+        def rss(coeffs):
+            model = model_signal_wavelength([pt.pump_nm for pt in points], coeffs, setup)
+            r = np.array([pt.signal_nm for pt in points]) - model
+            return float(np.dot(r, r))
+
+        assert out["rss_start_nm2"] == float(f"{rss(start):.9g}")
+        # the payload's fitted coefficients carry 9 digits too
+        assert out["rss_nm2"] == pytest.approx(rss(out["fitted"]), rel=1e-8)
 
     def test_sweep_out_in_new_subdirectory(self, capsys, tmp_path):
         # The run creates the CSV's parent directory, as bentguide solve does.
@@ -568,6 +603,41 @@ INVALID_SCENARIOS = {
         "jsa", _jsa_edit("query", "signal_theta_rad", 0.0), "/query/signal_theta_rad"),
     "bent-field-csv-not-a-string": (
         "bentguide solve", _guide(BENT_SPEC, field_csv=5), "/field_csv"),
+    # JSON as Python reads it allows Infinity, which used to pass the
+    # "must be positive" checks and end in a traceback, an empty mode table
+    # or a solver error
+    "rect-frequency-infinite": (
+        "rectguide", _guide(HOLLOW_SPEC, frequency_thz=math.inf), "/frequency_thz"),
+    "rect-width-infinite": (
+        "rectguide", _guide(dict(HOLLOW_SPEC, width_a_um=math.inf), frequency_thz=400.0),
+        "/spec/width_a_um"),
+    "rect-wavelength-infinite": (
+        "rectguide", _guide(DIELECTRIC_SPEC, wavelength_um=math.inf), "/wavelength_um"),
+    "rect-clad-infinite": (
+        "rectguide", _guide(dict(DIELECTRIC_SPEC, clad_index=math.inf),
+                            wavelength_um=1.55), "/spec/clad_index"),
+    "bent-wavelength-infinite": (
+        "bentguide solve", _guide(dict(BENT_SPEC, vacuum_wavelength_um=math.inf)),
+        "/spec/vacuum_wavelength_um"),
+    "bent-clad-infinite": (
+        "bentguide solve", _guide(dict(BENT_SPEC, clad_index=math.inf)),
+        "/spec/clad_index"),
+    "bent-core-infinite": (
+        "bentguide solve", _guide(dict(BENT_SPEC, core_index=math.inf)),
+        "/spec/core_index"),
+    "offset-nan": (
+        "jsa", _jsa_edit("coupling", "signal_offset_per_um", math.nan),
+        "/coupling/signal_offset_per_um"),
+    "offset-infinite": (
+        "jsa", _jsa_edit("coupling", "idler_offset_per_um", math.inf),
+        "/coupling/idler_offset_per_um"),
+    "query-pump-infinite": (
+        "jsa", _jsa_edit("query", "pump_wavelength_nm", math.inf),
+        "/query/pump_wavelength_nm"),
+    "fiber-length-infinite": (
+        "fiber", lambda scenario: dict(scenario, fiber={
+            "gvd_2beta_s2_per_m": -2.27e-26, "length_m": math.inf}),
+        "/fiber/length_m"),
 }
 
 
@@ -854,6 +924,22 @@ class TestImports:
         loaded = self._loaded("--golden", capsys, tmp_path, jsa_scenario)
         assert "photonkit.fiber_prop" in loaded
         assert "photonkit.biphoton" not in loaded
+
+    def test_golden_loads_no_fit_modules(self):
+        # the pole-fraction check takes the Sellmeier formula from dispersion
+        out = _fresh_python("-c", _RUN_AND_LIST, "--golden")
+        *lines, last = out.splitlines()
+        code, *loaded = last.split()
+        assert code == str(cli.EXIT_OK)
+        assert lines == [f"PASS  {name}" for name in (
+            "bent-guide beta_w within 0.5%", "bent-guide vertical counts (2, 1)",
+            "bent-guide n_eff(1,1) within 3%",
+            "bent-guide mean radius (1,1) within 0.05 um",
+            "hollow TE10 cutoff = c/(2a)", "fiber dispersion scale 227 ns/PHz",
+            "g2 table {0, 0.5, 1, 2}", "z-axis pole-fraction ranges (0.533, 0.048)")]
+        assert "photonkit.dispersion" in loaded
+        assert [m for m in loaded
+                if m in ("photonkit.sellmeier_fit", "photonkit.phasematch")] == []
 
     def test_stats_g2_loads_photon_stats_alone(self, capsys, tmp_path, jsa_scenario):
         loaded = self._loaded("stats g2", capsys, tmp_path, jsa_scenario)

@@ -16,6 +16,7 @@ from photonkit.dispersion import (
     load_crystal,
     poling_period,
     refractive_index,
+    sellmeier_fraction_ranges,
     wavevector_magnitude,
 )
 from photonkit.errors import (
@@ -95,6 +96,16 @@ class TestRefractiveIndex:
             fn(s, np.array([0.6, 0.5]))
         with pytest.raises(NegativeRadicand, match="radicand is not positive"):
             fn(s, np.array([0.6, 0.7]))
+
+    @pytest.mark.parametrize("fn", [refractive_index, index_and_derivative,
+                                    index_derivatives])
+    @pytest.mark.parametrize("lam", [-0.8, np.array([0.5, -0.8])],
+                             ids=["scalar", "array"])
+    def test_negative_wavelength(self, kato_crystal, fn, lam):
+        # lam^2 is positive here: the check is of lam itself
+        with pytest.raises(DomainError, match="wavelength must be positive") as exc:
+            fn(kato_crystal.sellmeier_z, lam)
+        assert type(exc.value) is DomainError
 
     def test_nan_passes_through(self, kato_crystal):
         s = kato_crystal.sellmeier_z
@@ -268,5 +279,21 @@ class TestCrystalIO:
                         sellmeier_y=kato_crystal.sellmeier_y,
                         sellmeier_z=kato_crystal.sellmeier_z, length_um=0.0)
         for field in ("length_um", "poling_period_um", "t0_kelvin", "alpha_per_kelvin"):
-            with pytest.raises(DomainError):
-                dataclasses.replace(kato_crystal, **{field: math.nan})
+            for bad in (math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    dataclasses.replace(kato_crystal, **{field: bad})
+
+
+class TestFractionRanges:
+    @pytest.mark.parametrize("name", ["ppktp_kato2002", "ppktp_type2_telecom"])
+    def test_matches_the_formula(self, name):
+        crystal = load_crystal(builtin_crystal_path(name))
+        lam2 = np.linspace(0.4, 1.8, 2001) ** 2
+        for s in (crystal.sellmeier_x, crystal.sellmeier_y, crystal.sellmeier_z):
+            assert sellmeier_fraction_ranges(s) == (
+                float(np.ptp(s.a1 / (lam2 - s.a2))), float(np.ptp(s.a3 / (lam2 - s.a4))))
+
+    def test_pole_in_the_interval(self):
+        with pytest.raises(PoleProximity):
+            sellmeier_fraction_ranges(SellmeierSet(2.0, 1.0, 0.25, 0.0, 0.0),
+                                      (0.4, 0.6), samples=3)

@@ -1,6 +1,7 @@
 """Every name a photonkit module lists in `__all__` exists on it (`errors`
 lists none), and every function listed there is used by photonkit's own code
-or is named library API.
+or is named library API. Every name a photonkit or test module imports is
+used in that module or listed in its `__all__`.
 
 `from photonkit.<module> import *` and the benchmark tracer
 (`perfbench/spans.py`, which looks up each entry) both fail on a stale one."""
@@ -19,6 +20,8 @@ from photonkit import biphoton, dispersion, fiber_prop, specs
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(photonkit.__path__))
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = sorted([*Path(photonkit.__file__).parent.rglob("*.py"),
+                  *Path(__file__).resolve().parent.rglob("*.py")])
 
 # Public functions no photonkit code calls, kept as library API; README's
 # "Library API" section lists the same names.
@@ -143,3 +146,27 @@ def test_every_public_function_is_called_or_library_api():
 def test_readme_lists_the_library_api():
     section = README.read_text().split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"^- `(\w+)`", section, flags=re.M)) == set(LIBRARY_API)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names an import statement of `path` binds (`from __future__`
+    aside) that the file never loads and its `__all__` does not list."""
+    tree = ast.parse(path.read_text())
+    imported, listed = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            listed.update(ast.literal_eval(node.value))
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - loaded - listed - {"*"})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []

@@ -362,12 +362,6 @@ class TestLeastSquares:
         with pytest.raises(DomainError, match="shape"):
             numerics.least_squares_fit(model, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0])
 
-    def test_initial_rss_reported(self):
-        x = np.linspace(0.5, 2.0, 20)
-        model = lambda p, xx: p[0] * np.asarray(xx, dtype=float)
-        res = numerics.least_squares_fit(model, x, 3.0 * x, [1.0])
-        assert res.initial_residual_sum_squares == float(np.dot(2.0 * x, 2.0 * x))
-
     def test_analytic_jacobian(self):
         x = np.linspace(-3, 3, 60)
         truth = [0.2, 1.5, 0.4, 0.7]

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from photonkit import numerics, phasematch, sellmeier_fit
+from photonkit.dispersion import sellmeier_fraction_ranges
 from photonkit.errors import DomainError, InsufficientData, NoRootInWindow
 from photonkit.phasematch import PhaseMatchQuery
 from photonkit.sellmeier_fit import (
@@ -13,11 +15,16 @@ from photonkit.sellmeier_fit import (
     load_dataset_csv,
     model_derivatives,
     model_signal_wavelength,
-    rss,
     save_dataset_csv,
-    sellmeier_fraction_ranges,
     synthesize_noisy_dataset,
 )
+
+
+def _rss(points, coeffs, setup):
+    """sum (signal - model root)^2 in nm^2 over the points, at coeffs."""
+    model = model_signal_wavelength([pt.pump_nm for pt in points], coeffs, setup)
+    r = np.array([pt.signal_nm for pt in points]) - model
+    return float(np.dot(r, r))
 
 
 @pytest.fixture(scope="module")
@@ -46,19 +53,6 @@ class TestModel:
         narrow = FitSetup(crystal=setup.crystal, query=setup.query,
                           search_window_nm=(590.0, 600.0))
         assert math.isnan(model_signal_wavelength(397.6, true_coeffs, narrow))
-
-    def test_rss_zero_at_truth(self, setup, true_coeffs):
-        pts = synthesize_noisy_dataset(true_coeffs,
-                                       np.linspace(394.0, 401.0, 8),
-                                       0.0, seed=1, setup=setup)
-        assert rss(pts, true_coeffs, setup) < 1e-18
-
-    def test_rss_raises_without_root(self, setup, true_coeffs):
-        narrow = FitSetup(crystal=setup.crystal, query=setup.query,
-                          search_window_nm=(590.0, 600.0))
-        pts = [MeasurementPoint(397.6, 533.0)]
-        with pytest.raises(NoRootInWindow):
-            rss(pts, true_coeffs, narrow)
 
 
 class TestSynthesize:
@@ -115,7 +109,7 @@ class TestFit:
         pts = synthesize_noisy_dataset(true_coeffs, pumps, 0.005, seed=9,
                                        setup=setup)
         report = fit(pts, true_coeffs, setup, weighted=True)
-        assert report.rss_nm2 == rss(pts, report.fitted, setup)
+        assert report.rss_nm2 == _rss(pts, report.fitted, setup)
         assert report.rss_nm2 == pytest.approx(18.79, abs=0.01)
         assert report.average_error_nm == math.sqrt(report.rss_nm2 / len(pts))
         # 2.672 is where the plain LM stopped at its iteration cap
@@ -130,7 +124,7 @@ class TestFit:
                                        setup=setup)
         start = (true_coeffs[0] * 1.001, true_coeffs[1], true_coeffs[2])
         report = fit(pts, start, setup)
-        assert report.rss_start_nm2 == rss(pts, start, setup)
+        assert report.rss_start_nm2 == _rss(pts, start, setup)
 
     def test_start_without_root_raises(self, setup, true_coeffs):
         narrow = FitSetup(crystal=setup.crystal, query=setup.query,
@@ -219,9 +213,16 @@ class TestJacobian:
                  true_coeffs[2] * 1.01)
         exact = fit(pts, start, setup)
         lm = numerics.least_squares_fit
-        # the all-finite-difference fit: no analytic Jacobian or curvature
-        monkeypatch.setattr(numerics, "least_squares_fit",
-                            lambda *args, jacobian=None, **kw: lm(*args, **kw))
+
+        def forward_differences(model, *args, jacobian, **kw):
+            # the all-finite-difference fit: no analytic Jacobian or
+            # curvature reaches the LM, but the fit's hook still holds the roots
+            def hook(params, x, values):
+                jacobian(params, x, values)
+                return numerics._jacobian(model, params, x, values)
+            return lm(model, *args, jacobian=hook, **kw)
+
+        monkeypatch.setattr(numerics, "least_squares_fit", forward_differences)
         forward = fit(pts, start, setup)
         for got, want in zip(exact.fitted, true_coeffs):
             assert abs(got - want) / abs(want) < 1e-6
@@ -261,13 +262,21 @@ class TestCurvature:
         assert np.isnan(got[0])
         assert np.isfinite(got[1])
 
-    def test_fit_sweeps_once_per_trial(self, setup, true_coeffs, monkeypatch):
-        # the LM's start, then one sweep per trial: no geodesic probe sweeps.
+    @pytest.mark.parametrize("weighted,scanned_rows", [
+        (False, [15, 15, 5]), (True, [15, 15, 9])], ids=["unweighted", "weighted"])
+    def test_fit_sweeps_once_per_trial(self, setup, true_coeffs, monkeypatch,
+                                       weighted, scanned_rows):
+        # the LM's start, then one sweep per trial: no geodesic probe sweeps,
+        # and no sweeps after the LM for the reported RSS, weighted or not.
         # Each trial refines from the held roots' scan cells, so the window is
         # scanned for the start and for the pumps whose root left its cell:
-        # 35 pump rows (15, 15 and 5), against 15 per sweep.
+        # 35 pump rows unweighted (15, 15 and 5), against 15 per sweep.
         pts = synthesize_noisy_dataset(true_coeffs, np.linspace(392.0, 403.0, 15),
                                        0.0, seed=5, setup=setup)
+        if weighted:
+            # unequal sigmas, so the weights change the steps
+            pts = [dataclasses.replace(pt, sigma_nm=0.2 + 0.1 * i)
+                   for i, pt in enumerate(pts)]
         sweeps, curvatures, scanned = [], [], []
         sweep, derivatives = phasematch.solve_signal_sweep, sellmeier_fit.model_derivatives
         scan = phasematch._scan
@@ -286,10 +295,10 @@ class TestCurvature:
         monkeypatch.setattr(phasematch, "_scan", counted_scan)
         monkeypatch.setattr(sellmeier_fit, "model_derivatives", counted_derivatives)
         start = (true_coeffs[0] * 1.002, true_coeffs[1] * 0.99, true_coeffs[2] * 1.01)
-        report = fit(pts, start, setup)
+        report = fit(pts, start, setup, weighted=weighted)
         assert report.converged
         assert len(sweeps) == 1 + len(curvatures)
-        assert scanned == [15, 15, 5]
+        assert scanned == scanned_rows
 
     @pytest.mark.parametrize("noise_seed", [None, 0, 1])
     def test_trial_roots_equal_the_scan(self, setup, true_coeffs, monkeypatch,
