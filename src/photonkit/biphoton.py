@@ -593,9 +593,8 @@ def fit_gaussian_2d(grid: JsaGrid) -> GaussianFit2D:
     moments (_GaussianMoments) while the iterate's |rho| <= MOMENT_RHO_MAX
     (0.995), and the dense Jacobian above it, where the moments lose
     precision: J^T J agrees with the dense product to 5.5e-11 of its diagonal
-    scale at |rho| = 0.995 and 2.6e-8 at 0.999. The fit is unweighted and its
-    model is finite at the start, so it keeps every grid point, as the moment
-    form requires."""
+    scale at |rho| = 0.995 and 2.6e-8 at 0.999. The fit is unweighted, as the
+    moment form requires."""
     ws = grid.omega_s_phz
     wi = grid.omega_i_phz
     p = grid.probability

@@ -375,10 +375,15 @@ def _cmd_fit_sellmeier(args) -> dict:
     query, window = _flag_query(args, max(pumps), pump_wavelength_nm=min(pumps))
     _check_scan("/window_nm", len(pumps), window)
     setup = sellmeier_fit.FitSetup(crystal=crystal, query=query, search_window_nm=window)
-    start = (tuple(args.start) if args.start
-             else crystal.sellmeier_z.as_tuple()[:3])
+    start = crystal.sellmeier_z
+    if args.start:
+        a0, a1, a2 = args.start
+        try:
+            start = dataclasses.replace(start, a0=a0, a1=a1, a2=a2)
+        except DomainError as exc:
+            raise _invalid("/start", str(exc)) from None
     return dataclasses.asdict(
-        sellmeier_fit.fit(points, start, setup, weighted=args.weighted))
+        sellmeier_fit.fit(points, start.as_tuple()[:3], setup, weighted=args.weighted))
 
 
 def _scenario_grid(args, command: str):

@@ -17,7 +17,6 @@ from .specs import (
     Polarization,
     SellmeierSet,
     builtin_crystal_path,
-    crystal_to_dict,
     load_crystal,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "grating_vector",
     "wavevector_magnitude",
     "load_crystal",
-    "crystal_to_dict",
     "builtin_crystal_path",
 ]
 

@@ -220,15 +220,8 @@ def _eval_model(model, params, x):
     return out
 
 
-def _selection(mask):
-    """Index of the points mask keeps: the full slice when it keeps them all,
-    so that indexing gives views rather than copies."""
-    return slice(None) if mask.all() else mask
-
-
 class _DenseProducts:
-    """J^T J and J^T v of a dense Jacobian, given its sqrt(w)-weighted rows on
-    the mask."""
+    """J^T J and J^T v of a dense Jacobian, given its sqrt(w)-weighted rows."""
 
     def __init__(self, jw):
         self.jw = jw
@@ -250,25 +243,27 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     Each damped trial costs one model call. It solves
     (J^T W J + lam D^2) v = J^T W r for the velocity v, with
     D^2 = diag(J^T W J). Given the model's second directional derivative m''
-    along v on the current mask, the same damped system against -J^T W m''
-    gives the acceleration a, and the trial steps to p + v + a/2 when
+    along v, the same damped system against -J^T W m'' gives the
+    acceleration a, and the trial steps to p + v + a/2 when
     2 |D a| <= alpha |D v| (alpha = LM_ACCEL_RATIO). It steps to p + v when
     the acceleration is larger, and when m'' is not given, has no value (see
     below) or is not finite.
 
     model(params, x) takes all of x in one call and returns one value per
-    point. It may return NaN for individual points; those points are masked for
-    the current step rather than aborting the fit. A trial the model cannot
-    evaluate at all (it raises a PhotonkitError, a ValueError such as
-    DomainError, or an ArithmeticError, or every point is NaN) has left the
-    model's domain and counts as an infinitely bad step; any other exception,
-    a NameError or TypeError from a bug in the model say, propagates. Damping
-    starts at 1e-3 and is divided/multiplied by 10 on accepted/rejected steps.
-    The fit stops on an accepted step whose relative step or RSS drop is tiny;
-    that stop counts as converged unless a trial of the same iteration left
-    the domain, as a fit pressed against a domain wall stops on tiny steps
-    too. Standard errors come from the covariance estimate scaled by residual
-    variance, with the Jacobian and mask taken at the returned parameters.
+    point, and must be finite at every point at the initial parameters
+    (DomainError otherwise). A trial the model cannot evaluate at all (it
+    raises a PhotonkitError, a ValueError such as DomainError, or an
+    ArithmeticError, or no value is finite) has left the model's domain and
+    counts as an infinitely bad step; any other exception, a NameError or
+    TypeError from a bug in the model say, propagates. A trial that is not
+    finite at some points is rejected too, but does not mark a domain wall.
+    So every accepted step keeps a value at every point. Damping starts at
+    1e-3 and is divided/multiplied by 10 on accepted/rejected steps. The fit
+    stops on an accepted step whose relative step or RSS drop is tiny; that
+    stop counts as converged unless a trial of the same iteration left the
+    domain, as a fit pressed against a domain wall stops on tiny steps too.
+    Standard errors come from the covariance estimate scaled by residual
+    variance, with the Jacobian taken at the returned parameters.
 
     The fitter touches the Jacobian J only through J^T W J and J^T W v.
     jacobian(params, x, values), given the model values at params, returns
@@ -277,15 +272,13 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     point; either may come in a (jacobian, curvature) pair whose
     curvature(direction) returns the model's second derivative along
     `direction` at the same params, one value per point. The object's
-    products run over all points, so it serves unweighted fits that keep
-    every point, and the fit raises DomainError with weights or a masked
-    point. A fit whose model is finite everywhere at the start keeps every
-    point, as an accepted step never drops one. biphoton.fit_gaussian_2d
-    gives the object, built from grid moments, while |rho| <= 0.995 (they
-    agree with the dense products to 5.5e-11 of the diagonal scale there),
-    and the matrix above. The hook is called once per iteration, and once
-    more at parameters the last iteration moved to; forward differences,
-    with no curvature, by default. Weights must be finite and positive.
+    products are unweighted, so the fit raises DomainError when it comes with
+    weights. biphoton.fit_gaussian_2d gives the object, built from grid
+    moments, while |rho| <= 0.995 (they agree with the dense products to
+    5.5e-11 of the diagonal scale there), and the matrix above. The hook is
+    called once per iteration, and once more at parameters the last
+    iteration moved to; forward differences, with no curvature, by default.
+    Weights must be finite and positive.
     """
     if jacobian is None:
         jacobian = partial(_jacobian, model)
@@ -301,70 +294,62 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
     if y.size < p.size:
         raise DomainError("need at least as many data points as parameters")
 
-    def weigh(values, sel):
-        # sqrt(w) times values (one per selected point, or one row each);
-        # an unweighted fit skips the multiply by 1.
+    def weigh(values):
+        # sqrt(w) times values (one per point, or one row each); an
+        # unweighted fit skips the multiply by 1.
         if sw is None:
             return values
-        return values * (sw[sel][:, None] if values.ndim == 2 else sw[sel])
+        return values * (sw[:, None] if values.ndim == 2 else sw)
 
-    def masked_rss(params):
+    def rss_at(params):
+        # The RSS and the model's values at params: inf when no value is
+        # finite, NaN, which no comparison accepts, when only some are.
         m = _eval_model(model, params, x)
-        mask = np.isfinite(m)
-        if not mask.any():
-            return np.inf, mask, m
-        sel = _selection(mask)
-        r = weigh(y[sel] - m[sel], sel)
-        return float(np.dot(r, r)), mask, m
+        finite = np.isfinite(m)
+        if not finite.all():
+            return (np.nan if finite.any() else np.inf), m
+        r = weigh(y - m)
+        return float(np.dot(r, r)), m
 
-    def guarded_rss(params):
-        # Trial parameters may leave the model's physical domain entirely;
-        # treat that as an infinitely bad step rather than a failure.
-        try:
-            return masked_rss(params)
-        except _NO_VALUE:
-            return np.inf, None, None
-
-    def derivatives(sel):
-        # The Jacobian products at p on the mask, and the curvature hook or None.
+    def derivatives():
+        # The Jacobian products at p, and the curvature hook or None.
         out = jacobian(p, x, m)
         jac, curvature = out if isinstance(out, tuple) else (out, None)
         if not hasattr(jac, "gram"):
-            return _DenseProducts(weigh(jac[sel], sel)), curvature
-        if sw is not None or not isinstance(sel, slice):
-            raise DomainError("a Jacobian given as products needs an unweighted "
-                              "fit that keeps every point")
+            return _DenseProducts(weigh(jac)), curvature
+        if sw is not None:
+            raise DomainError("a Jacobian given as products needs an unweighted fit")
         return jac, curvature
 
-    def accelerated(dp, damp, curvature, jac, sel, d2):
+    def accelerated(dp, damp, curvature, jac, d2):
         # No curvature, an m'' that has no value or is not finite, or an
         # acceleration too large to trust, leaves the plain step.
         if curvature is None:
             return dp
         try:
-            m2 = np.asarray(curvature(dp), dtype=float)[sel]
+            m2 = np.asarray(curvature(dp), dtype=float)
         except _NO_VALUE:
             return dp
         if not np.isfinite(m2).all():
             return dp
-        acc = np.linalg.solve(damp, -jac.rmatvec(weigh(m2, sel)))
+        acc = np.linalg.solve(damp, -jac.rmatvec(weigh(m2)))
         if 2.0 * math.sqrt(d2 @ acc**2) <= LM_ACCEL_RATIO * math.sqrt(d2 @ dp**2):
             return dp + 0.5 * acc
         return dp
 
-    rss, mask, m = masked_rss(p)
+    rss, m = rss_at(p)
     if not np.isfinite(rss):
-        raise DomainError("model not evaluable at the initial parameters")
+        raise DomainError("model must be finite at every point, with a finite RSS, "
+                          "at the initial parameters")
     lam = LM_LAMBDA0
     converged = False
     iterations = 0
     accepted = True
     for iterations in range(1, max_iter + 1):
-        sel = _selection(mask)
-        jac, curvature = derivatives(sel)
+        jac, curvature = derivatives()
         a = jac.gram()
         # the residual is not held while the trials run
-        g = jac.rmatvec(weigh(y[sel] - m[sel], sel))
+        g = jac.rmatvec(weigh(y - m))
         d2 = np.diag(a)
         accepted = stop = left_domain = False
         while lam < 1e14:
@@ -373,33 +358,35 @@ def least_squares_fit(model: Callable, xdata: Sequence[float], ydata: Sequence[f
                 dp = np.linalg.solve(damp, g)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobian(str(exc)) from exc
-            step = accelerated(dp, damp, curvature, jac, sel, d2)
+            step = accelerated(dp, damp, curvature, jac, d2)
             trial = p + step
-            trial_rss, trial_mask, trial_m = guarded_rss(trial)
-            left_domain |= not np.isfinite(trial_rss)
-            if (np.isfinite(trial_rss) and trial_rss <= rss
-                    and np.count_nonzero(trial_mask) >= np.count_nonzero(mask)):
+            # Trial parameters may leave the model's domain entirely: an
+            # infinitely bad step rather than a failure.
+            try:
+                trial_rss, trial_m = rss_at(trial)
+            except _NO_VALUE:
+                trial_rss, trial_m = np.inf, None
+            left_domain |= trial_rss == np.inf
+            if trial_rss <= rss:
                 rel_step = np.max(np.abs(step) / np.maximum(np.abs(p), 1e-300))
                 rel_drop = (rss - trial_rss) / max(rss, 1e-300)
-                p, rss, mask, m = trial, trial_rss, trial_mask, trial_m
+                p, rss, m = trial, trial_rss, trial_m
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
                 stop = rel_step < LM_STEP_TOL or rel_drop < LM_RSS_TOL
                 converged = stop and not left_domain
                 break
             # a rejected trial's model values are not held while the next runs
-            del trial_mask, trial_m
+            del trial_m
             lam *= 10.0
         if stop or not accepted:
             break
 
-    sel = _selection(mask)
     if accepted:
-        # The last accepted step moved p and possibly the mask: the standard
-        # errors belong to the returned parameters, so linearise there.
-        jac, _ = derivatives(sel)
-    n_used = int(np.count_nonzero(mask))
-    dof = max(n_used - p.size, 1)
+        # The last accepted step moved p: the standard errors belong to the
+        # returned parameters, so linearise there.
+        jac, _ = derivatives()
+    dof = max(y.size - p.size, 1)
     try:
         cov = np.linalg.inv(jac.gram()) * (rss / dof)
         se = np.sqrt(np.maximum(np.diag(cov), 0.0))

@@ -65,8 +65,8 @@ def model_signal_wavelength(pump_nm, coeffs: Sequence[float], setup: FitSetup):
     """Signal central wavelength(s) predicted by the phase-matching sweep solve
     for one pump (a float) or many (an array).
 
-    Entries are NaN where no root lies in the window, so the fitter can mask
-    the point for the current step.
+    Entries are NaN where no root lies in the window; the fitter rejects a
+    trial with such an entry.
     """
     roots = phasematch.solve_signal_sweep(setup.query, _crystal_with_z(setup, coeffs),
                                           np.atleast_1d(pump_nm), setup.search_window_nm)
@@ -76,12 +76,12 @@ def model_signal_wavelength(pump_nm, coeffs: Sequence[float], setup: FitSetup):
 def _mismatch_derivatives(pumps_nm, signals_nm, coeffs: Sequence[float],
                           setup: FitSetup):
     """Derivatives of the collinear mismatch dk(lam_s, a) = k_p - k_s - k_i + K
-    at the finite roots, up to second order in the signal wavelength lam_s (in
-    um) and the fitted a = (a0, a1, a2), the pump held fixed.
+    at the roots, up to second order in the signal wavelength lam_s (in um)
+    and the fitted a = (a0, a1, a2), the pump held fixed.
 
-    Returns the mask of finite roots and, on those rows, dk_s, dk_ss, dk_a
-    (rows of 3), dk_sa (rows of 3) and dk_aa (rows of 3 x 3). Each wave enters
-    with its sign; the idler follows lam_s through 1/lam_i = 1/lam_p - 1/lam_s,
+    Returns dk_s, dk_ss, dk_a (rows of 3), dk_sa (rows of 3) and dk_aa (rows
+    of 3 x 3), NaN on the rows of NaN roots. Each wave enters with its sign;
+    the idler follows lam_s through 1/lam_i = 1/lam_p - 1/lam_s,
     so dlam_i/dlam_s = -(lam_i/lam_s)^2 and d2lam_i/dlam_s^2 =
     2 lam_i^2 (lam_i + lam_s)/lam_s^4. With k = 2 pi n/lam, k_lam =
     2 pi (n'/lam - n/lam^2) and k_lam,lam = 2 pi (n''/lam - 2 n'/lam^2 +
@@ -92,9 +92,8 @@ def _mismatch_derivatives(pumps_nm, signals_nm, coeffs: Sequence[float],
     signals_nm = np.asarray(signals_nm, dtype=float)
     crystal = _crystal_with_z(setup, coeffs)
     query = setup.query
-    ok = np.isfinite(signals_nm)
-    p_um = pumps_nm[ok] * 1e-3
-    s_um = signals_nm[ok] * 1e-3
+    p_um = pumps_nm * 1e-3
+    s_um = signals_nm * 1e-3
     i_um = 1.0 / (1.0 / p_um - 1.0 / s_um)
     ratio2 = (i_um / s_um) ** 2
     zeros, ones = np.zeros(p_um.size), np.ones(p_um.size)
@@ -121,7 +120,7 @@ def _mismatch_derivatives(pumps_nm, signals_nm, coeffs: Sequence[float],
             dk_sa += (sign * k_per_n * (d2n_la[:, :3] - grad / lam[:, None])
                       * dlam[:, None])
             dk_aa += sign * k_per_n[:, :, None] * d2n_aa[:, :3, :3]
-    return ok, dk_s, dk_ss, dk_a, dk_sa, dk_aa
+    return dk_s, dk_ss, dk_a, dk_sa, dk_aa
 
 
 def model_derivatives(pumps_nm, signals_nm, coeffs: Sequence[float],
@@ -129,26 +128,24 @@ def model_derivatives(pumps_nm, signals_nm, coeffs: Sequence[float],
     """Exact first and second derivatives of the collinear signal roots with
     respect to the fitted a0, a1, a2, from one pass over the mismatch.
 
-    signals_nm must be the roots at coeffs (NaN rows stay NaN). Returns the
-    Jacobian, shape (len(pumps_nm), 3) in nm per unit, and curvature(v), the
-    second directional derivatives along v in (a0, a1, a2), one per pump in nm
-    per unit squared. Differentiating dk(lam_s(a + t v), a + t v) = 0 twice in
-    t gives lam' = -dk_a v / dk_s (the implicit function theorem) and
+    signals_nm must be the roots at coeffs; a NaN root gives NaN on its rows
+    by arithmetic. Returns the Jacobian, shape (len(pumps_nm), 3) in nm per
+    unit, and curvature(v), the second directional derivatives along v in
+    (a0, a1, a2), one per pump in nm per unit squared. Differentiating
+    dk(lam_s(a + t v), a + t v) = 0 twice in t gives lam' = -dk_a v / dk_s
+    (the implicit function theorem) and
     lam'' = -(dk_ss lam'^2 + 2 (dk_sa v) lam' + v dk_aa v) / dk_s,
     all taken at the roots, so neither solves a root.
     """
-    ok, dk_s, dk_ss, dk_a, dk_sa, dk_aa = _mismatch_derivatives(
+    dk_s, dk_ss, dk_a, dk_sa, dk_aa = _mismatch_derivatives(
         pumps_nm, signals_nm, coeffs, setup)
-    jac = np.full((ok.size, 3), np.nan)
-    jac[ok] = -1e3 * dk_a / dk_s[:, None]  # dk_s is per um of lam_s
+    jac = -1e3 * dk_a / dk_s[:, None]  # dk_s is per um of lam_s
 
     def curvature(direction: Sequence[float]) -> np.ndarray:
         v = np.asarray(direction, dtype=float)
         first = -(dk_a @ v) / dk_s
         second = -(dk_ss * first**2 + 2.0 * (dk_sa @ v) * first + dk_aa @ v @ v) / dk_s
-        out = np.full(ok.size, np.nan)
-        out[ok] = 1e3 * second  # lam_s in um to nm
-        return out
+        return 1e3 * second  # lam_s in um to nm
 
     return jac, curvature
 
@@ -167,9 +164,9 @@ def fit(points: Sequence[MeasurementPoint], start: Sequence[float],
     is refined from that cell without scanning the window, to the same bits
     as the scan's root wherever the window holds one root per pump. Where it
     holds several, the model keeps to the branch of the roots it holds.
-    Points whose model root vanishes during a step are masked for that step,
-    but every point needs its root at the start values (NoRootInWindow
-    otherwise), and an accepted step never drops one. The report's RSS at the
+    Every point needs its root at the start values (NoRootInWindow
+    otherwise), and a trial where a root vanishes is rejected, so every
+    accepted step keeps a root at every point. The report's RSS at the
     start and at the fitted values are sum (signal - root)^2 in nm^2 over the
     roots the LM's first call solved and the roots its Jacobian hook last
     received, which are at the returned parameters, weighted fit or not.

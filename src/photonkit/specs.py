@@ -24,7 +24,6 @@ __all__ = [
     "SellmeierSet",
     "CrystalSpec",
     "load_crystal",
-    "crystal_to_dict",
     "builtin_crystal_path",
     "PumpSpec",
     "CouplingSpec",
@@ -149,24 +148,6 @@ def load_crystal(path) -> CrystalSpec:
         raise DomainError(f"crystal file {path} missing key {exc}") from exc
     except TypeError as exc:
         raise DomainError(f"crystal file {path} has the wrong layout: {exc}") from exc
-
-
-def crystal_to_dict(crystal: CrystalSpec) -> dict:
-    def axis(s: SellmeierSet):
-        return {"a0": s.a0, "a1": s.a1, "a2": s.a2, "a3": s.a3, "a4": s.a4}
-
-    return {
-        "name": crystal.name,
-        "axes": {
-            "x": axis(crystal.sellmeier_x),
-            "y": axis(crystal.sellmeier_y),
-            "z": axis(crystal.sellmeier_z),
-        },
-        "poling_period_um": crystal.poling_period_um,
-        "length_um": crystal.length_um,
-        "t0_kelvin": crystal.t0_kelvin,
-        "alpha_per_kelvin": crystal.alpha_per_kelvin,
-    }
 
 
 def builtin_crystal_path(name: str) -> Path:

@@ -202,10 +202,17 @@ class TestPhasematchSweepAndFit:
         ("sweep", ["--points", "100000000"], "/sweep"),
         ("sweep", ["--window-nm", "500", "2e6"], "/sweep"),
         ("fit", ["--window-nm", "500", "1e7"], "/window_nm"),
+        # start values no Sellmeier set accepts
+        ("fit", ["--start", "nan", "0.06", "0.05"], "/start"),
+        ("fit", ["--start", "4.6", "0.06", "inf"], "/start"),
+        ("fit", ["--start", "0", "0.06", "0.05"], "/start"),
+        ("fit", ["--start", "4.6", "0.06", "-1"], "/start"),
     ], ids=["sweep-pol", "sweep-sign", "fit-sign", "sweep-window", "fit-window",
             "sweep-window-inf", "fit-window-inf", "sweep-window-nan", "sweep-start-nan",
             "sweep-stop-inf", "sweep-temperature-nan", "fit-temperature-inf",
-            "sweep-points-huge", "sweep-window-huge", "fit-window-huge"])
+            "sweep-points-huge", "sweep-window-huge", "fit-window-huge",
+            "fit-start-nan", "fit-start-inf", "fit-start-a0-zero",
+            "fit-start-pole-negative"])
     def test_bad_flag_is_validation_error(self, capsys, tmp_path, command, flags, path):
         data = tmp_path / "data.csv"
         data.write_text("lambda_pump_nm,lambda_vis_nm\n395.0,533.0\n")

@@ -10,7 +10,6 @@ from photonkit.dispersion import (
     Polarization,
     SellmeierSet,
     builtin_crystal_path,
-    crystal_to_dict,
     index_and_derivative,
     index_derivatives,
     load_crystal,
@@ -252,12 +251,6 @@ class TestCrystalIO:
     def test_unknown_builtin(self):
         with pytest.raises(DomainError):
             builtin_crystal_path("does_not_exist")
-
-    def test_roundtrip(self, kato_crystal, tmp_path):
-        path = tmp_path / "crystal.json"
-        path.write_text(json.dumps(crystal_to_dict(kato_crystal)))
-        back = load_crystal(path)
-        assert back == kato_crystal
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -40,7 +40,6 @@ LIBRARY_API = {
     "branch": "acceptance criterion 8 thins the count records with it",
     "solve_signal_wavelength":
         "the one-pump phase-matching solve, which the benchmark traces as a layer",
-    "crystal_to_dict": "the inverse of load_crystal: a crystal as its JSON file holds it",
 }
 
 
@@ -91,7 +90,7 @@ def _functions_loaded_in_source() -> set:
 # The module each input spec moved to `specs` from, which re-exports it.
 SPEC_HOMES = {
     "dispersion": ("Polarization", "SellmeierSet", "CrystalSpec", "load_crystal",
-                   "crystal_to_dict", "builtin_crystal_path"),
+                   "builtin_crystal_path"),
     "biphoton": ("PumpSpec", "CouplingSpec", "JsaGridSpec"),
     "phasematch": ("PhaseMatchQuery",),
     "fiber_prop": ("FiberSpec",),
