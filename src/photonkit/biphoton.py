@@ -264,13 +264,13 @@ def _filon_tables(m: int):
     2i w P_k(t) Im g(t) for odd k, and i^k c_k is real: the sign (-1)^(k/2)
     or (-1)^((k+1)/2), both (-1)^floor((k+1)/2), goes into the matrix row,
     and the sign of -Im g into `odd`. A node at t = 0 (odd m) counts once."""
-    from numpy.polynomial.legendre import legvander
+    from ._legendre import legtable
 
     nodes, weights = numerics.gauss_legendre(m)
     t = nodes[m // 2:]
     w = weights[m // 2:] * np.where(t > 0, 2.0, 1.0)
     k = np.arange(m)
-    rows = ((-1.0) ** ((k + 1) // 2) * (k + 0.5))[:, None] * legvander(t, m - 1).T * w
+    rows = ((-1.0) ** ((k + 1) // 2) * (k + 0.5))[:, None] * legtable(t, m) * w
     return t, np.ascontiguousarray(rows[0::2]), -np.ascontiguousarray(rows[1::2])
 
 

@@ -42,7 +42,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 from . import specs  # noqa: E402
-from .errors import DomainError, PhotonkitError, ScenarioError  # noqa: E402
+from .errors import DomainError, PhotonkitError, ScenarioError, positive_problem  # noqa: E402
 
 __all__ = ["main", "run"]
 
@@ -245,9 +245,9 @@ def _build(scenario: dict) -> dict:
                               "message": f"{spec.kind} solve needs {key}"})
             elif not _json_ok(float, scenario[key]):
                 diags.append({"path": f"/{key}", "message": "number required"})
-            elif not 0 < scenario[key] < math.inf:
-                diags.append({"path": f"/{key}", "message": "must be finite"
-                              if scenario[key] > 0 else "must be positive"})
+            elif positive_problem(scenario[key]):
+                diags.append({"path": f"/{key}",
+                              "message": positive_problem(scenario[key])})
             else:
                 inputs[key] = float(scenario[key])
             if spec.kind == "dielectric":

@@ -21,14 +21,21 @@ class DomainError(PhotonkitError, ValueError):
         self.field = field
 
 
+def positive_problem(value: float) -> str | None:
+    """Why `value` is not 0 < value < inf, or None: "must be finite" above
+    zero, "must be positive" otherwise, NaN included."""
+    if not 0 < value < math.inf:
+        return "must be finite" if value > 0 else "must be positive"
+    return None
+
+
 def require_positive(spec, *fields: str) -> None:
-    """Raise DomainError at the first of `fields` on `spec` that is not > 0,
-    NaN included, or is infinite."""
+    """Raise DomainError, with its positive_problem, at the first of `fields`
+    on `spec` that has one."""
     for name in fields:
-        value = getattr(spec, name)
-        if not 0 < value < math.inf:
-            raise DomainError("must be finite" if value > 0 else "must be positive",
-                              field=name)
+        problem = positive_problem(getattr(spec, name))
+        if problem:
+            raise DomainError(problem, field=name)
 
 
 def require_finite(spec, *fields: str) -> None:

@@ -4,8 +4,8 @@ symmetric-slab dispersion relation's roots and mode profile, the moments of a
 weighted grid and the grid CSV writer.
 
 The special functions live in `special`. `gauss_legendre` imports
-numpy.polynomial on its first call and `write_grid_csv` imports `float_repr`,
-so importing this module loads the numpy core alone."""
+`_legendre` on its first call and `write_grid_csv` imports `float_repr`,
+so importing this module loads numpy's core alone."""
 
 from __future__ import annotations
 
@@ -164,11 +164,11 @@ def find_root(f: Callable, bracket: RootBracket, tol: float = 1e-12,
 
 @lru_cache(maxsize=64)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached per order. Every
-    caller shares the arrays, so they are read-only."""
+    """Gauss-Legendre nodes and weights on [-1, 1], numpy's `leggauss` bit
+    for bit, cached per order; callers share them: read-only."""
     if order < 2:
         raise DomainError("quadrature order must be >= 2")
-    from numpy.polynomial.legendre import leggauss
+    from ._legendre import leggauss
 
     nodes, weights = leggauss(order)
     nodes.flags.writeable = False

@@ -380,8 +380,9 @@ class TestJsaKernel:
         spec = JsaGridSpec(n=600, range_fraction=0.02,
                            signal_center_phz=s["signal_center"],
                            idler_center_phz=s["idler_center"])
-        # the first grid of a process imports numpy.polynomial, about 0.7 MB
-        # traced: a small grid first keeps that import out of the peak
+        # a small grid first keeps out of the peak what the first grid of a
+        # process adds once: the first compile of photonkit._legendre and
+        # the cached 16-node rule
         jsa_grid(pump, s["coupling"], s["crystal"], dataclasses.replace(spec, n=16),
                  s["query"])
         tracemalloc.start()

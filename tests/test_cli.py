@@ -828,21 +828,38 @@ class TestImports:
         assert out.split() == ["photonkit", "photonkit.cli", "photonkit.errors",
                                "photonkit.specs"]
 
-    def test_no_module_imports_threads(self):
-        # photonkit starts no threads or processes of its own
+    @staticmethod
+    def _imports() -> set:
+        """(file, dotted name) for every absolute import in photonkit's
+        source: `import a.b` gives a.b, `from a import b` gives a and a.b."""
         imported = set()
         for path in Path(cli.__file__).parent.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Import):
                     names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    names = [node.module]
+                    names = [node.module, *(f"{node.module}.{alias.name}"
+                                            for alias in node.names)]
                 else:
                     continue
-                imported.update((path.name, name.partition(".")[0]) for name in names)
+                imported.update((path.name, name) for name in names)
+        return imported
+
+    def test_no_module_imports_threads(self):
+        # photonkit starts no threads or processes of its own
+        imported = {(module, name.partition(".")[0])
+                    for module, name in self._imports()}
         assert ("numerics.py", "numpy") in imported
         assert [(module, name) for module, name in sorted(imported) if name in (
             "threading", "_thread", "concurrent", "multiprocessing")] == []
+
+    def test_no_module_imports_numpy_polynomial(self):
+        # _legendre builds the Gauss-Legendre rule and the Legendre table
+        # with numpy alone
+        imported = self._imports()
+        assert ("_legendre.py", "numpy") in imported
+        assert [(module, name) for module, name in sorted(imported)
+                if f"{name}.".startswith("numpy.polynomial.")] == []
 
     def test_jsa_loads_no_thread_pool(self, tmp_path, jsa_scenario):
         # WORKBENCH_THREADS has no effect, on a grid of two blocks (n = 60)
@@ -866,26 +883,36 @@ class TestImports:
         assert code == str(cli.EXIT_OK)
         return loaded
 
-    @pytest.mark.parametrize("case", [
-        "jsa", "fiber", "phasematch sweep", "fit-sellmeier", "dispersion",
-        "rectguide hollow", "rectguide dielectric", "stats g2", "validate",
-        "bentguide solve", "--golden"])
+    _CASES = ["jsa", "fiber", "phasematch sweep", "fit-sellmeier", "dispersion",
+              "rectguide hollow", "rectguide dielectric", "stats g2", "validate",
+              "bentguide solve", "--golden"]
+
+    @pytest.mark.parametrize("case", _CASES)
     def test_command_loads_no_scipy(self, capsys, tmp_path, jsa_scenario, case):
         loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
         assert [m for m in loaded if m.startswith("scipy")] == []
 
-    # Solver modules each command must leave unloaded.
+    # The Gauss-Legendre rule (jsa, fiber, bentguide solve, --golden) comes
+    # from photonkit._legendre, which needs no numpy.polynomial.
+    @pytest.mark.parametrize("case", _CASES)
+    def test_command_loads_no_numpy_polynomial(self, capsys, tmp_path, jsa_scenario,
+                                               case):
+        loaded = self._loaded(case, capsys, tmp_path, jsa_scenario)
+        assert [m for m in loaded if f"{m}.".startswith("numpy.polynomial.")] == []
+
+    # Solver modules each command must leave unloaded. The commands that
+    # build no quadrature rule do not compile _legendre either.
     _UNLOADED = {
         "dispersion": ("biphoton", "bent_guide", "rect_guide", "photon_stats",
-                       "sellmeier_fit", "fiber_prop"),
+                       "sellmeier_fit", "fiber_prop", "_legendre"),
         "jsa": ("bent_guide", "rect_guide", "photon_stats", "sellmeier_fit",
                 "fiber_prop"),
         "fit-sellmeier": ("biphoton", "bent_guide", "rect_guide", "photon_stats",
-                          "fiber_prop"),
+                          "fiber_prop", "_legendre"),
         # the sweep writes its dataset CSV with phasematch's own writer
         "phasematch sweep": ("biphoton", "bent_guide", "rect_guide", "photon_stats",
-                             "sellmeier_fit", "fiber_prop"),
-        "validate": ("bent_guide", "rect_guide"),
+                             "sellmeier_fit", "fiber_prop", "_legendre"),
+        "validate": ("bent_guide", "rect_guide", "_legendre"),
     }
 
     @pytest.mark.parametrize("case", list(_UNLOADED))

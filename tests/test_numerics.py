@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonkit import float_repr, numerics, special
+from photonkit import _legendre, float_repr, numerics, special
 from photonkit.errors import DomainError, MaxIterations, NoSignChange
 
 
@@ -219,6 +219,40 @@ class TestQuadrature:
         deg = 2 * order - 1
         got = numerics.integrate(lambda x: x**deg, 0.0, 1.0, order=order)
         assert got == pytest.approx(1.0 / (deg + 1), rel=1e-10, abs=1e-12)
+
+
+# Every order photonkit builds a rule at: integrate's and bent_guide's (96)
+# among 2..130, and jsa_grid's doublings up to Z_QUAD_MAX_ORDER from 16, 24
+# and 33 (an odd start the biphoton tests take).
+_RULE_ORDERS = [*range(2, 131), 132, 192, 256, 264, 384, 512, 528, 768, 1024]
+
+
+class TestLegendre:
+    """`_legendre` repeats numpy's leggauss and legvander operation for
+    operation, so every grid built on the rule keeps its bits."""
+
+    def test_rule_matches_numpy_bit_for_bit(self):
+        from numpy.polynomial.legendre import leggauss
+
+        differ = []
+        for order in _RULE_ORDERS:
+            want, got = leggauss(order), _legendre.leggauss(order)
+            if any(a.tobytes() != b.tobytes() for a, b in zip(want, got)):
+                differ.append(order)
+        assert differ == []
+
+    def test_table_matches_numpy_bit_for_bit(self):
+        # at the Filon nodes t >= 0 of biphoton's crystal quadrature
+        from numpy.polynomial.legendre import legvander
+
+        differ = []
+        for m in [order for order in _RULE_ORDERS if order >= 16]:
+            t = numerics.gauss_legendre(m)[0][m // 2:]
+            got = _legendre.legtable(t, m)
+            want = legvander(t, m - 1).T
+            if got.shape != want.shape or got.tobytes() != want.tobytes():
+                differ.append(m)
+        assert differ == []
 
 
 class TestLeastSquares:
